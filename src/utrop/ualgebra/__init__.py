@@ -2,12 +2,7 @@
 weighted initial ideals, and (signed) tropical certification."""
 
 from .poly import Poly, TermOrder, grevlex, weighted_order
-from .groebner import (
-    groebner,
-    groebner_basis,
-    NormalFormCalculator,
-    DEFAULT_MAX_PAIRS,
-)
+from .groebner import groebner_basis, NormalFormCalculator, DEFAULT_MAX_PAIRS
 from .ideals import (
     Ideal,
     CompatibilitySpec,
@@ -31,7 +26,6 @@ __all__ = [
     "TermOrder",
     "grevlex",
     "weighted_order",
-    "groebner",
     "groebner_basis",
     "NormalFormCalculator",
     "DEFAULT_MAX_PAIRS",

@@ -1,11 +1,19 @@
-"""Buchberger's algorithm over the rationals with exact integer internals.
+"""Buchberger's algorithm over the rationals on one integer reduction kernel.
 
-Polynomials are cleared to primitive integer form on entry, and all S-pair
-and reduction arithmetic stays in integers (cross-multiplying by leading
-coefficients and stripping content), which avoids Fraction overhead in the
-inner loops.  Pair pruning follows Gebauer-Moeller; pair selection is the
-normal strategy (smallest lcm in the term order).  A hard pair budget
-raises instead of truncating.
+Polynomials are cleared to primitive integer form on entry, and all S-pair,
+reduction and normal-form arithmetic stays in integers (cross-multiplying by
+leading coefficients), which avoids Fraction overhead in the inner loops.
+
+One run works on one :class:`_Basis`.  It memoizes each monomial's order
+key and variable-support bitmask, so a key is computed once per run however
+often leading-term choice, pair selection and the pair update compare that
+monomial.  The divisor search tests the bitmasks first: ``lm`` can divide
+``m`` only if ``lm`` uses no variable that ``m`` lacks.  ``_reduce_scaled``
+is the one reduction loop; it also serves :class:`NormalFormCalculator`,
+which undoes the loop's integer scale to return exact rational normal
+forms.  Pair pruning follows Gebauer-Moeller; pair selection is the normal
+strategy (smallest lcm in the term order).  A hard pair budget raises
+instead of truncating.
 """
 
 from __future__ import annotations
@@ -13,38 +21,33 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from math import gcd
+from operator import add, le
 
 from ..errors import GroebnerBudgetError
-from .poly import (
-    Poly,
-    TermOrder,
-    monomial_div,
-    monomial_divides,
-    monomial_lcm,
-    monomial_mul,
-)
+from .poly import Poly, TermOrder, monomial_div, monomial_divides, monomial_lcm
 
 DEFAULT_MAX_PAIRS = int(os.environ.get("UTROP_MAX_PAIRS", "200000"))
 
 
-def _to_int_poly(p: Poly):
-    """Primitive integer form of a rational polynomial (positive content)."""
+def _primitive(p: Poly):
+    """``(terms, content)``: the primitive integer form of ``p`` (positive
+    content) and the rational ``content`` with ``p == content * terms``."""
     if not p:
-        return {}
+        return {}, Fraction(1)
     den = 1
     for c in p.terms.values():
         den = den * c.denominator // gcd(den, c.denominator)
     ints = {m: int(c * den) for m, c in p.terms.items()}
     g = 0
     for v in ints.values():
-        g = gcd(g, abs(v))
-    return {m: v // g for m, v in ints.items()}
+        g = gcd(g, v)
+    return {m: v // g for m, v in ints.items()}, Fraction(g, den)
 
 
 def _content_strip(terms):
     g = 0
     for v in terms.values():
-        g = gcd(g, abs(v))
+        g = gcd(g, v)
         if g == 1:
             return terms
     if g > 1:
@@ -58,181 +61,241 @@ def _normalize_sign(terms, lm):
     return terms
 
 
+def _support(m) -> int:
+    """Bitmask of the variables that occur in monomial ``m``."""
+    mask = 0
+    for i, e in enumerate(m):
+        if e:
+            mask |= 1 << i
+    return mask
+
+
+class _Memo(dict):
+    """Values of a function of monomials, each computed on first use."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, m):
+        value = self[m] = self.fn(m)
+        return value
+
+
 class _Basis:
-    """Basis polynomials with cached leading data."""
+    """Basis polynomials of one run with cached leading data.
 
-    __slots__ = ("order", "polys", "lms", "lcs", "keys")
+    ``key(m)`` and ``support(m)`` are the run's memoized order key and
+    support bitmask.  Each element keeps its leading monomial (``lms``),
+    leading coefficient (``lcs``), the support bitmask of its leading
+    monomial (``sevs``) and its tail (the terms below the leading one).
+    Elements are only ever appended, so an index stays valid for the whole
+    run.
+    """
 
-    def __init__(self, order: TermOrder):
+    __slots__ = ("order", "key", "support", "polys", "lms", "lcs", "sevs", "tails")
+
+    def __init__(self, order: TermOrder, key=None, support=None):
         self.order = order
+        self.key = key or _Memo(order.key).__getitem__
+        self.support = support or _Memo(_support).__getitem__
         self.polys = []
         self.lms = []
         self.lcs = []
-        self.keys = []
+        self.sevs = []
+        self.tails = []
 
     def add(self, terms):
-        lm = max(terms, key=self.order.key)
+        lm = max(terms, key=self.key)
         terms = _normalize_sign(_content_strip(terms), lm)
         self.polys.append(terms)
         self.lms.append(lm)
         self.lcs.append(terms[lm])
-        self.keys.append(self.order.key(lm))
+        self.sevs.append(self.support(lm))
+        self.tails.append([(m, v) for m, v in terms.items() if m != lm])
         return len(self.polys) - 1
 
-    def find_reducer(self, m):
-        for i, lm in enumerate(self.lms):
-            if monomial_divides(lm, m):
+    def restrict(self, indices):
+        """A basis of the elements at ``indices`` (in that order), sharing
+        this run's memos."""
+        out = _Basis(self.order, self.key, self.support)
+        for i in indices:
+            out.polys.append(self.polys[i])
+            out.lms.append(self.lms[i])
+            out.lcs.append(self.lcs[i])
+            out.sevs.append(self.sevs[i])
+            out.tails.append(self.tails[i])
+        return out
+
+    def find_reducer(self, m, skip: int = -1) -> int:
+        """Index of the first element (other than ``skip``) whose leading
+        monomial divides ``m``, or -1."""
+        outside = ~self.support(m)
+        lms = self.lms
+        for i, sev in enumerate(self.sevs):
+            if not sev & outside and i != skip and all(map(le, lms[i], m)):
                 return i
         return -1
 
 
-def _reduce_int(terms, basis: _Basis):
-    """Full normal form of an integer polynomial against ``basis``; the
-    result is primitive with positive leading coefficient (or empty)."""
-    order = basis.order
+def _reduce_scaled(terms, basis: _Basis, skip: int = -1):
+    """Normal form of an integer polynomial against ``basis`` (element
+    ``skip`` left out), up to the loop's integer scale.
+
+    Returns ``(remainder, scale)`` with ``remainder == scale * NF(terms)``
+    exactly, where ``scale`` is the positive product of the multipliers the
+    loop applied to keep the arithmetic integral.
+    """
+    key, find = basis.key, basis.find_reducer
+    lms, lcs, tails = basis.lms, basis.lcs, basis.tails
     p = dict(terms)
     remainder = {}
+    scale = 1
     while p:
-        lm = max(p, key=order.key)
-        i = basis.find_reducer(lm)
+        lm = max(p, key=key)
+        i = find(lm, skip)
         if i < 0:
             remainder[lm] = p.pop(lm)
             continue
-        g, glm, glc = basis.polys[i], basis.lms[i], basis.lcs[i]
-        lc = p[lm]
-        d = gcd(lc, glc)
-        a = abs(glc // d)
-        b = lc * a // glc  # lc/d with matching sign
+        lc, glc = p.pop(lm), lcs[i]  # glc > 0: basis elements are sign-normalized
+        a = glc // gcd(lc, glc)
+        b = lc * a // glc  # lc*a - b*glc == 0: the leading term cancels
         if a != 1:
+            scale *= a
             p = {m: a * v for m, v in p.items()}
             if remainder:
                 remainder = {m: a * v for m, v in remainder.items()}
-        shift = monomial_div(lm, glm)
-        for m, v in g.items():
-            mm = monomial_mul(m, shift)
+        shift = monomial_div(lm, lms[i])
+        for m, v in tails[i]:
+            mm = tuple(map(add, m, shift))
             w = p.get(mm, 0) - b * v
             if w:
                 p[mm] = w
             else:
-                p.pop(mm, None)
+                del p[mm]
+    return remainder, scale
+
+
+def _reduce_int(terms, basis: _Basis, skip: int = -1):
+    """Full normal form of an integer polynomial against ``basis``; the
+    result is primitive with positive leading coefficient (or empty)."""
+    remainder, _ = _reduce_scaled(terms, basis, skip)
     if not remainder:
         return {}
-    lm = max(remainder, key=order.key)
-    return _normalize_sign(_content_strip(remainder), lm)
+    return _normalize_sign(_content_strip(remainder), max(remainder, key=basis.key))
 
 
-def _s_poly(basis: _Basis, i: int, j: int):
+def _s_poly(basis: _Basis, i: int, j: int, lcm):
     li, lj = basis.lms[i], basis.lms[j]
-    lcm = monomial_lcm(li, lj)
     ci, cj = basis.lcs[i], basis.lcs[j]
     d = gcd(ci, cj)
     mi, mj = monomial_div(lcm, li), monomial_div(lcm, lj)
     fi, fj = cj // d, ci // d
-    out = {}
-    for m, v in basis.polys[i].items():
-        out[monomial_mul(m, mi)] = fi * v
-    for m, v in basis.polys[j].items():
-        mm = monomial_mul(m, mj)
+    out = {}  # the leading terms cancel, so only the tails contribute
+    for m, v in basis.tails[i]:
+        out[tuple(map(add, m, mi))] = fi * v
+    for m, v in basis.tails[j]:
+        mm = tuple(map(add, m, mj))
         w = out.get(mm, 0) - fj * v
         if w:
             out[mm] = w
         else:
-            out.pop(mm, None)
+            del out[mm]
     return out
 
 
-def _update_pairs(basis: _Basis, pairs: set, t: int):
-    """Gebauer-Moeller pair update after appending generator ``t``."""
-    lmt = basis.lms[t]
+def _update_pairs(basis: _Basis, pairs: set, lcms: dict, t: int):
+    """Gebauer-Moeller pair update after appending generator ``t``.
+
+    ``pairs`` holds the open pairs; ``lcms`` maps each pair ever opened to
+    the lcm of its leading monomials.
+    """
+    lms, sevs, key = basis.lms, basis.sevs, basis.key
+    lmt, st = lms[t], sevs[t]
     lcm = monomial_lcm
     # discard old pairs strictly dominated by t
     kill = set()
-    for (i, j) in pairs:
-        lij = lcm(basis.lms[i], basis.lms[j])
+    for ij in pairs:
+        i, j = ij
+        lij = lcms[ij]
         if (
-            monomial_divides(lmt, lij)
-            and lij != lcm(basis.lms[i], lmt)
-            and lij != lcm(basis.lms[j], lmt)
+            not st & ~(sevs[i] | sevs[j])
+            and monomial_divides(lmt, lij)
+            and lij != lcm(lms[i], lmt)
+            and lij != lcm(lms[j], lmt)
         ):
-            kill.add((i, j))
+            kill.add(ij)
     pairs -= kill
     # new pairs (i, t), pruned
     new = {}
     for i in range(t):
-        new.setdefault(lcm(basis.lms[i], lmt), []).append(i)
+        new.setdefault(lcm(lms[i], lmt), []).append(i)
     keep = []
-    lcms = sorted(new, key=basis.order.key)
     minimal = []
-    for L in lcms:
+    for L in sorted(new, key=key):
         if any(monomial_divides(M, L) for M in minimal):
             continue
         minimal.append(L)
         reps = new[L]
         # product criterion: skip if some representative has disjoint lm
-        if any(lcm(basis.lms[i], lmt) == monomial_mul(basis.lms[i], lmt) for i in reps):
+        if any(not sevs[i] & st for i in reps):
             continue
+        lcms[(reps[0], t)] = L
         keep.append((reps[0], t))
     pairs.update(keep)
 
 
 def _buchberger_int(gens, order: TermOrder, max_pairs: int):
     basis = _Basis(order)
+    key = basis.key
     pairs: set = set()
+    lcms: dict = {}
     stats = {"pairs": 0, "zero_reductions": 0}
     for g in gens:
+        g = _reduce_int(g, basis)
         if g:
-            g = _reduce_int(g, basis)
-            if g:
-                t = basis.add(g)
-                _update_pairs(basis, pairs, t)
+            _update_pairs(basis, pairs, lcms, basis.add(g))
     while pairs:
-        ij = min(pairs, key=lambda p: order.key(monomial_lcm(basis.lms[p[0]], basis.lms[p[1]])))
+        ij = min(pairs, key=lambda p: key(lcms[p]))
         pairs.discard(ij)
         stats["pairs"] += 1
         if stats["pairs"] > max_pairs:
             raise GroebnerBudgetError(stats["pairs"], max_pairs)
-        s = _s_poly(basis, *ij)
-        r = _reduce_int(s, basis)
+        r = _reduce_int(_s_poly(basis, *ij, lcms[ij]), basis)
         if r:
-            t = basis.add(r)
-            _update_pairs(basis, pairs, t)
+            _update_pairs(basis, pairs, lcms, basis.add(r))
         else:
             stats["zero_reductions"] += 1
     return basis, stats
 
 
 def _reduced_basis(basis: _Basis):
-    order = basis.order
-    # minimalize: drop generators whose lm is divisible by another lm
-    items = sorted(range(len(basis.polys)), key=lambda i: basis.keys[i])
+    """The reduced basis as ``(lm, terms)`` pairs in ascending order of
+    ``lm``, each ``terms`` primitive with positive leading coefficient.
+
+    Minimalize (keep the elements whose leading monomial no other leading
+    monomial divides), then reduce each minimal element ``g`` once against
+    the other minimal elements.  One pass is final: the reduction never
+    touches ``lm(g)``, since no other leading monomial divides it, so every
+    result keeps its leading monomial and the set of leading monomials is
+    the same before and after the pass.  It leaves no term of ``g`` below
+    ``lm(g)`` that another leading monomial divides, and ``lm(g)`` itself
+    divides no such term, because a multiple of ``lm(g)`` is never smaller
+    than ``lm(g)``.  So each result is reduced against the final set of
+    leading monomials, whatever the other results are.
+    """
+    key, lms = basis.key, basis.lms
     kept = []
-    for i in items:
-        if not any(monomial_divides(basis.lms[j], basis.lms[i]) for j in kept):
+    for i in sorted(range(len(basis.polys)), key=lambda i: key(lms[i])):
+        if not any(monomial_divides(lms[j], lms[i]) for j in kept):
             kept.append(i)
-    # inter-reduce tails
-    final = _Basis(order)
-    for i in kept:
-        final.add(basis.polys[i])
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(final.polys)):
-            others = _Basis(order)
-            for j in range(len(final.polys)):
-                if j != idx:
-                    others.add(final.polys[j])
-            r = _reduce_int(final.polys[idx], others)
-            if r != final.polys[idx]:
-                changed = True
-                if not r:
-                    del final.polys[idx], final.lms[idx], final.lcs[idx], final.keys[idx]
-                    break
-                final.polys[idx] = r
-                final.lms[idx] = max(r, key=order.key)
-                final.lcs[idx] = r[final.lms[idx]]
-                final.keys[idx] = order.key(final.lms[idx])
-    sort = sorted(range(len(final.polys)), key=lambda i: final.keys[i])
-    return [final.polys[i] for i in sort]
+    minimal = basis.restrict(kept)
+    return [
+        (lm, _reduce_int(g, minimal, skip=i))
+        for i, (lm, g) in enumerate(zip(minimal.lms, minimal.polys))
+    ]
 
 
 def groebner_basis(gens, order: TermOrder, max_pairs: int = DEFAULT_MAX_PAIRS, stats: dict | None = None):
@@ -244,28 +307,17 @@ def groebner_basis(gens, order: TermOrder, max_pairs: int = DEFAULT_MAX_PAIRS, s
     be reduced.
     """
     nvars = order.nvars
-    ints = [_to_int_poly(g) for g in gens]
+    ints = [_primitive(g)[0] for g in gens]
     basis, run_stats = _buchberger_int([g for g in ints if g], order, max_pairs)
     reduced = _reduced_basis(basis)
     if stats is not None:
         stats.update(run_stats)
         stats["basis_size"] = len(reduced)
     out = []
-    for terms in reduced:
-        lm = max(terms, key=order.key)
-        lc = Fraction(terms[lm])
-        out.append(Poly(nvars, {m: Fraction(v) / lc for m, v in terms.items()}))
+    for lm, terms in reduced:
+        lc = terms[lm]
+        out.append(Poly(nvars, {m: Fraction(v, lc) for m, v in terms.items()}))
     return out
-
-
-def groebner(ideal, order: TermOrder | None = None, max_pairs: int = DEFAULT_MAX_PAIRS):
-    """Reduced basis of an :class:`~utrop.ualgebra.ideals.Ideal`; grevlex
-    when no order is given."""
-    from .poly import grevlex
-
-    if order is None:
-        order = grevlex(ideal.nvars)
-    return groebner_basis(ideal.generators, order, max_pairs)
 
 
 class NormalFormCalculator:
@@ -280,7 +332,7 @@ class NormalFormCalculator:
         self.order = order
         self._basis = _Basis(order)
         for g in basis:
-            terms = _to_int_poly(g) if isinstance(g, Poly) else dict(g)
+            terms, _ = _primitive(g)
             if terms:
                 self._basis.add(terms)
         self.nvars = order.nvars
@@ -289,30 +341,14 @@ class NormalFormCalculator:
     def reduce(self, p: Poly) -> Poly:
         """Exact normal form over the rationals (unique for a reduced basis
         up to the input's scale; the output keeps the input's scale)."""
-        key = (frozenset(p.terms.items()),)
+        key = frozenset(p.terms.items())
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        order = self.order
-        rem = {}
-        work = dict(p.terms)
-        while work:
-            lm = max(work, key=order.key)
-            i = self._basis.find_reducer(lm)
-            if i < 0:
-                rem[lm] = work.pop(lm)
-                continue
-            g, glm, glc = self._basis.polys[i], self._basis.lms[i], self._basis.lcs[i]
-            factor = work[lm] / glc
-            shift = monomial_div(lm, glm)
-            for m, v in g.items():
-                mm = monomial_mul(m, shift)
-                w = work.get(mm, 0) - factor * v
-                if w:
-                    work[mm] = w
-                else:
-                    work.pop(mm, None)
-        result = Poly(self.nvars, rem)
+        terms, content = _primitive(p)
+        remainder, scale = _reduce_scaled(terms, self._basis)
+        factor = content / scale
+        result = Poly(self.nvars, {m: v * factor for m, v in remainder.items()})
         self._cache[key] = result
         return result
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from ..errors import DegenerateIdealError, InvalidArgumentError
 from .groebner import DEFAULT_MAX_PAIRS, groebner_basis
@@ -36,7 +37,8 @@ def initial_part(p: Poly, w) -> Poly:
     """Terms of minimal w-weight (the whole polynomial for w = 0)."""
     if not p:
         return p
-    wts = {m: sum(Fraction(x) * e for x, e in zip(w, m)) for m in p.terms}
+    wz = _integer_weight(w, p.nvars)  # a positive multiple: the same least terms
+    wts = {m: sum(map(mul, wz, m)) for m in p.terms}
     least = min(wts.values())
     return Poly(p.nvars, {m: c for m, c in p.terms.items() if wts[m] == least})
 
@@ -67,7 +69,7 @@ def initial_ideal(ideal: Ideal, w, max_pairs: int = DEFAULT_MAX_PAIRS, stats: di
     wz = _integer_weight(w, ideal.nvars)
     hgens = [_homogenize(g) for g in ideal.generators if g]
     neg = tuple(-x for x in wz) + (0,)
-    order = weighted_order(neg, ideal.nvars + 1, degree_first=True)
+    order = weighted_order(neg, ideal.nvars + 1)
     basis = groebner_basis(hgens, order, max_pairs, stats)
     ext_w = tuple(wz) + (0,)
     out, seen = [], set()
@@ -87,17 +89,18 @@ def sign_twist(ideal: Ideal, tau) -> Ideal:
         raise InvalidArgumentError("sign pattern length != number of variables")
     if any(t not in (1, -1) for t in tau):
         raise InvalidArgumentError("sign pattern entries must be +-1")
-    gens = []
-    for g in ideal.generators:
-        terms = {}
-        for m, c in g.terms.items():
-            s = 1
-            for t, e in zip(tau, m):
-                if t < 0 and e % 2:
-                    s = -s
-            terms[m] = c * s
-        gens.append(Poly(g.nvars, terms))
-    return Ideal(ideal.variables, tuple(gens), ideal.index_set)
+    gens = tuple(twist_poly(g, tau) for g in ideal.generators)
+    return Ideal(ideal.variables, gens, ideal.index_set)
+
+
+def twist_poly(p: Poly, tau) -> Poly:
+    """``p(tau_1 u_1, ..., tau_n u_n)`` for signs tau_i in {+-1}: a term
+    changes sign when its total degree in the negated variables is odd."""
+    terms = {}
+    for m, c in p.terms.items():
+        odd = sum(e for t, e in zip(tau, m) if t < 0) % 2
+        terms[m] = -c if odd else c
+    return Poly(p.nvars, terms)
 
 
 def is_monomial_free(ideal: Ideal, max_pairs: int = DEFAULT_MAX_PAIRS) -> bool:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, le, mul, neg, sub
 
 from ..errors import InvalidArgumentError
 
@@ -119,9 +120,6 @@ class Poly:
             k >>= 1
         return out
 
-    def scale(self, c) -> "Poly":
-        return self * c
-
     def evaluate(self, values) -> Fraction:
         """Exact evaluation at a full point (sequence of rationals)."""
         if len(values) != self.nvars:
@@ -148,18 +146,6 @@ class Poly:
                     new_m[i] = 0
             res = res + Poly.monomial(tuple(new_m), self.nvars, coeff)
         return res
-
-    def rename_variables(self, new_nvars: int, position: dict) -> "Poly":
-        """Re-embed into a ring with ``new_nvars`` variables, variable ``i``
-        moving to index ``position[i]``."""
-        res = {}
-        for m, c in self.terms.items():
-            new_m = [0] * new_nvars
-            for i, e in enumerate(m):
-                if e:
-                    new_m[position[i]] = e
-            res[tuple(new_m)] = c
-        return Poly(new_nvars, res)
 
     # -- display ---------------------------------------------------------------
 
@@ -201,42 +187,24 @@ class Poly:
 
 @dataclass(frozen=True)
 class TermOrder:
-    """A monomial order given as a sort key; larger key = larger monomial.
+    """A degree-first monomial order given as a sort key; larger key =
+    larger monomial.
 
-    ``weight`` (optional) is compared after total degree when
-    ``degree_first`` (always a genuine term order) or first when not (then
-    the weight must be nonnegative for the order to be global).
+    Monomials compare by total degree, then by the optional ``weight``
+    (any signs: degree dominates, so the order is always a genuine term
+    order), then by grevlex.
     """
 
     nvars: int
     weight: tuple | None = None
-    degree_first: bool = True
-    tiebreak: str = "grevlex"
 
     def __post_init__(self):
         if self.weight is not None and len(self.weight) != self.nvars:
             raise InvalidArgumentError("weight length != number of variables")
-        if self.weight is not None and not self.degree_first and any(
-            w < 0 for w in self.weight
-        ):
-            raise InvalidArgumentError("weight-first orders need nonnegative weights")
-        if self.tiebreak not in ("grevlex", "lex"):
-            raise InvalidArgumentError(f"unknown tiebreak {self.tiebreak!r}")
 
     def key(self, m):
-        parts = []
-        deg = sum(m)
-        if self.degree_first:
-            parts.append(deg)
-        if self.weight is not None:
-            parts.append(sum(w * e for w, e in zip(self.weight, m)))
-        if not self.degree_first:
-            parts.append(deg)
-        if self.tiebreak == "grevlex":
-            parts.append(tuple(-e for e in reversed(m)))
-        else:
-            parts.append(tuple(m))
-        return tuple(parts)
+        weight = 0 if self.weight is None else sum(map(mul, self.weight, m))
+        return (sum(m), weight, tuple(map(neg, reversed(m))))
 
     def leading_monomial(self, poly: Poly):
         if not poly:
@@ -248,21 +216,21 @@ def grevlex(nvars: int) -> TermOrder:
     return TermOrder(nvars)
 
 
-def weighted_order(weight, nvars: int, degree_first: bool = True) -> TermOrder:
-    return TermOrder(nvars, tuple(weight), degree_first)
+def weighted_order(weight, nvars: int) -> TermOrder:
+    return TermOrder(nvars, tuple(weight))
 
 
 def monomial_divides(m1, m2) -> bool:
-    return all(a <= b for a, b in zip(m1, m2))
+    return all(map(le, m1, m2))
 
 
 def monomial_div(m1, m2):
-    return tuple(a - b for a, b in zip(m1, m2))
+    return tuple(map(sub, m1, m2))
 
 
 def monomial_mul(m1, m2):
-    return tuple(a + b for a, b in zip(m1, m2))
+    return tuple(map(add, m1, m2))
 
 
 def monomial_lcm(m1, m2):
-    return tuple(max(a, b) for a, b in zip(m1, m2))
+    return tuple(map(max, m1, m2))

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,7 +31,7 @@ from .. import linalg
 from ..errors import GroebnerBudgetError, InvalidArgumentError
 from .groebner import DEFAULT_MAX_PAIRS, NormalFormCalculator, groebner_basis
 from .ideals import Ideal
-from .initial import initial_ideal, is_monomial_free
+from .initial import initial_ideal, is_monomial_free, twist_poly
 from .poly import Poly, grevlex
 
 SEARCH_SEED = 20240801  # fixed: certification output must be deterministic
@@ -245,17 +246,6 @@ def all_positive_element_search(nf: NormalFormCalculator, nvars: int, cap: int):
 # ---------------------------------------------------------------------------
 
 
-def _twist_poly(g: Poly, tau) -> Poly:
-    terms = {}
-    for m, c in g.terms.items():
-        s = 1
-        for t, e in zip(tau, m):
-            if t < 0 and e % 2:
-                s = -s
-        terms[m] = c * s
-    return Poly(g.nvars, terms)
-
-
 @dataclass
 class Certificate:
     verdict: Verdict
@@ -302,7 +292,7 @@ class ConeCertifier:
             if self._monomial_witness is not None:
                 witness["element"] = self._monomial_witness.text(list(self.ideal.variables))
             return Certificate(Verdict.NON_MEMBER, witness, stats)
-        twisted = [_twist_poly(g, tau) for g in self.gb]
+        twisted = [twist_poly(g, tau) for g in self.gb]
         # cheap scan: a sign-definite basis element is (up to sign) an
         # all-positive element of the twisted initial ideal
         for g in twisted:
@@ -411,7 +401,7 @@ def search_sign_patterns_c(n: int, fan, ideal: Ideal, max_pairs: int = DEFAULT_M
                 "inconclusive": inconclusive,
             }
         )
-    conjectured = 2 ** (n - 2) * (n + 1) * _factorial(n - 1)
+    conjectured = 2 ** (n - 2) * (n + 1) * math.factorial(n - 1)
     return {
         "n": n,
         "patterns": patterns,
@@ -422,10 +412,3 @@ def search_sign_patterns_c(n: int, fan, ideal: Ideal, max_pairs: int = DEFAULT_M
         "partial": bool(skipped),
         "skipped_faces": skipped,  # budget-exhausted cones, never silent
     }
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out

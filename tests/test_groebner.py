@@ -3,11 +3,12 @@ Buchberger criterion (every S-polynomial of the output reduces to zero),
 which is independent of the pair pruning used inside the algorithm."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from utrop.errors import GroebnerBudgetError
-from utrop.ualgebra import NormalFormCalculator, groebner_basis
+from utrop.ualgebra import NormalFormCalculator, groebner_basis, ideal_a, ideal_c
 from utrop.ualgebra.poly import (
     Poly,
     grevlex,
@@ -16,6 +17,7 @@ from utrop.ualgebra.poly import (
     monomial_lcm,
     weighted_order,
 )
+from utrop.ualgebra.signed import all_positive_element_search
 
 
 def s_poly_rational(f, g, order):
@@ -85,20 +87,12 @@ def test_unit_ideal():
 
 def test_membership_by_normal_form():
     # a generator of the pentagon ideal reduces to zero against the basis
-    from utrop.ualgebra import ideal_a
-
     ideal = ideal_a(5)
     order = grevlex(ideal.nvars)
     basis = groebner_basis(ideal.generators, order)
     nf = NormalFormCalculator(basis, order)
     for g in ideal.generators:
         assert not nf.reduce(g)
-
-
-def test_weighted_order_requires_nonneg_without_degree_first():
-    with pytest.raises(Exception):
-        weighted_order((-1, 0), 2, degree_first=False)
-    weighted_order((-1, 0), 2, degree_first=True)  # fine: degree dominates
 
 
 def test_budget_error():
@@ -116,3 +110,98 @@ def test_determinism():
     b1 = groebner_basis(gens, grevlex(3))
     b2 = groebner_basis(list(reversed(gens)), grevlex(3))
     assert b1 == b2
+
+
+def fraction_normal_form(p, basis, order):
+    """Reference normal form in plain Fraction arithmetic: repeatedly cancel
+    the largest reducible term with the first basis element that divides
+    it."""
+    lms = [order.leading_monomial(g) for g in basis]
+    work, rem = dict(p.terms), {}
+    while work:
+        lm = max(work, key=order.key)
+        i = next((i for i, g_lm in enumerate(lms) if monomial_divides(g_lm, lm)), None)
+        if i is None:
+            rem[lm] = work.pop(lm)
+            continue
+        factor = work[lm] / basis[i].terms[lms[i]]
+        shift = monomial_div(lm, lms[i])
+        for m, c in basis[i].terms.items():
+            mm = tuple(a + b for a, b in zip(m, shift))
+            v = work.get(mm, 0) - factor * c
+            if v:
+                work[mm] = v
+            else:
+                work.pop(mm, None)
+    return Poly(p.nvars, rem)
+
+
+ORDERS = {
+    "grevlex": grevlex,
+    "weighted": lambda n: weighted_order(tuple((-1) ** i * (i + 1) for i in range(n)), n),
+}
+
+
+@pytest.mark.parametrize("order_name", sorted(ORDERS))
+@pytest.mark.parametrize("seed", range(6))
+def test_normal_form_keeps_the_input_scale(seed, order_name):
+    rng = random.Random(100 + seed)
+    nvars = 3
+    order = ORDERS[order_name](nvars)
+    gens = [g for g in (random_poly(rng, nvars, 3, 4) for _ in range(3)) if g]
+    basis = groebner_basis(gens, order)
+    nf = NormalFormCalculator(basis, order)
+    for _ in range(8):
+        p = random_poly(rng, nvars, 4, 6) * Fraction(rng.randrange(1, 9), rng.randrange(1, 9))
+        r = nf.reduce(p)
+        assert r == fraction_normal_form(p, basis, order)
+        for c in (Fraction(-1), Fraction(3, 7), Fraction(-22, 5)):
+            assert nf.reduce(p * c) == r * c
+
+
+def test_positive_element_witness_reduces_to_zero_at_scale():
+    # non-unit coefficients put the normal forms the LP reads at a
+    # nontrivial scale; the witness it returns must still lie in the ideal
+    order = grevlex(3)
+    gens = [
+        Poly(3, {(1, 0, 0): 2, (0, 0, 1): -3}),
+        Poly(3, {(0, 1, 0): 5, (0, 0, 1): 7}),
+    ]
+    basis = groebner_basis(gens, order)
+    nf = NormalFormCalculator(basis, order)
+    elt = all_positive_element_search(nf, 3, 2)
+    assert elt is not None and elt.coefficient_signs() == {1}
+    assert not nf.reduce(elt)
+    assert not fraction_normal_form(elt, basis, order)
+
+
+def homogenized(gens):
+    out = []
+    for g in gens:
+        d = g.degree()
+        out.append(Poly(g.nvars + 1, {m + (d - sum(m),): c for m, c in g.terms.items()}))
+    return out
+
+
+@pytest.mark.parametrize("order_name", sorted(ORDERS))
+@pytest.mark.parametrize("seed", range(6))
+def test_generator_order_does_not_change_the_basis(seed, order_name):
+    rng = random.Random(200 + seed)
+    nvars = rng.choice([3, 4])
+    order = ORDERS[order_name](nvars)
+    gens = [g for g in (random_poly(rng, nvars, 3, 4) for _ in range(4)) if g]
+    expected = groebner_basis(gens, order)
+    for _ in range(4):
+        rng.shuffle(gens)
+        assert groebner_basis(gens, order) == expected
+
+
+@pytest.mark.parametrize("order_name", sorted(ORDERS))
+def test_generator_order_does_not_change_the_c3_basis(order_name):
+    gens = homogenized(ideal_c(3).generators)
+    order = ORDERS[order_name](gens[0].nvars)
+    expected = groebner_basis(gens, order)
+    rng = random.Random(7)
+    for _ in range(3):
+        rng.shuffle(gens)
+        assert groebner_basis(gens, order) == expected
