@@ -173,9 +173,10 @@ def _the_ideal(kind: str, n: int) -> Ideal:
 
 
 def _support_contains(fan: Fan, w) -> bool:
-    """Exact test whether ``w`` lies in the union of the candidate cones."""
+    """Exact test whether ``w`` lies in the union of the candidate cones.
+    Every cone lies in a maximal one, so only those are tried."""
     k = len(fan.index_set)
-    for face in fan.sorted_faces():
+    for face in fan.complex.maximal_faces():
         rays = fan.cones[face].rays
         if not rays:
             if all(x == 0 for x in w):

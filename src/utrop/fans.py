@@ -376,34 +376,41 @@ def assemble_fan(complex: Complex, kind: str, check_intersections: bool = True) 
 
 
 def _check_pairwise_intersections(fan: Fan):
-    """Exact check that any two cones meet in their common face.
+    """Exact check that any two cones meet in their common face, the cone
+    of their shared rays.
 
-    For simplicial cones with unique ray representations it suffices that no
-    point of the intersection uses a non-shared ray with positive weight:
-    for each such ray, the system (A^T lam = B^T mu, lam, mu >= 0,
-    lam_ray = 1) must be infeasible.
+    Only pairs of maximal faces need an LP.  Let ``F <= F'`` and ``G <= G'``
+    with ``F'``, ``G'`` maximal.  ``assemble_fan`` has checked that each
+    contraction child's rays are a subset of its parent's, and the faces
+    below a face are its iterated contractions, so ``rays(F) <= rays(F')``
+    and ``rays(G) <= rays(G')``.  Take ``x`` in both cones of ``F`` and
+    ``G``.  Its coefficients on the linearly independent rays of ``F'`` are
+    unique, so they are supported on ``rays(F)``; if ``F'`` and ``G'`` meet
+    in their common face they are also supported on the shared rays ``S``
+    of ``F'`` and ``G'``.  The same holds in ``G'``, and both are the one
+    representation of ``x`` over the independent set ``S``; so it is
+    supported on ``rays(F) & rays(G)``, and ``x`` lies in the common face
+    of ``F`` and ``G``.  (``F'`` equal to ``G'`` needs no LP: uniqueness in
+    ``F'`` alone gives the same conclusion.)
+
+    For one pair with ray matrices ``A`` and ``B`` the LP is ``lam, mu >=
+    0``, ``A^T lam = B^T mu``, with the sum of ``lam`` and ``mu`` over the
+    non-shared rays equal to 1.  The system is homogeneous apart from that
+    sum, so it is feasible iff some point of the intersection puts positive
+    weight on a non-shared ray, i.e. iff the cones overlap beyond their
+    common face.
     """
-    faces = fan.sorted_faces()
-    for fa, fb in itertools.combinations(faces, 2):
+    k = len(fan.index_set)
+    for fa, fb in itertools.combinations(fan.complex.maximal_faces(), 2):
         ra, rb = fan.cones[fa].rays, fan.cones[fb].rays
         shared = set(ra) & set(rb)
-        k = len(fan.index_set)
-        for rays, others in ((ra, rb), (rb, ra)):
-            for idx, ray in enumerate(rays):
-                if ray in shared:
-                    continue
-                # columns: lam (len rays), mu (len others)
-                cols = len(rays) + len(others)
-                mat = [
-                    [rays[c][t] if c < len(rays) else -others[c - len(rays)][t] for c in range(cols)]
-                    for t in range(k)
-                ]
-                mat.append([int(c == idx) for c in range(cols)])
-                rhs = [0] * k + [1]
-                if linalg.solve_nonneg(mat, rhs) is not None:
-                    raise InternalConsistencyError(
-                        f"cones of {sorted(fa)} and {sorted(fb)} overlap beyond their common face"
-                    )
+        cols = [(r, 1) for r in ra] + [(r, -1) for r in rb]
+        mat = [[sign * r[t] for r, sign in cols] for t in range(k)]
+        mat.append([int(r not in shared) for r, _ in cols])
+        if linalg.solve_nonneg(mat, [0] * k + [1]) is not None:
+            raise InternalConsistencyError(
+                f"cones of {sorted(fa)} and {sorted(fb)} overlap beyond their common face"
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -780,16 +780,22 @@ class Complex:
     def dimension(self) -> int:
         return max(len(f) for f in self.faces) - 1
 
-    def f_vector(self) -> tuple[int, ...]:
-        counts = {}
-        for f in self.faces:
-            counts[len(f)] = counts.get(len(f), 0) + 1
-        return tuple(counts.get(k, 0) for k in range(0, self.dimension + 2))
+    def maximal_faces(self) -> list[frozenset[int]]:
+        """Inclusion-maximal faces, in ``sorted_faces`` order.
+
+        The face set is downward closed, so a face lies in a larger face iff
+        it lies in one with a single extra vertex: O(faces x vertices).
+        """
+        vertices = range(len(self.vertices))
+        return [
+            f
+            for f in self.sorted_faces()
+            if not any(v not in f and f | {v} in self.faces for v in vertices)
+        ]
 
     def is_pure(self) -> bool:
         top = self.dimension + 1
-        maximal = [f for f in self.faces if not any(f < g for g in self.faces)]
-        return all(len(f) == top for f in maximal)
+        return all(len(f) == top for f in self.maximal_faces())
 
     def is_downward_closed(self) -> bool:
         return all(
@@ -807,15 +813,7 @@ class Complex:
                 a, b = sorted(f)
                 adj[a].add(b)
                 adj[b].add(a)
-
-        # DFS over vertex-increasing clique extensions; any clique missing
-        # from the face set fails the test
-        def dfs(clique, ext):
-            if frozenset(clique) not in self.faces:
-                return False
-            return all(dfs(clique | {v}, {w for w in ext if w > v and w in adj[v]}) for v in ext)
-
-        return dfs(frozenset(), set(adj))
+        return all(clique in self.faces for clique in _cliques(adj))
 
     def degree_sequence(self) -> list[int]:
         deg = [0] * len(self.vertices)
@@ -856,12 +854,6 @@ class Complex:
             if v.canonical_key == key:
                 return i
         raise InvalidArgumentError("tree is not a vertex of this complex")
-
-    def face_of_tree(self, tree: PhyloTree):
-        for f, t in self._face_tree.items():
-            if t.canonical_key == tree.canonical_key:
-                return f
-        return None
 
     def contains_complex(self, other: "Complex") -> bool:
         """Face-by-face containment via canonical tree identification."""
@@ -927,22 +919,17 @@ class Complex:
         return "\n".join(lines) + "\n"
 
 
-def _family_orderings(family: str, n: int) -> list[DihedralOrdering]:
-    family = family.lower()
-    if family == "a":
-        return enumerate_orderings(n, Symmetry.NONE)
-    if family == "as":
-        return enumerate_orderings(n, Symmetry.AXIAL)
-    if family == "cs":
-        return enumerate_orderings(n, Symmetry.CENTRAL)
-    raise InvalidArgumentError(f"unknown family {family!r}")
-
-
 def build_complex(family: str, n: int) -> Complex:
     """Union of the per-ordering complexes with vertices identified by
-    canonical tree."""
-    orderings = _family_orderings(family, n)
-    return _build(family.lower(), n, orderings, record_sources=False)
+    canonical tree.  The plain family is built directly as a clique
+    complex (``_build_plain``); the symmetric families take the union."""
+    family = family.lower()
+    if family == "a":
+        return _build_plain(n)
+    symmetry = {"as": Symmetry.AXIAL, "cs": Symmetry.CENTRAL}.get(family)
+    if symmetry is None:
+        raise InvalidArgumentError(f"unknown family {family!r}")
+    return _build(family, n, enumerate_orderings(n, symmetry), record_sources=False)
 
 
 def build_sub(alpha: DihedralOrdering) -> Complex:
@@ -950,6 +937,56 @@ def build_sub(alpha: DihedralOrdering) -> Complex:
     family = {Symmetry.NONE: "a", Symmetry.AXIAL: "as", Symmetry.CENTRAL: "cs"}[alpha.symmetry]
     return _build(family, alpha.size if alpha.symmetry is Symmetry.NONE else alpha.half,
                   [alpha], record_sources=True)
+
+
+def _cliques(adj):
+    """Every clique of the graph ``adj`` (vertex -> set of neighbours), the
+    empty clique first, by DFS over vertex-increasing extensions."""
+
+    def extend(clique, ext):
+        yield clique
+        for v in sorted(ext):
+            yield from extend(clique | {v}, {w for w in ext if w > v and w in adj[v]})
+
+    return extend(frozenset(), set(adj))
+
+
+def _build_plain(n: int) -> Complex:
+    """The plain complex on ``1..n`` as the clique complex of compatible
+    splits; it equals the union of the per-ordering complexes.
+
+    A set of splits of ``1..n`` is the split system of a tree iff its
+    splits are pairwise compatible (Buneman's splits-equivalence theorem,
+    1971).  Every tree has a compatible circular ordering: draw it in the
+    plane and read its leaves around the boundary, then each internal
+    edge's split cuts that cycle into two arcs, i.e. it is a diagonal of
+    the polygon, and the edges give pairwise non-crossing diagonals.  So
+    every tree, and with it every set of pairwise compatible splits, is a
+    face of some ordering's complex, and each such face's vertices are its
+    one-split trees.  The vertices are the one-split trees of the
+    ``2^(n-1) - n - 1`` splits with both sides of size >= 2, sorted by
+    canonical key as in ``_build``; each face carries the tree whose splits
+    are the union of its vertices' splits.
+    """
+    if n < 3:
+        raise InvalidArgumentError(f"need n >= 3, got {n}")
+    labels = frozenset(range(1, n + 1))
+    rest = range(1, n)  # the side without label n names the split
+    splits = [
+        make_split(side, labels - set(side))
+        for k in range(2, n - 1)
+        for side in itertools.combinations(rest, k)
+    ]
+    vertices = tuple(sorted(
+        (PhyloTree(labels, frozenset([s])) for s in splits), key=lambda t: t.canonical_key
+    ))
+    vsplit = [next(iter(t.splits)) for t in vertices]
+    adj = {
+        v: {w for w in range(len(vertices)) if w != v and splits_compatible(vsplit[v], vsplit[w])}
+        for v in range(len(vertices))
+    }
+    faces = {f: PhyloTree(labels, frozenset(vsplit[v] for v in f)) for f in _cliques(adj)}
+    return Complex("a", n, vertices, frozenset(faces), faces, None)
 
 
 def _build(family: str, n: int, orderings, record_sources: bool) -> Complex:

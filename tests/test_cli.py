@@ -2,7 +2,7 @@
 
 import json
 
-from utrop.cli import EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
+from utrop.cli import EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, _canonical_json, _sha256, main
 from utrop.fans import Fan
 from utrop.symtrees import Complex
 
@@ -85,6 +85,21 @@ def test_fan_a4_has_three_rays(tmp_path):
     out = tmp_path / "fan4.json"
     assert run(tmp_path, "fan", "--kind", "a", "--n", "4", "--out", str(out)) == EXIT_OK
     assert len(load(out)["complex"]["vertices"]) == 3
+
+
+# sha256 of the canonical payload of `utrop fan --kind a --n 6`, recorded
+# from the per-ordering builder; any change to a cone, a face or the facet
+# relation of that fan changes it
+FAN_A6_OUTPUT_HASH = "96a2e48a7f300ce7bab358bcf5c80b4c30253fff52c28a4a4b5bc5e5670d5800"
+
+
+def test_fan_a6_golden_digest(tmp_path):
+    out = tmp_path / "fan6.json"
+    assert run(tmp_path, "fan", "--kind", "a", "--n", "6", "--out", str(out)) == EXIT_OK
+    doc = load(out)
+    payload = {k: v for k, v in doc.items() if k != "manifest"}
+    assert _sha256(_canonical_json(payload)) == FAN_A6_OUTPUT_HASH
+    assert doc["manifest"]["output_hash"] == FAN_A6_OUTPUT_HASH
 
 
 def test_certify_a4_signed_and_probes(tmp_path):

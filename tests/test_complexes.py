@@ -12,13 +12,16 @@ import itertools
 
 import pytest
 
+from utrop.errors import InvalidArgumentError
 from utrop.symtrees import (
     Complex,
     DihedralOrdering,
     PhyloTree,
     Symmetry,
+    _build,
     build_complex,
     build_sub,
+    enumerate_orderings,
     make_split,
     orbit_count,
     symmetric_contractions,
@@ -120,10 +123,11 @@ def test_purity_and_dimensions(theta5, theta_as3, theta_cs3):
 
 
 def test_flagness():
-    # the per-ordering complexes are flag by construction; the plain union
-    # is flag; the axial union is NOT (the {i,-i} split trees are pairwise
-    # joinable but not jointly: their three arcs cannot coexist in one
-    # axial ordering), which the triangle of the 1-skeleton exhibits
+    # the per-ordering complexes and the plain complex (built as a clique
+    # complex) are flag by construction; the axial union is NOT (the {i,-i}
+    # split trees are pairwise joinable but not jointly: their three arcs
+    # cannot coexist in one axial ordering), which the triangle of the
+    # 1-skeleton exhibits
     theta5 = build_complex("a", 5)
     assert theta5.is_flag()
     theta_as3 = build_complex("as", 3)
@@ -229,3 +233,36 @@ def test_dot_export(theta_as3):
     assert dot.count("color=blue") == 6
     assert dot.count(" -- ") == 21
     assert dot.strip().startswith("graph g {") and dot.strip().endswith("}")
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_plain_clique_build_equals_ordering_union(n):
+    clique = build_complex("a", n)
+    union = _build("a", n, enumerate_orderings(n), False)
+    assert clique.vertices == union.vertices  # same trees in the same order
+    assert clique.faces == union.faces
+    assert all(
+        clique.face_tree(f).canonical_key == union.face_tree(f).canonical_key
+        for f in union.faces
+    )
+    assert clique.to_json() == union.to_json()
+
+
+def test_plain_complex_n7():
+    theta7 = build_complex("a", 7)
+    assert len(theta7.vertices) == 2 ** 6 - 7 - 1
+    assert len(theta7.faces) == 2752
+    assert theta7.dimension == 3 and theta7.is_pure()
+    assert len(theta7.maximal_faces()) == 945  # binary trees: (2*7 - 5)!!
+
+
+def test_plain_complex_needs_three_labels():
+    with pytest.raises(InvalidArgumentError):
+        build_complex("a", 2)
+
+
+def test_maximal_faces(theta_as3, theta5):
+    for cx in (theta5, theta_as3):
+        by_scan = [f for f in cx.sorted_faces() if not any(f < g for g in cx.faces)]
+        assert cx.maximal_faces() == by_scan
+    assert build_complex("a", 3).maximal_faces() == [frozenset()]

@@ -5,15 +5,18 @@ structure, finds the unique leaf-to-leaf path by search, and sums lengths
 along it, independently of the split-counting used by the implementation.
 """
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from utrop.errors import InvalidArgumentError, NotAxiallySymmetricError
+from utrop import linalg
+from utrop.errors import InternalConsistencyError, InvalidArgumentError, NotAxiallySymmetricError
 from utrop.fans import (
     Fan,
+    _check_pairwise_intersections,
     assemble_fan,
     cone_rays,
     double_label,
@@ -264,9 +267,59 @@ def test_fan_c3_facets_are_contractions(fan_c3):
 
 
 def test_fan_c3_pairwise_intersections(fan_c3):
-    from utrop.fans import _check_pairwise_intersections
-
     _check_pairwise_intersections(fan_c3)  # raises on violation
+
+
+@pytest.fixture(scope="module")
+def fan_a5(theta5):
+    return assemble_fan(theta5, "a", check_intersections=False)
+
+
+def reference_pairwise_check(fan):
+    """The exhaustive form of the check: every pair of faces, and one LP
+    per non-shared ray asking for a common point that puts weight 1 on it."""
+    k = len(fan.index_set)
+    for fa, fb in itertools.combinations(fan.sorted_faces(), 2):
+        ra, rb = fan.cones[fa].rays, fan.cones[fb].rays
+        shared = set(ra) & set(rb)
+        for rays, others in ((ra, rb), (rb, ra)):
+            cols = list(rays) + [tuple(-x for x in r) for r in others]
+            for idx, ray in enumerate(rays):
+                if ray in shared:
+                    continue
+                mat = [[c[t] for c in cols] for t in range(k)]
+                mat.append([int(c == idx) for c in range(len(cols))])
+                if linalg.solve_nonneg(mat, [0] * k + [1]) is not None:
+                    raise InternalConsistencyError("cones overlap beyond their common face")
+
+
+def move_ray_into_neighbour(fan):
+    """A copy of ``fan`` in which one ray of a maximal cone is replaced by
+    an interior point of a neighbouring maximal cone."""
+    fa, fb = next(
+        (a, b)
+        for a, b in itertools.combinations(fan.complex.maximal_faces(), 2)
+        if len(a & b) == len(a) - 1
+    )
+    rb = fan.cones[fb].rays
+    moved = next(r for r in fan.cones[fa].rays if r not in rb)
+    inside = tuple(map(sum, zip(*rb)))
+    rays = tuple(inside if r == moved else r for r in fan.cones[fa].rays)
+    cones = dict(fan.cones)
+    cones[fa] = dataclasses.replace(cones[fa], rays=rays)
+    return dataclasses.replace(fan, cones=cones)
+
+
+@pytest.mark.parametrize("name", ["fan_c3", "fan_a5"])
+def test_pairwise_check_agrees_with_reference(name, request):
+    fan = request.getfixturevalue(name)
+    reference_pairwise_check(fan)
+    _check_pairwise_intersections(fan)
+    broken = move_ray_into_neighbour(fan)
+    with pytest.raises(InternalConsistencyError):
+        reference_pairwise_check(broken)
+    with pytest.raises(InternalConsistencyError):
+        _check_pairwise_intersections(broken)
 
 
 def test_fan_a5_counts_and_intersections(theta5):
