@@ -12,7 +12,6 @@ import argparse
 import concurrent.futures
 import hashlib
 import json
-import os
 import random
 import sys
 import time
@@ -31,7 +30,7 @@ EXIT_USAGE = 1
 EXIT_CERTIFICATION = 2
 EXIT_RESOURCE = 3
 
-DEFAULT_MAX_N = {"c": 3, "a": 5}  # certification budget; env/flag overridable
+DEFAULT_MAX_N = {"c": 3, "a": 5}  # certification budget; --max-n overrides
 
 
 # ---------------------------------------------------------------------------
@@ -206,13 +205,11 @@ def _worker(payload):
 def cmd_certify(args) -> int:
     started = time.time()
     kind, n = args.kind, args.n
-    max_n = int(os.environ.get(f"UTROP_CERTIFY_MAX_N_{kind.upper()}", DEFAULT_MAX_N[kind]))
-    if args.max_n is not None:
-        max_n = args.max_n
+    max_n = DEFAULT_MAX_N[kind] if args.max_n is None else args.max_n
     if n > max_n:
         sys.stderr.write(
             f"certify: n={n} exceeds the configured budget for kind {kind} "
-            f"(max {max_n}); raise --max-n or UTROP_CERTIFY_MAX_N_{kind.upper()}\n"
+            f"(max {max_n}); raise --max-n\n"
         )
         return EXIT_RESOURCE
 

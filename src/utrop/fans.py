@@ -139,13 +139,6 @@ def tree_metric(tree: PhyloTree, lengths: dict) -> dict:
     return table
 
 
-def _second_difference(dist, i, j, si, sj):
-    def d(a, b):
-        return dist.get(frozenset((a, b)), Fraction(0)) if a != b else Fraction(0)
-
-    return d(i, j) + d(si, sj) - d(i, sj) - d(si, j)
-
-
 def edge_image_matrix(tree: PhyloTree, kind: str):
     """Raw cone generator matrix: one row per internal edge (type A) or per
     involution orbit (type C), the second-difference image of the unit

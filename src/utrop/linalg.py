@@ -1,5 +1,5 @@
-"""Small exact linear algebra over the rationals: rank, nullspace, and
-nonnegative feasibility (phase-1 simplex with Bland's rule).
+"""Small exact linear algebra over the rationals: rank and nonnegative
+feasibility (phase-1 simplex with Bland's rule).
 
 Everything works on lists of ``fractions.Fraction`` (plain ints are fine
 too); matrices are lists of row lists.  Sizes in this package stay in the
@@ -39,23 +39,6 @@ def rank(rows) -> int:
     if not rows:
         return 0
     return len(_echelon(rows)[0])
-
-
-def nullspace(rows):
-    """Basis of the right kernel (list of vectors)."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    ech, pivots = _echelon(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -ech[i][f]
-        basis.append(v)
-    return basis
 
 
 def solve_nonneg(mat, rhs):

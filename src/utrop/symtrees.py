@@ -459,13 +459,6 @@ class PhyloTree:
     def internal_vertex_count(self) -> int:
         return self.adjacency[0]
 
-    def contract(self, s: Split) -> "PhyloTree":
-        """Contract the internal edge carrying split ``s`` (plain, not
-        symmetric, contraction)."""
-        if s not in self.splits:
-            raise InvalidArgumentError("not an internal edge of this tree")
-        return PhyloTree(self.labels, self.splits - {s})
-
     def is_negation_closed(self) -> bool:
         return all(negate_split(s) in self.splits for s in self.splits)
 

@@ -18,7 +18,6 @@ instead of truncating.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from math import gcd
 from operator import add, le
@@ -26,7 +25,7 @@ from operator import add, le
 from ..errors import GroebnerBudgetError
 from .poly import Poly, TermOrder, monomial_div, monomial_divides, monomial_lcm
 
-DEFAULT_MAX_PAIRS = int(os.environ.get("UTROP_MAX_PAIRS", "200000"))
+DEFAULT_MAX_PAIRS = 200000
 
 
 def _primitive(p: Poly):
@@ -298,6 +297,25 @@ def _reduced_basis(basis: _Basis):
     ]
 
 
+def _filled(polys, order: TermOrder) -> _Basis:
+    """A basis holding the primitive integer forms of the nonzero ``polys``."""
+    basis = _Basis(order)
+    for g in polys:
+        terms, _ = _primitive(g)
+        if terms:
+            basis.add(terms)
+    return basis
+
+
+def _monic(reduced, nvars: int):
+    """``_reduced_basis`` output as monic polynomials, in the same order."""
+    out = []
+    for lm, terms in reduced:
+        lc = terms[lm]
+        out.append(Poly(nvars, {m: Fraction(v, lc) for m, v in terms.items()}))
+    return out
+
+
 def groebner_basis(gens, order: TermOrder, max_pairs: int = DEFAULT_MAX_PAIRS, stats: dict | None = None):
     """Reduced Groebner basis of the ideal generated by ``gens``.
 
@@ -306,18 +324,25 @@ def groebner_basis(gens, order: TermOrder, max_pairs: int = DEFAULT_MAX_PAIRS, s
     :class:`GroebnerBudgetError` when more than ``max_pairs`` S-pairs would
     be reduced.
     """
-    nvars = order.nvars
     ints = [_primitive(g)[0] for g in gens]
     basis, run_stats = _buchberger_int([g for g in ints if g], order, max_pairs)
     reduced = _reduced_basis(basis)
     if stats is not None:
         stats.update(run_stats)
         stats["basis_size"] = len(reduced)
-    out = []
-    for lm, terms in reduced:
-        lc = terms[lm]
-        out.append(Poly(nvars, {m: Fraction(v, lc) for m, v in terms.items()}))
-    return out
+    return _monic(reduced, order.nvars)
+
+
+def reduced_basis(gb, order: TermOrder):
+    """The reduced Groebner basis, in the form :func:`groebner_basis`
+    returns, of the ideal that ``gb`` generates, when ``gb`` is already a
+    Groebner basis for ``order``.
+
+    No S-pair is formed: the input is only minimalized and inter-reduced,
+    which is exact when its leading monomials already generate the leading
+    ideal.
+    """
+    return _monic(_reduced_basis(_filled(gb, order)), order.nvars)
 
 
 class NormalFormCalculator:
@@ -330,11 +355,7 @@ class NormalFormCalculator:
 
     def __init__(self, basis, order: TermOrder):
         self.order = order
-        self._basis = _Basis(order)
-        for g in basis:
-            terms, _ = _primitive(g)
-            if terms:
-                self._basis.add(terms)
+        self._basis = _filled(basis, order)
         self.nvars = order.nvars
         self._cache: dict = {}
 

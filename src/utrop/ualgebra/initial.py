@@ -18,7 +18,7 @@ from math import gcd
 from operator import mul
 
 from ..errors import DegenerateIdealError, InvalidArgumentError
-from .groebner import DEFAULT_MAX_PAIRS, groebner_basis
+from .groebner import DEFAULT_MAX_PAIRS, groebner_basis, reduced_basis
 from .ideals import Ideal
 from .poly import Poly, grevlex, weighted_order
 
@@ -61,10 +61,22 @@ def _collapse(terms):
 
 
 def initial_ideal(ideal: Ideal, w, max_pairs: int = DEFAULT_MAX_PAIRS, stats: dict | None = None) -> Ideal:
-    """Generators of the minimum-convention initial ideal at weight ``w``.
+    """The minimum-convention initial ideal J at weight ``w``, generated by
+    its reduced grevlex Groebner basis (monic, ascending leading monomial:
+    what ``groebner_basis(J, grevlex)`` returns).
 
-    Deterministic: the generators are the initial parts of the reduced
-    Groebner basis of the homogenized ideal, dehomogenized.
+    One Groebner run suffices.  G, the reduced basis of the homogenized
+    ideal I^h under (degree, -w, grevlex), is a Groebner basis for the
+    w-refinement of grevlex, so the initial forms in_w(G) are a grevlex
+    Groebner basis of in_w(I^h) (Sturmfels, *Groebner Bases and Convex
+    Polytopes*, Prop. 1.8).  These forms are homogeneous and h is the last,
+    hence smallest, grevlex variable, so setting h = 1 keeps every leading
+    monomial apart from its h power, and the dehomogenized forms are a
+    grevlex Groebner basis of in_w(I^h) at h = 1 (Cox-Little-O'Shea,
+    *Ideals, Varieties, and Algorithms*, section 8.4), which is J by the
+    argument above.  Minimalizing and inter-reducing them gives the unique
+    reduced basis; minimalization also drops repeated forms.  ``stats``
+    receives the counters of the weighted run.
     """
     wz = _integer_weight(w, ideal.nvars)
     hgens = [_homogenize(g) for g in ideal.generators if g]
@@ -72,25 +84,22 @@ def initial_ideal(ideal: Ideal, w, max_pairs: int = DEFAULT_MAX_PAIRS, stats: di
     order = weighted_order(neg, ideal.nvars + 1)
     basis = groebner_basis(hgens, order, max_pairs, stats)
     ext_w = tuple(wz) + (0,)
-    out, seen = [], set()
-    for g in basis:
-        init = _dehomogenize(initial_part(g, ext_w))
-        key = frozenset(init.terms.items())
-        if init and key not in seen:
-            seen.add(key)
-            out.append(init)
-    return Ideal(ideal.variables, tuple(out), ideal.index_set)
+    inits = [_dehomogenize(initial_part(g, ext_w)) for g in basis]
+    gens = reduced_basis(inits, grevlex(ideal.nvars))
+    return Ideal(ideal.variables, tuple(gens), ideal.index_set)
 
 
 def sign_twist(ideal: Ideal, tau) -> Ideal:
     """Apply the coordinate automorphism u_i -> tau_i * u_i to every
     generator (an involution for tau in {+-1}^V)."""
-    if len(tau) != ideal.nvars:
-        raise InvalidArgumentError("sign pattern length != number of variables")
-    if any(t not in (1, -1) for t in tau):
-        raise InvalidArgumentError("sign pattern entries must be +-1")
+    _check_tau(tau, ideal.nvars)
     gens = tuple(twist_poly(g, tau) for g in ideal.generators)
     return Ideal(ideal.variables, gens, ideal.index_set)
+
+
+def _check_tau(tau, nvars: int):
+    if len(tau) != nvars or any(t not in (1, -1) for t in tau):
+        raise InvalidArgumentError("sign pattern must be a +-1 vector over the variables")
 
 
 def twist_poly(p: Poly, tau) -> Poly:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, le, mul, neg, sub
+from operator import le, mul, neg, sub
 
 from ..errors import InvalidArgumentError
 
@@ -226,10 +226,6 @@ def monomial_divides(m1, m2) -> bool:
 
 def monomial_div(m1, m2):
     return tuple(map(sub, m1, m2))
-
-
-def monomial_mul(m1, m2):
-    return tuple(map(add, m1, m2))
 
 
 def monomial_lcm(m1, m2):

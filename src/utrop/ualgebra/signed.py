@@ -28,10 +28,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .. import linalg
-from ..errors import GroebnerBudgetError, InvalidArgumentError
+from ..errors import GroebnerBudgetError
 from .groebner import DEFAULT_MAX_PAIRS, NormalFormCalculator, groebner_basis
 from .ideals import Ideal
-from .initial import initial_ideal, is_monomial_free, twist_poly
+from .initial import _check_tau, initial_ideal, is_monomial_free, twist_poly
 from .poly import Poly, grevlex
 
 SEARCH_SEED = 20240801  # fixed: certification output must be deterministic
@@ -259,9 +259,13 @@ class Certificate:
 class ConeCertifier:
     """Per-weight certification engine, reusable across sign patterns.
 
-    Computes the initial ideal and its reduced basis once; a sign twist
-    maps that basis onto the reduced basis of the twisted initial ideal, so
-    per-pattern work is only the positive-point / positive-element search.
+    Runs two Groebner bases per weight, once for all patterns: the weighted
+    run inside :func:`initial_ideal`, which already yields the reduced
+    grevlex basis of the initial ideal J, and the saturation run of
+    :func:`is_monomial_free`, started from that basis.  A sign twist maps
+    the reduced basis onto the reduced basis of the twisted initial ideal,
+    so per-pattern work is only the positive-point / positive-element
+    search.  ``stats`` holds the weighted run's counters.
     """
 
     def __init__(self, ideal: Ideal, w, max_pairs: int = DEFAULT_MAX_PAIRS, lp_caps=(2, 3)):
@@ -270,14 +274,13 @@ class ConeCertifier:
         self.lp_caps = tuple(lp_caps)
         self.stats: dict = {}
         self.initial = initial_ideal(ideal, w, max_pairs, self.stats)
-        self.gb = groebner_basis(self.initial.generators, grevlex(ideal.nvars), max_pairs)
         self.monomial_free = is_monomial_free(self.initial, max_pairs)
         self._monomial_witness = None
         if not self.monomial_free:
             self._monomial_witness = self._find_monomial()
 
     def _find_monomial(self):
-        nf = NormalFormCalculator(self.gb, grevlex(self.ideal.nvars))
+        nf = NormalFormCalculator(self.initial.generators, grevlex(self.ideal.nvars))
         for k in range(1, 7):
             probe = Poly.monomial((k,) * self.ideal.nvars, self.ideal.nvars)
             if nf.contains(probe):
@@ -286,13 +289,14 @@ class ConeCertifier:
 
     def certify(self, tau) -> Certificate:
         n = self.ideal.nvars
+        _check_tau(tau, n)
         stats = dict(self.stats)
         if not self.monomial_free:
             witness = {"type": "monomial_in_initial_ideal"}
             if self._monomial_witness is not None:
                 witness["element"] = self._monomial_witness.text(list(self.ideal.variables))
             return Certificate(Verdict.NON_MEMBER, witness, stats)
-        twisted = [twist_poly(g, tau) for g in self.gb]
+        twisted = [twist_poly(g, tau) for g in self.initial.generators]
         # cheap scan: a sign-definite basis element is (up to sign) an
         # all-positive element of the twisted initial ideal
         for g in twisted:
@@ -332,13 +336,7 @@ def certify_signed(ideal: Ideal, tau, w, max_pairs: int = DEFAULT_MAX_PAIRS, lp_
     """One-shot signed certification of weight ``w`` under pattern ``tau``;
     equivalent to twisting first because twisting commutes with initial
     ideals."""
-    _check_tau(tau, ideal.nvars)
     return ConeCertifier(ideal, w, max_pairs, lp_caps).certify(tuple(tau))
-
-
-def _check_tau(tau, nvars):
-    if len(tau) != nvars or any(t not in (1, -1) for t in tau):
-        raise InvalidArgumentError("sign pattern must be a +-1 vector over the variables")
 
 
 # ---------------------------------------------------------------------------

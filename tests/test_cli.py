@@ -92,6 +92,13 @@ def test_fan_a4_has_three_rays(tmp_path):
 # relation of that fan changes it
 FAN_A6_OUTPUT_HASH = "96a2e48a7f300ce7bab358bcf5c80b4c30253fff52c28a4a4b5bc5e5670d5800"
 
+# output hashes of `utrop certify --kind c --n 3` with the two published
+# sign patterns and of `utrop certify --kind a --n 5`, recorded when the
+# certifier still ran a grevlex basis of each initial ideal of its own; any
+# change to a verdict, a witness or a cone's stats changes them
+CERTIFY_C3_OUTPUT_HASH = "2e8ee6fb2d9d5ad4cd518b0bf36609408c03ddc47f6b60933b61955063946af6"
+CERTIFY_A5_OUTPUT_HASH = "c21edf7ab0ee1b3c4de37b7dd47d08fa3b09d9def3dd4f96c1c7a5cc92032b7f"
+
 
 def test_fan_a6_golden_digest(tmp_path):
     out = tmp_path / "fan6.json"
@@ -187,6 +194,13 @@ def test_certify_c3_full_reproduction(tmp_path):
     assert doc["all_in_trop"] is True
     assert doc["inconclusive"] == 0
     assert doc["signed_member_counts"] == {"+,+,+,+,-,+": 12, "+,+,-,+,+,+": 10}
+    assert doc["manifest"]["output_hash"] == CERTIFY_C3_OUTPUT_HASH
+
+
+def test_certify_a5_golden_digest(tmp_path):
+    out = tmp_path / "a5.json"
+    assert run(tmp_path, "certify", "--kind", "a", "--n", "5", "--out", str(out)) == EXIT_OK
+    assert load(out)["manifest"]["output_hash"] == CERTIFY_A5_OUTPUT_HASH
 
 
 def test_certify_c3_parallel_matches_serial(tmp_path):

@@ -170,6 +170,8 @@ def test_initial_ideal_matches_bruteforce_oracle(seed):
     ideal = random_small_ideal(rng)
     w = tuple(rng.randrange(-3, 4) for _ in range(ideal.nvars))
     got = initial_ideal(ideal, w)
+    # the generators are already the reduced grevlex basis of the initial ideal
+    assert list(got.generators) == groebner_basis(got.generators, grevlex(ideal.nvars))
     # start the slice at degree 6; if the implementation's generators need
     # witnesses of higher degree, widen the window (the slice oracle stays
     # exact at every cap, and the inclusion oracle <= implementation is

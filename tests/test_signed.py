@@ -10,9 +10,12 @@ from fractions import Fraction
 
 import pytest
 
+from utrop.errors import InvalidArgumentError
+from utrop.fans import interior_point
 from utrop.symtrees import DihedralOrdering, Symmetry, build_sub
-from utrop.ualgebra import Verdict, certify_signed, ideal_a
+from utrop.ualgebra import Verdict, certify_signed, ideal_a, initial_ideal, sign_twist
 from utrop.ualgebra.groebner import NormalFormCalculator, groebner_basis
+from utrop.ualgebra.initial import twist_poly
 from utrop.ualgebra.poly import Poly, grevlex
 from utrop.ualgebra.signed import (
     all_positive_element_search,
@@ -107,8 +110,6 @@ def test_every_realized_pattern_matches_its_ordering_n4():
 
 def test_member_witness_is_a_positive_zero(certifiers_c3, ideal_c3):
     blue = (1, 1, 1, 1, -1, 1)
-    from utrop.ualgebra import initial_ideal, sign_twist
-
     checked = 0
     for face, w, certifier in certifiers_c3:
         cert = certifier.certify(blue)
@@ -170,9 +171,52 @@ def test_sweep_flags_budget_exhaustion(fan_c3, ideal_c3):
 
 
 def test_certify_signed_validates_pattern():
-    from utrop.errors import InvalidArgumentError
-
     with pytest.raises(InvalidArgumentError):
         certify_signed(ideal_a(4), (1, 0), (0, 1))
     with pytest.raises(InvalidArgumentError):
         certify_signed(ideal_a(4), (1, 1, 1), (0, 1))
+
+
+def test_cone_certifier_validates_pattern(certifiers_c3, ideal_c3):
+    certifier = certifiers_c3[0][2]
+    for bad in ((1, 1), (1, 1, 1, 1, 0, 1)):  # short, and an entry that is not +-1
+        with pytest.raises(InvalidArgumentError):
+            certifier.certify(bad)
+        with pytest.raises(InvalidArgumentError):
+            sign_twist(ideal_c3, bad)
+
+
+PUBLISHED_C3_PATTERNS = ((1, 1, 1, 1, -1, 1), (1, 1, -1, 1, 1, 1))
+
+
+def test_initial_generators_are_the_reduced_grevlex_basis(certifiers_c3, ideal_c3):
+    # the certifier twists these generators in place of a grevlex run of its
+    # own, so they must be the reduced basis, untwisted and twisted
+    order = grevlex(ideal_c3.nvars)
+    for _, w, certifier in certifiers_c3:
+        gens = list(certifier.initial.generators)
+        assert gens == groebner_basis(gens, order)
+        for tau in PUBLISHED_C3_PATTERNS:
+            twisted = list(initial_ideal(sign_twist(ideal_c3, tau), w).generators)
+            assert twisted == groebner_basis(twisted, order)
+            # twisting maps the reduced basis onto the twisted one, up to sign
+            flipped = [twist_poly(g, tau) for g in gens]
+            assert twisted == [g if g.terms[order.leading_monomial(g)] > 0 else -g for g in flipped]
+
+
+def test_cone_certifier_runs_two_groebner_bases(fan_c3, ideal_c3, monkeypatch):
+    import utrop.ualgebra.groebner as groebner_mod
+    import utrop.ualgebra.initial as initial_mod
+    import utrop.ualgebra.signed as signed_mod
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return groebner_basis(*args, **kwargs)
+
+    for mod in (groebner_mod, initial_mod, signed_mod):
+        monkeypatch.setattr(mod, "groebner_basis", counting)
+    face = fan_c3.proper_faces()[0]
+    signed_mod.ConeCertifier(ideal_c3, interior_point(fan_c3.cones[face]).vector)
+    assert len(calls) == 2  # the weighted run, then the saturation run
