@@ -134,9 +134,10 @@ def _family_for_kind(kind: str) -> str:
 def cmd_fan(args) -> int:
     started = time.time()
     cx = build_complex(_family_for_kind(args.kind), args.n)
-    # the exhaustive pairwise-intersection check is quadratic in the face
-    # count; run it by default only at the sizes it is meant for
-    small = args.n <= (3 if args.kind == "c" else 5)
+    # the pairwise-intersection check is quadratic in the number of maximal
+    # cones; run it by default only up to the sizes where it takes seconds
+    # (the a6 check makes 5460 LPs)
+    small = args.n <= (3 if args.kind == "c" else 6)
     fan = assemble_fan(cx, args.kind, check_intersections=small and not args.skip_intersections)
     payload = fan.to_json()
     params = {"kind": args.kind, "n": args.n}
@@ -165,6 +166,20 @@ def _parse_sign(text: str, expected_len: int):
         else:
             raise InvalidArgumentError(f"bad sign entry {p!r}")
     return tuple(out)
+
+
+def _parse_cones(text: str, count: int) -> set[int]:
+    """The cone indices of a ``--cones`` list, each in ``0..count-1``."""
+    wanted = set()
+    for p in text.split(","):
+        try:
+            index = int(p)
+        except ValueError:
+            raise InvalidArgumentError(f"bad cone index {p.strip()!r}") from None
+        if not 0 <= index < count:
+            raise InvalidArgumentError(f"cone index {index} is outside 0..{count - 1}")
+        wanted.add(index)
+    return wanted
 
 
 def _the_ideal(kind: str, n: int) -> Ideal:
@@ -219,7 +234,7 @@ def cmd_certify(args) -> int:
     fan = assemble_fan(cx, kind, check_intersections=False)
     faces = fan.proper_faces()
     if args.cones:
-        wanted = {int(x) for x in args.cones.split(",")}
+        wanted = _parse_cones(args.cones, len(faces))
         faces = [f for i, f in enumerate(faces) if i in wanted]
 
     weights = [interior_point(fan.cones[f]).vector for f in faces]

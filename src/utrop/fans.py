@@ -166,17 +166,19 @@ def edge_image_matrix(tree: PhyloTree, kind: str):
     else:
         raise InvalidArgumentError(f"unknown kind {kind!r}")
 
+    # The entry of pair (i, j) counts, over the unit's splits, those that
+    # separate i from j and suc i from suc j, minus those that separate i
+    # from suc j and suc i from j.  With a(x) = 1 on one side of a split and
+    # 0 on the other, a split contributes -2 * c(i) * c(j), where
+    # c(x) = a(x) - a(suc x) is nonzero iff it cuts between x and suc x.
     rows = []
     for unit in units:
-        row = []
-        for (i, j) in D.pairs:
-            val = 0
-            for s in unit:
-                val += int(_separates(s, i, j))
-                val += int(_separates(s, suc[i], suc[j]))
-                val -= int(_separates(s, i, suc[j]))
-                val -= int(_separates(s, suc[i], j))
-            row.append(val)
+        row = [0] * len(D)
+        for s in unit:
+            side = next(iter(s))
+            cut = {x: (x in side) - (y in side) for x, y in suc.items()}
+            for t, (i, j) in enumerate(D.pairs):
+                row[t] -= 2 * cut[i] * cut[j]
         rows.append(tuple(row))
     return units, rows, D
 

@@ -1,100 +1,120 @@
 """Small exact linear algebra over the rationals: rank and nonnegative
 feasibility (phase-1 simplex with Bland's rule).
 
-Everything works on lists of ``fractions.Fraction`` (plain ints are fine
-too); matrices are lists of row lists.  Sizes in this package stay in the
-tens, so clarity beats asymptotics.
+Inputs are lists of row lists of ``int`` or ``fractions.Fraction``.  Both
+kernels run on integer rows only: each input row is first multiplied by
+the common denominator of its entries, and each row update is done
+fraction-free (Bareiss-style, ``p * row_i - f * row_r`` with the pivot
+``p``) and followed by division by the row's gcd, which keeps the entries
+small.  A positive scaling of a row changes no sign and no ratio of its
+entries, so the elimination takes exactly the pivots a rational
+Gauss-Jordan or simplex loop would take, and ``solve_nonneg`` returns the
+same ``x``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
-def _echelon(rows):
-    """Row-reduce a copy of ``rows``; returns (echelon_rows, pivot_cols)."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    r = 0
-    ncols = len(mat[0]) if mat else 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        pv = mat[r][c]
-        mat[r] = [x / pv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
+def _integer_row(row) -> list[int]:
+    """``row`` times the common denominator of its entries."""
+    d = lcm(*(x.denominator for x in row))
+    return [x.numerator * (d // x.denominator) for x in row]
+
+
+def _reduced(row: list[int]) -> list[int]:
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _eliminate(row: list[int], pivot_row: list[int], col: int) -> list[int]:
+    """``pivot_row[col] * row - row[col] * pivot_row`` divided by its gcd,
+    which is zero in ``col``.  For a positive pivot entry it is a positive
+    multiple of the rational row update."""
+    p, f = pivot_row[col], row[col]
+    return _reduced([p * a - f * b for a, b in zip(row, pivot_row)])
 
 
 def rank(rows) -> int:
-    if not rows:
-        return 0
-    return len(_echelon(rows)[0])
+    mat = [_integer_row(row) for row in rows]
+    r = 0
+    ncols = len(mat[0]) if mat else 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        for i in range(r + 1, len(mat)):
+            if mat[i][c]:
+                mat[i] = _eliminate(mat[i], mat[r], c)
+        r += 1
+        if r == len(mat):
+            break
+    return r
 
 
 def solve_nonneg(mat, rhs):
     """An ``x >= 0`` with ``mat @ x == rhs``, or None if infeasible.
 
-    Phase-1 simplex over exact rationals; Bland's rule guarantees
-    termination.
+    Phase-1 simplex with Bland's rule, which guarantees termination.  The
+    tableau holds row ``i`` of the rational tableau times some positive
+    integer ``s_i``, and the cost row likewise, so basic variable ``bv`` of
+    row ``i`` has the entry ``s_i`` and the value ``rhs_i / s_i``.
     """
     m = len(mat)
     if m == 0:
         return []
     n = len(mat[0])
-    A = [[Fraction(x) for x in row] for row in mat]
-    b = [Fraction(x) for x in rhs]
+    tab = []
     for i in range(m):
-        if b[i] < 0:
-            A[i] = [-x for x in A[i]]
-            b[i] = -b[i]
-    # tableau columns: n structural + m artificial + rhs
-    tab = [A[i] + [Fraction(int(i == j)) for j in range(m)] + [b[i]] for i in range(m)]
+        sign = -1 if rhs[i] < 0 else 1
+        artificial = [int(i == j) for j in range(m)]
+        # clearing denominators puts the row's scale in its artificial column
+        tab.append(_integer_row([sign * x for x in mat[i]] + artificial + [sign * rhs[i]]))
+    # cost row: minus the sum of the rational rows, times the lcm of the scales
+    scale = lcm(*(row[n + i] for i, row in enumerate(tab)))
+    cost = [0] * (n + m + 1)
+    for i, row in enumerate(tab):
+        f = scale // row[n + i]
+        cost = [c - f * a for c, a in zip(cost, row)]
+    cost = _reduced(cost)
     basis = [n + i for i in range(m)]
-    # objective: minimize sum of artificials; reduced-cost row
-    cost = [Fraction(0)] * (n + m + 1)
-    for i in range(m):
-        for j in range(n + m + 1):
-            cost[j] -= tab[i][j]
 
     while True:
         enter = next((j for j in range(n + m) if cost[j] < 0), None)
         if enter is None:
             break
-        ratios = [
-            (tab[i][-1] / tab[i][enter], basis[i], i)
-            for i in range(m)
-            if tab[i][enter] > 0
-        ]
-        if not ratios:
-            return None  # unbounded phase-1 cannot happen, defensive
-        _, _, leave = min(ratios)
-        pv = tab[leave][enter]
-        tab[leave] = [x / pv for x in tab[leave]]
+        # Bland's rule: least ratio rhs/entry over positive entries, ties
+        # to the least basic variable; compared by cross-multiplication
+        leave = None
         for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [a - f * c for a, c in zip(tab[i], tab[leave])]
-        f = cost[enter]
-        if f != 0:
-            cost = [a - f * c for a, c in zip(cost, tab[leave])]
+            a = tab[i][enter]
+            if a > 0:
+                if leave is None:
+                    leave = i
+                    continue
+                here = tab[i][-1] * tab[leave][enter]
+                best = tab[leave][-1] * a
+                if here < best or (here == best and basis[i] < basis[leave]):
+                    leave = i
+        if leave is None:
+            return None  # unbounded phase-1 cannot happen, defensive
+        prow = tab[leave]
+        for i in range(m):
+            if i != leave and tab[i][enter]:
+                tab[i] = _eliminate(tab[i], prow, enter)
+        if cost[enter]:
+            cost = _eliminate(cost, prow, enter)
         basis[leave] = enter
 
-    if -cost[-1] != 0:  # optimum of artificial sum
+    if cost[-1] != 0:  # optimum of artificial sum
         return None
     x = [Fraction(0)] * n
     for i, bv in enumerate(basis):
         if bv < n:
-            x[bv] = tab[i][-1]
+            x[bv] = Fraction(tab[i][-1], tab[i][bv])
         elif tab[i][-1] != 0:
             return None  # artificial stuck at positive level
     return x

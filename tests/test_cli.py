@@ -2,6 +2,7 @@
 
 import json
 
+from utrop import fans
 from utrop.cli import EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, _canonical_json, _sha256, main
 from utrop.fans import Fan
 from utrop.symtrees import Complex
@@ -42,6 +43,20 @@ def test_usage_errors(tmp_path):
     assert run(tmp_path, "enumerate", "--n", "2") == EXIT_USAGE
     assert run(tmp_path, "complex", "--family", "zzz", "--n", "5") == EXIT_USAGE
     assert run(tmp_path, "certify", "--kind", "c", "--n", "3", "--sign", "+,+") == EXIT_USAGE
+
+
+def test_certify_rejects_bad_cone_indices(tmp_path, capsys):
+    # --cones takes indices of proper faces: c3 has 34, numbered 0..33
+    out = tmp_path / "cert.json"
+    for cones, message in [
+        ("x", "bad cone index 'x'"),
+        ("0,999", "cone index 999 is outside 0..33"),
+        ("-1", "cone index -1 is outside 0..33"),
+    ]:
+        code = run(tmp_path, "certify", "--kind", "c", "--n", "3", "--cones", cones, "--out", str(out))
+        assert code == EXIT_USAGE
+        assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_complex_command_round_trip(tmp_path):
@@ -100,9 +115,19 @@ CERTIFY_C3_OUTPUT_HASH = "2e8ee6fb2d9d5ad4cd518b0bf36609408c03ddc47f6b60933b6195
 CERTIFY_A5_OUTPUT_HASH = "c21edf7ab0ee1b3c4de37b7dd47d08fa3b09d9def3dd4f96c1c7a5cc92032b7f"
 
 
-def test_fan_a6_golden_digest(tmp_path):
+def test_fan_a6_golden_digest(tmp_path, monkeypatch):
+    # the pairwise-intersection check runs by default at this size
+    checked = []
+    check = fans._check_pairwise_intersections
+
+    def counted_check(fan):
+        checked.append(fan)
+        check(fan)
+
+    monkeypatch.setattr(fans, "_check_pairwise_intersections", counted_check)
     out = tmp_path / "fan6.json"
     assert run(tmp_path, "fan", "--kind", "a", "--n", "6", "--out", str(out)) == EXIT_OK
+    assert len(checked) == 1
     doc = load(out)
     payload = {k: v for k, v in doc.items() if k != "manifest"}
     assert _sha256(_canonical_json(payload)) == FAN_A6_OUTPUT_HASH

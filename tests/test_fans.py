@@ -97,6 +97,49 @@ def test_type_a_balancing_n4():
     assert [sum(r[i] for r in rays) for i in range(2)] == [0, 0]
 
 
+def edge_image_matrix_reference(tree, kind):
+    """The per-entry formula: for each pair (i, j) of D, count the splits
+    of the unit that separate i from j and suc i from suc j, minus those
+    that separate i from suc j and suc i from j."""
+    if kind == "a":
+        n = len(tree.labels)
+        units = [frozenset([s]) for s in tree.sorted_splits()]
+        suc = {i: i % n + 1 for i in range(1, n + 1)}
+    else:
+        n = len(tree.labels) // 2
+        units = split_orbits(tree)
+        suc = {i: successor(i, n) for i in tree.labels}
+    D = index_set(kind, n)
+
+    def separates(s, i, j):
+        a, _ = tuple(s)
+        return (i in a) != (j in a)
+
+    rows = []
+    for unit in units:
+        row = []
+        for (i, j) in D.pairs:
+            val = 0
+            for s in unit:
+                val += int(separates(s, i, j))
+                val += int(separates(s, suc[i], suc[j]))
+                val -= int(separates(s, i, suc[j]))
+                val -= int(separates(s, suc[i], j))
+            row.append(val)
+        rows.append(tuple(row))
+    return units, rows, D
+
+
+@pytest.mark.parametrize("family,n", [("a", 6), ("as", 3), ("as", 4), ("cs", 3)])
+def test_edge_image_matrix_matches_separation_count(family, n):
+    kind = "a" if family == "a" else "c"
+    cx = build_complex(family, n)
+    assert len(cx.sorted_faces()) > 20
+    for face in cx.sorted_faces():
+        tree = cx.face_tree(face)
+        assert edge_image_matrix(tree, kind) == edge_image_matrix_reference(tree, kind)
+
+
 # -- distance tables ---------------------------------------------------------
 
 
