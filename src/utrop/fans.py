@@ -21,7 +21,7 @@ from .symtrees import (
     PhyloTree,
     Split,
     negate_split,
-    orbit_count,
+    split_key,
     split_orbits,
 )
 
@@ -218,10 +218,6 @@ def cone_rays(tree: PhyloTree, kind: str) -> ConeZ:
     return ConeZ(D, rays, tree.canonical_key)
 
 
-def expected_cone_dim(tree: PhyloTree, kind: str) -> int:
-    return orbit_count(tree) if kind == "c" else len(tree.splits)
-
-
 def quotient_map_q(w, n: int):
     """Second-difference projection from pair space to D (type A).
 
@@ -319,6 +315,8 @@ class Fan:
         for rec in obj["cones"]:
             face = frozenset(rec["face"])
             cones[face] = ConeZ(D, tuple(tuple(r) for r in rec["rays"]), rec["tree_key"].encode())
+        if len(cones) != len(obj["cones"]) or set(cones) != cx.faces:
+            raise InvalidArgumentError("the cones' faces are not the complex's faces")
         rel = tuple(
             (frozenset(c), frozenset(p)) for c, p in obj["facet_relation"]
         )
@@ -331,38 +329,34 @@ class Fan:
 
 
 def assemble_fan(complex: Complex, kind: str, check_intersections: bool = True) -> Fan:
-    """Build cones for every face and validate the fan structure:
-    simpliciality at the stated dimension, facets = symmetric-contraction
-    children, and (exhaustively, when requested) that pairwise cone
-    intersections are common faces."""
+    """Build every face's cone from its vertices' rays and validate the fan:
+    one ray per vertex, independent rays on maximal faces (so on all),
+    facets = a face minus one vertex, and (when requested) that pairwise
+    cone intersections are common faces.  A face's tree has one split orbit
+    per vertex, and a ray depends only on its orbit; ordering the rays by
+    each vertex's least split key is ``edge_image_matrix``'s unit order."""
     kind = kind.lower()
+    vertex_cones = [cone_rays(v, kind) for v in complex.vertices]
+    if any(c.dim != 1 for c in vertex_cones):
+        raise InternalConsistencyError("a vertex's cone is not a ray")
+    least_key = [min(map(split_key, v.splits)) for v in complex.vertices]
+    D = cone_rays(complex.face_tree(frozenset()), kind).index_set
     cones = {}
-    by_tree_key = {}
     for face in complex.sorted_faces():
-        tree = complex.face_tree(face)
-        cone = cone_rays(tree, kind)
-        if cone.dim != expected_cone_dim(tree, kind):
-            raise InternalConsistencyError("cone dimension != number of length coordinates")
-        cones[face] = cone
-        by_tree_key[tree.canonical_key] = face
+        rays = tuple(vertex_cones[v].rays[0] for v in sorted(face, key=least_key.__getitem__))
+        cones[face] = ConeZ(D, rays, complex.face_tree(face).canonical_key)
+    for face in complex.maximal_faces():
+        if face and linalg.rank(cones[face].rays) != len(face):
+            raise InternalConsistencyError("cone generators are linearly dependent")
 
     relation = []
     for face in complex.sorted_faces():
-        tree = complex.face_tree(face)
-        parent_rays = set(cones[face].rays)
-        if kind == "c":
-            children = [PhyloTree(tree.labels, tree.splits - orb) for orb in split_orbits(tree)]
-        else:
-            children = [PhyloTree(tree.labels, tree.splits - {s}) for s in tree.sorted_splits()]
-        for child in children:
-            child_face = by_tree_key.get(child.canonical_key)
-            if child_face is None:
-                raise InternalConsistencyError("contraction child missing from the complex")
-            if not set(cones[child_face].rays) <= parent_rays:
-                raise InternalConsistencyError("child cone is not a face of the parent cone")
-            relation.append((child_face, face))
+        for v in face:
+            if face - {v} not in complex.faces:
+                raise InternalConsistencyError("a facet of a face is missing from the complex")
+            relation.append((face - {v}, face))
 
-    fan = Fan(kind, cones[frozenset()].index_set, complex, cones, tuple(sorted(
+    fan = Fan(kind, D, complex, cones, tuple(sorted(
         relation, key=lambda cp: (sorted(cp[1]), sorted(cp[0]))
     )))
     if check_intersections:
@@ -375,18 +369,17 @@ def _check_pairwise_intersections(fan: Fan):
     of their shared rays.
 
     Only pairs of maximal faces need an LP.  Let ``F <= F'`` and ``G <= G'``
-    with ``F'``, ``G'`` maximal.  ``assemble_fan`` has checked that each
-    contraction child's rays are a subset of its parent's, and the faces
-    below a face are its iterated contractions, so ``rays(F) <= rays(F')``
-    and ``rays(G) <= rays(G')``.  Take ``x`` in both cones of ``F`` and
-    ``G``.  Its coefficients on the linearly independent rays of ``F'`` are
-    unique, so they are supported on ``rays(F)``; if ``F'`` and ``G'`` meet
-    in their common face they are also supported on the shared rays ``S``
-    of ``F'`` and ``G'``.  The same holds in ``G'``, and both are the one
-    representation of ``x`` over the independent set ``S``; so it is
-    supported on ``rays(F) & rays(G)``, and ``x`` lies in the common face
-    of ``F`` and ``G``.  (``F'`` equal to ``G'`` needs no LP: uniqueness in
-    ``F'`` alone gives the same conclusion.)
+    with ``F'``, ``G'`` maximal.  A face's cone is spanned by its vertices'
+    rays, so ``rays(F) <= rays(F')`` and ``rays(G) <= rays(G')``.  Take
+    ``x`` in both cones of ``F`` and ``G``.  Its coefficients on the
+    linearly independent rays of ``F'`` are unique, so they are supported
+    on ``rays(F)``; if ``F'`` and ``G'`` meet in their common face they are
+    also supported on the shared rays ``S`` of ``F'`` and ``G'``.  The same
+    holds in ``G'``, and both are the one representation of ``x`` over the
+    independent set ``S``; so it is supported on ``rays(F) & rays(G)``, and
+    ``x`` lies in the common face of ``F`` and ``G``.  (``F'`` equal to
+    ``G'`` needs no LP: uniqueness in ``F'`` alone gives the same
+    conclusion.)
 
     For one pair with ray matrices ``A`` and ``B`` the LP is ``lam, mu >=
     0``, ``A^T lam = B^T mu``, with the sum of ``lam`` and ``mu`` over the

@@ -299,9 +299,12 @@ def _perpendicular_diagonals(c: int, m: int) -> list[Diagonal]:
     return out
 
 
-def _symmetric_units(alpha: DihedralOrdering) -> list[frozenset[Diagonal]]:
-    """Minimal nonempty symmetry-closed non-crossing diagonal sets."""
+def _units(alpha: DihedralOrdering, symmetric: bool) -> list[frozenset[Diagonal]]:
+    """Minimal nonempty (symmetry-closed) non-crossing diagonal sets: single
+    diagonals, or symmetry orbits of diagonals."""
     m = alpha.size
+    if not symmetric:
+        return [frozenset([d]) for d in all_diagonals(m)]
     if alpha.symmetry is Symmetry.AXIAL:
         c = alpha.axis_reflection()
         units = [frozenset([_axis_diagonal(c, m)])]
@@ -326,55 +329,35 @@ def _symmetric_units(alpha: DihedralOrdering) -> list[frozenset[Diagonal]]:
                 if all(not x.crosses(y) for x, y in itertools.combinations(unit, 2)):
                     units.append(unit)
         return units
-    raise InvalidArgumentError("plain orderings have no symmetric units")
+    raise InvalidArgumentError("ordering carries no symmetry flag")
 
 
 def enumerate_coarsest(alpha: DihedralOrdering, symmetric: bool = False) -> list[Subdivision]:
     """The coarsest nontrivial (symmetric) subdivisions: one diagonal in the
     plain case, one symmetry unit otherwise."""
-    if symmetric:
-        _require_symmetric(alpha)
-        return [Subdivision.make(alpha, u, True) for u in _symmetric_units(alpha)]
-    return [Subdivision.make(alpha, [d]) for d in all_diagonals(alpha.size)]
+    return [Subdivision.make(alpha, u, symmetric) for u in _units(alpha, symmetric)]
 
 
-def _require_symmetric(alpha: DihedralOrdering):
-    if alpha.symmetry is Symmetry.NONE:
-        raise InvalidArgumentError("ordering carries no symmetry flag")
+def _unit_cliques(alpha: DihedralOrdering, symmetric: bool):
+    """``alpha``'s units and the cliques of the graph joining units that
+    cross nowhere, as sets of unit indices in ``_cliques`` order.  A set of
+    units is a subdivision iff its units pairwise cross nowhere, so the
+    cliques are the subdivisions, each exactly once."""
+    units = _units(alpha, symmetric)
+    apart = {
+        i: {j for j, v in enumerate(units) if all(not d.crosses(e) for d in u for e in v)} - {i}
+        for i, u in enumerate(units)
+    }
+    return units, list(_cliques(apart))
 
 
 def enumerate_subdivisions(alpha: DihedralOrdering, symmetric: bool = False) -> list[Subdivision]:
-    """Every (symmetric) subdivision, the trivial one included.
-
-    Backtracks over units (single diagonals, or symmetry orbits of
-    diagonals) keeping the chosen set pairwise non-crossing; since
-    non-crossing is a pairwise condition this enumerates each subdivision
-    exactly once.
-    """
-    if symmetric:
-        _require_symmetric(alpha)
-        units = _symmetric_units(alpha)
-    else:
-        units = [frozenset([d]) for d in all_diagonals(alpha.size)]
-    compat = [
-        [
-            j
-            for j in range(i + 1, len(units))
-            if all(not d.crosses(e) for d in units[i] for e in units[j])
-        ]
-        for i in range(len(units))
+    """Every (symmetric) subdivision, the trivial one included."""
+    units, cliques = _unit_cliques(alpha, symmetric)
+    return [
+        Subdivision(alpha, frozenset().union(*(units[i] for i in clique)), symmetric)
+        for clique in cliques
     ]
-    out = []
-
-    def extend(chosen: list[int], allowed: list[int]):
-        ds = frozenset(d for i in chosen for d in units[i])
-        out.append(Subdivision(alpha, ds, symmetric))
-        for pos, j in enumerate(allowed):
-            extend(chosen + [j], [k for k in allowed[pos + 1 :] if k in compat_sets[j]])
-
-    compat_sets = [set(c) for c in compat]
-    extend([], list(range(len(units))))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -751,7 +734,7 @@ class Complex:
     vertices: tuple[PhyloTree, ...]
     faces: frozenset[frozenset[int]]
     _face_tree: dict = field(compare=False, hash=False, repr=False)
-    _face_source: dict = field(compare=False, hash=False, repr=False, default=None)
+    _ordering: DihedralOrdering = field(compare=False, hash=False, repr=False, default=None)
 
     # -- basic queries -------------------------------------------------------
 
@@ -759,9 +742,10 @@ class Complex:
         return self._face_tree[face]
 
     def face_source(self, face: frozenset[int]) -> Subdivision:
-        if self._face_source is None:
+        """The subdivision of the complex's one ordering giving the face."""
+        if self._ordering is None:
             raise InvalidArgumentError("face sources are only recorded for single-ordering builds")
-        return self._face_source[face]
+        return subdivision_from_tree(self._face_tree[face], self._ordering)
 
     def sorted_faces(self) -> list[frozenset[int]]:
         return sorted(self.faces, key=lambda f: (len(f), tuple(sorted(f))))
@@ -881,13 +865,27 @@ class Complex:
 
     @staticmethod
     def from_json(obj) -> "Complex":
+        """Read a complex back, deriving each face's tree from its vertices;
+        the stored face trees must equal the derived ones."""
         vertices = tuple(PhyloTree.from_json(v["tree"]) for v in obj["vertices"])
-        faces = frozenset(frozenset(f) for f in obj["faces"])
-        face_tree = {
-            frozenset(f): PhyloTree.from_json(t)
-            for f, t in zip(obj["faces"], obj["face_trees"])
-        }
-        return Complex(obj["family"], obj["n"], vertices, faces, face_tree, None)
+        faces = [frozenset(f) for f in obj["faces"]]
+        stored = [PhyloTree.from_json(t) for t in obj["face_trees"]]
+        if len(stored) != len(faces):
+            raise InvalidArgumentError(f"{len(faces)} faces but {len(stored)} face trees")
+        if len(set(faces)) != len(faces):
+            raise InvalidArgumentError("a face is listed twice")
+        if any(not 0 <= v < len(vertices) for f in faces for v in f):
+            raise InvalidArgumentError(f"a face has a vertex outside 0..{len(vertices) - 1}")
+        if frozenset() not in faces:
+            raise InvalidArgumentError("the empty face is missing")
+        labels = stored[faces.index(frozenset())].labels
+        cx = _complex_from_faces(obj["family"], obj["n"], labels, vertices, faces)
+        if not cx.is_downward_closed():
+            raise InvalidArgumentError("the face set is not downward closed")
+        for f, tree in zip(faces, stored):
+            if tree != cx.face_tree(f):
+                raise InvalidArgumentError(f"face {sorted(f)} stores a tree not of its vertices")
+        return cx
 
     def to_dot(self, name: str = "skeleton", highlight_as=None, highlight_cs=None) -> str:
         """Graphviz text of the 1-skeleton.  ``highlight_as``/``highlight_cs``
@@ -913,23 +911,24 @@ class Complex:
 
 
 def build_complex(family: str, n: int) -> Complex:
-    """Union of the per-ordering complexes with vertices identified by
-    canonical tree.  The plain family is built directly as a clique
-    complex (``_build_plain``); the symmetric families take the union."""
+    """The complex of a family: a face is a set of vertex indices and carries
+    the tree of its vertices' splits.  The plain family is the clique
+    complex of compatible splits (``_build_plain``); a symmetric family is
+    the union over its orderings of their clique complexes of non-crossing
+    symmetry units (``_build``), with vertices identified by canonical tree."""
     family = family.lower()
     if family == "a":
         return _build_plain(n)
     symmetry = {"as": Symmetry.AXIAL, "cs": Symmetry.CENTRAL}.get(family)
     if symmetry is None:
         raise InvalidArgumentError(f"unknown family {family!r}")
-    return _build(family, n, enumerate_orderings(n, symmetry), record_sources=False)
+    return _build(family, n, enumerate_orderings(n, symmetry))
 
 
 def build_sub(alpha: DihedralOrdering) -> Complex:
     """The complex of one ordering (with face -> subdivision provenance)."""
     family = {Symmetry.NONE: "a", Symmetry.AXIAL: "as", Symmetry.CENTRAL: "cs"}[alpha.symmetry]
-    return _build(family, alpha.size if alpha.symmetry is Symmetry.NONE else alpha.half,
-                  [alpha], record_sources=True)
+    return _build(family, alpha.size if alpha.symmetry is Symmetry.NONE else alpha.half, [alpha])
 
 
 def _cliques(adj):
@@ -942,6 +941,15 @@ def _cliques(adj):
             yield from extend(clique | {v}, {w for w in ext if w > v and w in adj[v]})
 
     return extend(frozenset(), set(adj))
+
+
+def _complex_from_faces(family: str, n: int, labels, vertices, faces, ordering=None) -> Complex:
+    """The complex whose faces are the given sets of vertex indices, each
+    carrying the tree on ``labels`` of its vertices' splits."""
+    face_tree = {
+        f: PhyloTree(labels, frozenset().union(*(vertices[v].splits for v in f))) for f in faces
+    }
+    return Complex(family, n, vertices, frozenset(face_tree), face_tree, ordering)
 
 
 def _build_plain(n: int) -> Complex:
@@ -958,8 +966,7 @@ def _build_plain(n: int) -> Complex:
     face of some ordering's complex, and each such face's vertices are its
     one-split trees.  The vertices are the one-split trees of the
     ``2^(n-1) - n - 1`` splits with both sides of size >= 2, sorted by
-    canonical key as in ``_build``; each face carries the tree whose splits
-    are the union of its vertices' splits.
+    canonical key as in ``_build``.
     """
     if n < 3:
         raise InvalidArgumentError(f"need n >= 3, got {n}")
@@ -978,41 +985,34 @@ def _build_plain(n: int) -> Complex:
         v: {w for w in range(len(vertices)) if w != v and splits_compatible(vsplit[v], vsplit[w])}
         for v in range(len(vertices))
     }
-    faces = {f: PhyloTree(labels, frozenset(vsplit[v] for v in f)) for f in _cliques(adj)}
-    return Complex("a", n, vertices, frozenset(faces), faces, None)
+    return _complex_from_faces("a", n, labels, vertices, _cliques(adj))
 
 
-def _build(family: str, n: int, orderings, record_sources: bool) -> Complex:
+def _build(family: str, n: int, orderings) -> Complex:
+    """The union of the orderings' complexes, each unit's tree a vertex and
+    each subdivision (a clique of units) a face; vertices are sorted by
+    canonical key.  A single ordering is kept for ``Complex.face_source``."""
     symmetric = family in ("as", "cs")
+    by_shape = {}  # units and their cliques depend on the polygon's size and axis only
+    per_ordering = []  # (cliques, one tree per unit)
     vertex_by_key: dict[bytes, PhyloTree] = {}
-    face_sets = []  # (frozenset of keys, tree, subdivision)
     for alpha in orderings:
-        units = enumerate_coarsest(alpha, symmetric)
-        unit_tree = {}
-        for u in units:
-            t = tree_from_subdivision(u)
-            unit_tree[u.diagonals] = t
+        shape = (alpha.size, alpha.axis_reflection())
+        if shape not in by_shape:
+            by_shape[shape] = _unit_cliques(alpha, symmetric)
+        units, cliques = by_shape[shape]
+        trees = [tree_from_subdivision(Subdivision(alpha, u, symmetric)) for u in units]
+        for t in trees:
             vertex_by_key.setdefault(t.canonical_key, t)
-        for sub in enumerate_subdivisions(alpha, symmetric):
-            members = frozenset(
-                unit_tree[u.diagonals].canonical_key
-                for u in units
-                if u.diagonals <= sub.diagonals
-            )
-            face_sets.append((members, tree_from_subdivision(sub), sub))
+        per_ordering.append((cliques, trees))
     vertices = tuple(sorted(vertex_by_key.values(), key=lambda t: t.canonical_key))
     index = {t.canonical_key: i for i, t in enumerate(vertices)}
-    faces = {}
-    sources = {} if record_sources else None
-    for keys, tree, sub in face_sets:
-        face = frozenset(index[k] for k in keys)
-        prev = faces.get(face)
-        if prev is not None and prev.canonical_key != tree.canonical_key:
-            raise InternalConsistencyError("one vertex set from two distinct trees")
-        faces[face] = tree
-        if record_sources and face not in sources:
-            sources[face] = sub
-    return Complex(family, n, vertices, frozenset(faces), faces, sources)
+    faces = set()
+    for cliques, trees in per_ordering:
+        ids = [index[t.canonical_key] for t in trees]
+        faces.update(frozenset(map(ids.__getitem__, clique)) for clique in cliques)
+    ordering = orderings[0] if len(orderings) == 1 else None
+    return _complex_from_faces(family, n, frozenset(orderings[0].labels), vertices, faces, ordering)
 
 
 # ---------------------------------------------------------------------------

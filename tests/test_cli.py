@@ -115,6 +115,21 @@ CERTIFY_C3_OUTPUT_HASH = "2e8ee6fb2d9d5ad4cd518b0bf36609408c03ddc47f6b60933b6195
 CERTIFY_A5_OUTPUT_HASH = "c21edf7ab0ee1b3c4de37b7dd47d08fa3b09d9def3dd4f96c1c7a5cc92032b7f"
 
 
+# sha256 of the canonical payload of `utrop fan --kind c --n 4
+# --skip-intersections`, recorded from the builder that made one tree per
+# subdivision and looked each contraction child up by its tree
+FAN_C4_OUTPUT_HASH = "7627ea69587c8298c4717ab851e76a4ed7eb22963a4eff31ebc158513b2fcef9"
+
+
+def test_fan_c4_golden_digest(tmp_path):
+    out = tmp_path / "fan_c4.json"
+    assert run(tmp_path, "fan", "--kind", "c", "--n", "4", "--skip-intersections", "--out", str(out)) == EXIT_OK
+    doc = load(out)
+    payload = {k: v for k, v in doc.items() if k != "manifest"}
+    assert _sha256(_canonical_json(payload)) == FAN_C4_OUTPUT_HASH
+    assert doc["manifest"]["output_hash"] == FAN_C4_OUTPUT_HASH
+
+
 def test_fan_a6_golden_digest(tmp_path, monkeypatch):
     # the pairwise-intersection check runs by default at this size
     checked = []

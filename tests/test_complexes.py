@@ -8,7 +8,9 @@ two-element ears); they pin the complex down completely, not just its
 f-vector.
 """
 
+import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -17,14 +19,18 @@ from utrop.symtrees import (
     Complex,
     DihedralOrdering,
     PhyloTree,
+    Subdivision,
     Symmetry,
     _build,
     build_complex,
     build_sub,
+    enumerate_coarsest,
     enumerate_orderings,
+    enumerate_subdivisions,
     make_split,
     orbit_count,
     symmetric_contractions,
+    tree_from_subdivision,
 )
 
 N3 = [1, 2, 3, -1, -2, -3]
@@ -238,7 +244,7 @@ def test_dot_export(theta_as3):
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_plain_clique_build_equals_ordering_union(n):
     clique = build_complex("a", n)
-    union = _build("a", n, enumerate_orderings(n), False)
+    union = _build("a", n, enumerate_orderings(n))
     assert clique.vertices == union.vertices  # same trees in the same order
     assert clique.faces == union.faces
     assert all(
@@ -266,3 +272,74 @@ def test_maximal_faces(theta_as3, theta5):
         by_scan = [f for f in cx.sorted_faces() if not any(f < g for g in cx.faces)]
         assert cx.maximal_faces() == by_scan
     assert build_complex("a", 3).maximal_faces() == [frozenset()]
+
+
+# sha256 of the canonical JSON of build_complex(family, n).to_json(),
+# recorded from the builder that made one tree per subdivision of every
+# ordering
+COMPLEX_DIGESTS = {
+    ("as", 3): "91bd4cd0ac73a1edb68f17cf9c76088bf54d1a83fa1b51478b94b5a076702f55",
+    ("as", 4): "2b082204c21a61279881d363ea6d736e22e669b7685a72610da5b4d0649cc3ca",
+    ("as", 5): "eaba3a1ee598709de03011c0e11817096c07e21fc9e22280ae883b78f9c501f9",
+    ("cs", 3): "86e8bff09d5d43e2b70eb87a49610de731949453f3cf36a77ed935b926cfd336",
+    ("cs", 4): "dbc614e19089b046857f26f3b52b57409e6b3193b7eb2e9f76406f71932a08c0",
+    ("cs", 5): "d871e129ccd9b0c53431cf99656c0c80c429b9d709d2a58530365132b25d192c",
+}
+
+
+@pytest.mark.parametrize("family,n", sorted(COMPLEX_DIGESTS))
+def test_symmetric_complex_golden_digest(family, n):
+    doc = build_complex(family, n).to_json()
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == COMPLEX_DIGESTS[family, n]
+
+
+@pytest.mark.parametrize("family,n", [("as", 3), ("cs", 3), ("as", 4), ("a", 6)])
+def test_face_trees_are_subdivision_trees(family, n):
+    # a face's tree is derived from its vertices; it must be the tree of
+    # the subdivision made of the face's units, in the ordering's own
+    # complex and in the union
+    symmetry = {"a": Symmetry.NONE, "as": Symmetry.AXIAL, "cs": Symmetry.CENTRAL}[family]
+    union = build_complex(family, n)
+    index = {v.canonical_key: i for i, v in enumerate(union.vertices)}
+    for alpha in enumerate_orderings(n, symmetry):
+        sub_cx = build_sub(alpha)
+        by_diagonals = {sub_cx.face_source(f).diagonals: f for f in sub_cx.faces}
+        units = [u.diagonals for u in enumerate_coarsest(alpha, symmetry is not Symmetry.NONE)]
+        subs = enumerate_subdivisions(alpha, symmetry is not Symmetry.NONE)
+        assert len(by_diagonals) == len(sub_cx.faces) == len(subs)
+        for sub in subs:
+            tree = tree_from_subdivision(sub)
+            assert sub_cx.face_tree(by_diagonals[sub.diagonals]) == tree
+            face = frozenset(
+                index[tree_from_subdivision(Subdivision(alpha, u, sub.symmetric)).canonical_key]
+                for u in units
+                if u <= sub.diagonals
+            )
+            assert face in union.faces
+            assert union.face_tree(face) == tree
+
+
+def test_complex_from_json_rejects_malformed_input(theta_as3):
+    good = theta_as3.to_json()
+    assert Complex.from_json(good).to_json() == good
+    edge = next(f for f in good["faces"] if len(f) == 2)
+    swapped = json.loads(json.dumps(good))
+    i, j = (good["faces"].index([v]) for v in edge)
+    swapped["face_trees"][i], swapped["face_trees"][j] = good["face_trees"][j], good["face_trees"][i]
+    dropped = json.loads(json.dumps(good))
+    k = good["faces"].index([edge[0]])
+    del dropped["faces"][k], dropped["face_trees"][k]
+    cases = [
+        ({"faces": good["faces"] + [[0, 99]], "face_trees": good["face_trees"] + [good["face_trees"][0]]},
+         "outside 0..12"),
+        ({"face_trees": good["face_trees"][:-1]}, "faces but"),
+        ({"faces": swapped["faces"], "face_trees": swapped["face_trees"]}, "stores a tree not of its vertices"),
+        ({"faces": dropped["faces"], "face_trees": dropped["face_trees"]}, "not downward closed"),
+        ({"faces": good["faces"] + [edge], "face_trees": good["face_trees"] + [good["face_trees"][0]]},
+         "listed twice"),
+        ({"faces": good["faces"][1:], "face_trees": good["face_trees"][1:]}, "empty face"),
+    ]
+    for change, message in cases:
+        with pytest.raises(InvalidArgumentError, match=message):
+            Complex.from_json({**good, **change})

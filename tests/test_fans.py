@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from utrop import linalg
+from utrop import fans, linalg
 from utrop.errors import InternalConsistencyError, InvalidArgumentError, NotAxiallySymmetricError
 from utrop.fans import (
     Fan,
@@ -290,7 +290,7 @@ def test_fan_c3_rank_equals_orbit_count(fan_c3):
 
 
 def test_cone_rank_equals_orbit_count_n4():
-    from utrop import linalg
+    from utrop import fans, linalg
     from utrop.symtrees import orbit_count
 
     theta = build_complex("as", 4)
@@ -470,3 +470,38 @@ def test_fan_json_round_trip(fan_c3):
         assert back.cones[f].rays == fan_c3.cones[f].rays
     assert back.facet_relation == fan_c3.facet_relation
     assert back.rays() == fan_c3.rays()
+
+
+def test_fan_from_json_rejects_cones_off_the_complex(fan_c3):
+    good = fan_c3.to_json()
+    cones = good["cones"]
+    for bad in (cones[1:], cones + [cones[-1]], cones[:-1] + [{**cones[-1], "face": [0, 99]}]):
+        with pytest.raises(InvalidArgumentError, match="not the complex's faces"):
+            Fan.from_json({**good, "cones": bad})
+
+
+def test_assemble_fan_needs_one_ray_per_vertex(theta_as3):
+    two_orbits = t3({1, -1}, {3, -3})
+    cx = dataclasses.replace(theta_as3, vertices=(two_orbits,) + theta_as3.vertices[1:])
+    with pytest.raises(InternalConsistencyError, match="not a ray"):
+        assemble_fan(cx, "c", check_intersections=False)
+
+
+def test_assemble_fan_checks_rank_on_maximal_faces(theta5, monkeypatch):
+    # give one vertex of a maximal face the ray of the other
+    u, v = sorted(theta5.maximal_faces()[0])
+    cone_rays = fans.cone_rays
+
+    def copied_ray(tree, kind):
+        return cone_rays(theta5.vertices[u] if tree == theta5.vertices[v] else tree, kind)
+
+    monkeypatch.setattr(fans, "cone_rays", copied_ray)
+    with pytest.raises(InternalConsistencyError, match="linearly dependent"):
+        assemble_fan(theta5, "a", check_intersections=False)
+
+
+def test_assemble_fan_needs_every_facet(theta5):
+    v = min(next(f for f in theta5.faces if len(f) == 2))
+    cx = dataclasses.replace(theta5, faces=theta5.faces - {frozenset([v])})
+    with pytest.raises(InternalConsistencyError, match="missing from the complex"):
+        assemble_fan(cx, "a", check_intersections=False)

@@ -14,6 +14,7 @@ from utrop.symtrees import (
     is_compatible,
     tree_from_subdivision,
 )
+from utrop.symtrees import _units
 
 # total subdivision counts of an m-gon (trivial one included)
 SUBDIVISION_TOTALS = {3: 1, 4: 3, 5: 11, 6: 45, 7: 197, 8: 903}
@@ -127,3 +128,35 @@ def test_axial_subdivision_axis_crossing_rule():
         for d in sub.diagonals:
             if d != axis and d not in perps:
                 assert not d.crosses(axis)
+
+
+def enumerate_subdivisions_reference(alpha, symmetric):
+    """Backtracking over units, keeping the chosen set pairwise
+    non-crossing: each chosen list is extended by the later units that
+    cross none of its members."""
+    units = _units(alpha, symmetric)
+    compat = [
+        {j for j in range(i + 1, len(units)) if all(not d.crosses(e) for d in units[i] for e in units[j])}
+        for i in range(len(units))
+    ]
+    out = []
+
+    def extend(chosen, allowed):
+        out.append(Subdivision(alpha, frozenset(d for i in chosen for d in units[i]), symmetric))
+        for pos, j in enumerate(allowed):
+            extend(chosen + [j], [k for k in allowed[pos + 1 :] if k in compat[j]])
+
+    extend([], list(range(len(units))))
+    return out
+
+
+@pytest.mark.parametrize(
+    "n,symmetry",
+    [(5, Symmetry.NONE), (6, Symmetry.NONE), (7, Symmetry.NONE),
+     (3, Symmetry.AXIAL), (4, Symmetry.AXIAL), (3, Symmetry.CENTRAL), (4, Symmetry.CENTRAL)],
+)
+def test_subdivisions_match_backtracking_in_order(n, symmetry):
+    symmetric = symmetry is not Symmetry.NONE
+    orderings = enumerate_orderings(n, symmetry)
+    for alpha in orderings[:: max(1, len(orderings) // 6)]:
+        assert enumerate_subdivisions(alpha, symmetric) == enumerate_subdivisions_reference(alpha, symmetric)
