@@ -58,10 +58,16 @@ def make_manifest(command: str, parameters: dict, payload_hash: str, started: fl
 
 
 def write_json(payload: dict, command: str, parameters: dict, started: float, out):
-    payload_hash = _sha256(_canonical_json(payload))
-    doc = dict(payload)
-    doc["manifest"] = make_manifest(command, parameters, payload_hash, started)
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Write ``payload`` as compact canonical JSON with its manifest added
+    as the last member.
+
+    The payload is serialized once.  That text is what ``output_hash``
+    hashes, and it stands in the output verbatim: the text before the last
+    ``,"manifest":``, plus ``}``.
+    """
+    body = _canonical_json(payload)
+    manifest = make_manifest(command, parameters, _sha256(body), started)
+    text = body[:-1] + ',"manifest":' + _canonical_json(manifest) + "}\n"
     if out in (None, "-"):
         sys.stdout.write(text)
     else:

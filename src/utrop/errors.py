@@ -13,16 +13,31 @@ class NotAxiallySymmetricError(InvalidArgumentError):
 class GroebnerBudgetError(RuntimeError):
     """The pair budget of a Groebner basis run was exhausted.
 
-    Raised instead of silently truncating; carries the number of pairs
-    processed so far.
+    Raised instead of silently truncating, with a pair still open.  Carries
+    the counters the run reached: the S-pairs reduced, how many of them
+    reduced to zero, and the number of elements of the (not yet reduced)
+    basis.
     """
 
-    def __init__(self, pairs_processed: int, budget: int):
+    def __init__(self, pairs_processed: int, budget: int, zero_reductions: int = 0, basis_size: int = 0):
         super().__init__(
-            f"Groebner pair budget exhausted ({pairs_processed} >= {budget})"
+            f"Groebner pair budget exhausted: {pairs_processed} pairs reduced "
+            f"(budget {budget}), {zero_reductions} of them to zero, "
+            f"{basis_size} basis elements so far"
         )
         self.pairs_processed = pairs_processed
         self.budget = budget
+        self.zero_reductions = zero_reductions
+        self.basis_size = basis_size
+
+    @property
+    def stats(self) -> dict:
+        """The counters reached, under the keys of a run's ``stats``."""
+        return {
+            "pairs": self.pairs_processed,
+            "zero_reductions": self.zero_reductions,
+            "basis_size": self.basis_size,
+        }
 
 
 class DegenerateIdealError(InvalidArgumentError):

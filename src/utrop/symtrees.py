@@ -758,17 +758,20 @@ class Complex:
         return max(len(f) for f in self.faces) - 1
 
     def maximal_faces(self) -> list[frozenset[int]]:
-        """Inclusion-maximal faces, in ``sorted_faces`` order.
+        """Inclusion-maximal faces, in ``sorted_faces`` order."""
+        return list(self._maximal_faces)
 
-        The face set is downward closed, so a face lies in a larger face iff
-        it lies in one with a single extra vertex: O(faces x vertices).
-        """
+    @cached_property
+    def _maximal_faces(self) -> tuple[frozenset[int], ...]:
+        """Computed once per complex.  The face set is downward closed, so a
+        face lies in a larger face iff it lies in one with a single extra
+        vertex: O(faces x vertices)."""
         vertices = range(len(self.vertices))
-        return [
+        return tuple(
             f
             for f in self.sorted_faces()
             if not any(v not in f and f | {v} in self.faces for v in vertices)
-        ]
+        )
 
     def is_pure(self) -> bool:
         top = self.dimension + 1

@@ -257,11 +257,13 @@ def _buchberger_int(gens, order: TermOrder, max_pairs: int):
         if g:
             _update_pairs(basis, pairs, lcms, basis.add(g))
     while pairs:
+        if stats["pairs"] == max_pairs:
+            raise GroebnerBudgetError(
+                max_pairs, max_pairs, stats["zero_reductions"], len(basis.polys)
+            )
         ij = min(pairs, key=lambda p: key(lcms[p]))
         pairs.discard(ij)
         stats["pairs"] += 1
-        if stats["pairs"] > max_pairs:
-            raise GroebnerBudgetError(stats["pairs"], max_pairs)
         r = _reduce_int(_s_poly(basis, *ij, lcms[ij]), basis)
         if r:
             _update_pairs(basis, pairs, lcms, basis.add(r))
@@ -322,10 +324,15 @@ def groebner_basis(gens, order: TermOrder, max_pairs: int = DEFAULT_MAX_PAIRS, s
     Returns monic polynomials sorted by leading monomial (ascending order
     key); the result is the unique reduced basis for the order.  Raises
     :class:`GroebnerBudgetError` when more than ``max_pairs`` S-pairs would
-    be reduced.
+    be reduced, after copying the counters it reached into ``stats``.
     """
     ints = [_primitive(g)[0] for g in gens]
-    basis, run_stats = _buchberger_int([g for g in ints if g], order, max_pairs)
+    try:
+        basis, run_stats = _buchberger_int([g for g in ints if g], order, max_pairs)
+    except GroebnerBudgetError as exc:
+        if stats is not None:
+            stats.update(exc.stats)
+        raise
     reduced = _reduced_basis(basis)
     if stats is not None:
         stats.update(run_stats)

@@ -55,13 +55,24 @@ class Ideal:
 
     @staticmethod
     def from_json(obj) -> "Ideal":
+        """Read an ideal back.  A generator that lists a monomial twice, a
+        zero denominator, and an index set whose length is not the number
+        of variables are rejected."""
         nvars = len(obj["variables"])
-        gens = tuple(
-            Poly(nvars, {tuple(m): Fraction(num, den) for m, num, den in g})
-            for g in obj["generators"]
-        )
+        gens = []
+        for g in obj["generators"]:
+            terms = {}
+            for m, num, den in g:
+                if den == 0:
+                    raise InvalidArgumentError(f"monomial {m} has denominator 0")
+                if tuple(m) in terms:
+                    raise InvalidArgumentError(f"a generator lists monomial {m} twice")
+                terms[tuple(m)] = Fraction(num, den)
+            gens.append(Poly(nvars, terms))
         D = IndexSetD.from_json(obj["index_set"]) if obj.get("index_set") else None
-        return Ideal(tuple(obj["variables"]), gens, D)
+        if D is not None and len(D) != nvars:
+            raise InvalidArgumentError(f"an index set of {len(D)} pairs for {nvars} variables")
+        return Ideal(tuple(obj["variables"]), tuple(gens), D)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,12 @@
 """CLI behavior: outputs, determinism, exit codes, and round trips."""
 
+import hashlib
 import json
+from types import SimpleNamespace
 
-from utrop import fans
+import pytest
+
+from utrop import cli, fans
 from utrop.cli import EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, _canonical_json, _sha256, main
 from utrop.fans import Fan
 from utrop.symtrees import Complex
@@ -147,6 +151,30 @@ def test_fan_a6_golden_digest(tmp_path, monkeypatch):
     payload = {k: v for k, v in doc.items() if k != "manifest"}
     assert _sha256(_canonical_json(payload)) == FAN_A6_OUTPUT_HASH
     assert doc["manifest"]["output_hash"] == FAN_A6_OUTPUT_HASH
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fan", "--kind", "a", "--n", "5"],
+        ["certify", "--kind", "c", "--n", "3", "--cones", "0,5"],
+        ["enumerate", "--n", "5"],
+    ],
+)
+def test_artifact_is_canonical_payload_then_manifest(tmp_path, monkeypatch, capsys, argv):
+    # a fixed clock makes the manifest's timing, and so the whole text, repeatable
+    monkeypatch.setattr(cli, "time", SimpleNamespace(time=lambda: 0.0))
+    out = tmp_path / "artifact.json"
+    assert run(tmp_path, *argv, "--out", str(out)) == EXIT_OK
+    text = out.read_text()
+    doc = json.loads(text)
+    body = text[: text.rindex(',"manifest":')] + "}"
+    assert doc["manifest"]["output_hash"] == hashlib.sha256(body.encode()).hexdigest()
+    assert body == _canonical_json({k: v for k, v in doc.items() if k != "manifest"})
+    assert text == body[:-1] + ',"manifest":' + _canonical_json(doc["manifest"]) + "}\n"
+    capsys.readouterr()
+    assert run(tmp_path, *argv, "--out", "-") == EXIT_OK
+    assert capsys.readouterr().out == text
 
 
 def test_certify_a4_signed_and_probes(tmp_path):

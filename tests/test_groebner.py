@@ -104,6 +104,33 @@ def test_budget_error():
     assert err.value.pairs_processed > err.value.budget - 1
 
 
+def test_budget_error_keeps_the_counters_it_reached():
+    from utrop.ualgebra.initial import _homogenize
+
+    ideal = ideal_c(3)
+    gens = [_homogenize(g) for g in ideal.generators]
+    order = grevlex(ideal.nvars + 1)
+    full = {}
+    groebner_basis(gens, order, stats=full)
+    assert full["pairs"] > 5
+    start = {}
+    with pytest.raises(GroebnerBudgetError):
+        groebner_basis(gens, order, max_pairs=0, stats=start)
+    assert start["pairs"] == start["zero_reductions"] == 0
+    stats = {}
+    with pytest.raises(GroebnerBudgetError) as err:
+        groebner_basis(gens, order, max_pairs=5, stats=stats)
+    assert stats == err.value.stats
+    assert stats["pairs"] == 5 and 0 <= stats["zero_reductions"] <= 5
+    # each pair that did not reduce to zero added one basis element
+    assert stats["basis_size"] == start["basis_size"] + 5 - stats["zero_reductions"]
+    assert str(err.value).startswith("Groebner pair budget exhausted: 5 pairs reduced (budget 5)")
+    # a budget of exactly the pairs the run needs is enough
+    exact = {}
+    assert groebner_basis(gens, order, max_pairs=full["pairs"], stats=exact) == groebner_basis(gens, order)
+    assert exact == full
+
+
 def test_determinism():
     rng = random.Random(11)
     gens = [random_poly(rng, 3, 3, 4) for _ in range(3)]

@@ -124,6 +124,27 @@ def test_ideal_json_round_trip():
         assert back.index_set == ideal.index_set
 
 
+def test_ideal_from_json_rejects_a_repeated_monomial():
+    obj = ideal_c(3).to_json()
+    obj["generators"][0].append(list(obj["generators"][0][0]))
+    with pytest.raises(InvalidArgumentError, match="twice"):
+        Ideal.from_json(obj)
+
+
+def test_ideal_from_json_rejects_a_zero_denominator():
+    obj = ideal_c(3).to_json()
+    obj["generators"][0][0][2] = 0
+    with pytest.raises(InvalidArgumentError, match="denominator 0"):
+        Ideal.from_json(obj)
+
+
+def test_ideal_from_json_rejects_an_index_set_of_the_wrong_length():
+    obj = ideal_c(3).to_json()
+    obj["index_set"] = ideal_a(5).to_json()["index_set"]  # 5 pairs, 6 variables
+    with pytest.raises(InvalidArgumentError, match="5 pairs for 6 variables"):
+        Ideal.from_json(obj)
+
+
 def _substitute_zero(ideal, positions):
     gens = [g.substitute({k: 0 for k in positions}) for g in ideal.generators]
     return [g for g in gens if g]

@@ -10,6 +10,7 @@ mutual normal-form reduction.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -37,7 +38,58 @@ def monomials_up_to(nvars, cap):
 
 
 def rref(rows):
-    """Reduced row echelon form over Fraction; returns the nonzero rows."""
+    """Reduced row echelon form up to row scaling, fraction-free.
+
+    Returns the nonzero rows as integer lists, in pivot order; each is a
+    nonzero multiple of the row of ``rref_fraction`` with the same pivot
+    (the reduced echelon form of a row space is unique).  Rows are kept
+    sparse as ``{column: value}``.  An update ``p * row - f * pivot_row``
+    scales the row's own entries and then touches only the pivot row's
+    nonzero columns; the result is divided by its gcd.
+    """
+    ncols = len(rows[0]) if rows else 0
+    pending = []
+    for r in rows:
+        d = math.lcm(*(Fraction(x).denominator for x in r))
+        row = {c: int(x * d) for c, x in enumerate(r) if x}
+        if row:
+            pending.append(row)
+    done = []
+    for c in range(ncols):
+        hits = [row for row in pending if c in row]
+        if not hits:
+            continue
+        pivot_row = min(hits, key=len)  # the sparsest row adds the least fill
+        pending.remove(pivot_row)
+        pending = [_eliminate(row, pivot_row, c) if c in row else row for row in pending]
+        pending = [row for row in pending if row]  # dependent rows vanish
+        done = [_eliminate(row, pivot_row, c) if c in row else row for row in done]
+        done.append(pivot_row)
+        if not pending:
+            break
+    return [[row.get(c, 0) for c in range(ncols)] for row in done]
+
+
+def _eliminate(row, pivot_row, c):
+    """The row ``p * row - f * pivot_row``, which is zero in column ``c``,
+    divided by its gcd; ``p`` and ``f`` are the two rows' entries in ``c``
+    divided by their gcd."""
+    g = math.gcd(pivot_row[c], row[c])
+    p, f = pivot_row[c] // g, row[c] // g
+    out = {k: p * v for k, v in row.items()} if p != 1 else dict(row)
+    for k, v in pivot_row.items():
+        w = out.get(k, 0) - f * v
+        if w:
+            out[k] = w
+        else:
+            del out[k]
+    g = math.gcd(*out.values())
+    return {k: v // g for k, v in out.items()} if g > 1 else out
+
+
+def rref_fraction(rows):
+    """Reduced row echelon form over Fraction; returns the nonzero rows.
+    The reference for ``rref``."""
     mat = [list(map(Fraction, r)) for r in rows]
     lead = 0
     out = []
@@ -58,6 +110,24 @@ def rref(rows):
         if r == len(mat):
             break
     return [row for row in mat if any(x != 0 for x in row)]
+
+
+def test_integer_rref_rows_are_multiples_of_the_fraction_rows():
+    rng = random.Random(2024)
+    entries = [0, 0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]
+    for _ in range(300):
+        nrows, ncols = rng.randrange(1, 7), rng.randrange(1, 8)
+        rows = [[rng.choice(entries) for _ in range(ncols)] for _ in range(nrows)]
+        if rng.random() < 0.3:  # a dependent row
+            k = rng.choice(entries[3:])
+            rows.append([k * x for x in rows[0]])
+        got, ref = rref(rows), rref_fraction(rows)
+        assert len(got) == len(ref)
+        for g, r in zip(got, ref):
+            assert all(isinstance(x, int) for x in g)
+            pivot = next(i for i, x in enumerate(r) if x)
+            assert next(i for i, x in enumerate(g) if x) == pivot
+            assert [x * r[pivot] for x in g] == [g[pivot] * x for x in r]
 
 
 def degree_slice_basis(ideal, cap):
