@@ -30,6 +30,11 @@ class GroebnerBudgetError(RuntimeError):
         self.zero_reductions = zero_reductions
         self.basis_size = basis_size
 
+    def __reduce__(self):
+        # the default rebuilds from the message alone, which breaks across
+        # a process pool
+        return type(self), (self.pairs_processed, self.budget, self.zero_reductions, self.basis_size)
+
     @property
     def stats(self) -> dict:
         """The counters reached, under the keys of a run's ``stats``."""

@@ -21,7 +21,6 @@ from .symtrees import (
     PhyloTree,
     Split,
     negate_split,
-    split_key,
     split_orbits,
 )
 
@@ -339,7 +338,7 @@ def assemble_fan(complex: Complex, kind: str, check_intersections: bool = True) 
     vertex_cones = [cone_rays(v, kind) for v in complex.vertices]
     if any(c.dim != 1 for c in vertex_cones):
         raise InternalConsistencyError("a vertex's cone is not a ray")
-    least_key = [min(map(split_key, v.splits)) for v in complex.vertices]
+    least_key = [v.keyed_splits[0][0] for v in complex.vertices]
     D = cone_rays(complex.face_tree(frozenset()), kind).index_set
     cones = {}
     for face in complex.sorted_faces():

@@ -420,14 +420,31 @@ class PhyloTree:
     def star(labels) -> "PhyloTree":
         return PhyloTree.make(labels, ())
 
+    @staticmethod
+    def union(labels, parts) -> "PhyloTree":
+        """The tree on ``labels`` of the union of ``parts``' splits.  When the
+        parts' split systems are disjoint, its ``keyed_splits`` are merged
+        from theirs, so each split's key is computed once and shared."""
+        tree = PhyloTree(labels, frozenset().union(*(t.splits for t in parts)))
+        keyed = sorted(itertools.chain.from_iterable(t.keyed_splits for t in parts))
+        if len(keyed) == len(tree.splits):
+            tree.__dict__["keyed_splits"] = tuple(keyed)  # what the cached_property stores
+        return tree
+
+    @cached_property
+    def keyed_splits(self) -> tuple:
+        """``(split_key(s), s)`` for every split, sorted by key: the tree's
+        one sort of its splits, shared by its canonical key, its JSON form
+        and its reconstruction."""
+        return tuple(sorted((split_key(s), s) for s in self.splits))  # keys are distinct
+
     @cached_property
     def canonical_key(self) -> bytes:
         labs = tuple(sorted(self.labels))
-        sps = tuple(split_key(s) for s in sorted(self.splits, key=split_key))
-        return repr((labs, sps)).encode()
+        return repr((labs, tuple(k for k, _ in self.keyed_splits))).encode()
 
     def sorted_splits(self) -> list[Split]:
-        return sorted(self.splits, key=split_key)
+        return [s for _, s in self.keyed_splits]
 
     @cached_property
     def adjacency(self):
@@ -448,10 +465,7 @@ class PhyloTree:
     def to_json(self) -> dict:
         return {
             "labels": sorted(self.labels),
-            "splits": [
-                [sorted(side) for side in sorted(s, key=lambda x: tuple(sorted(x)))]
-                for s in self.sorted_splits()
-            ],
+            "splits": [[list(a), list(b)] for (_, a, b), _ in self.keyed_splits],
         }
 
     @staticmethod
@@ -472,8 +486,8 @@ def _reconstruct(tree: PhyloTree):
     # branches[v] = list of (other_end, leafset); leaves are ('leaf', label)
     branches: dict[int, list] = {0: [(("leaf", x), frozenset([x])) for x in labels]}
     nxt = 1
-    for s in tree.sorted_splits():
-        side_a, side_b = sorted(s, key=lambda x: tuple(sorted(x)))
+    for (_, a, b), s in tree.keyed_splits:
+        side_a, side_b = frozenset(a), frozenset(b)
         home = None
         for v in sorted(branches):
             if all(ls <= side_a or ls <= side_b for _, ls in branches[v]):
@@ -562,7 +576,7 @@ def tree_from_subdivision(sub: Subdivision) -> PhyloTree:
     return PhyloTree.make(alpha.labels, splits)
 
 
-def _arc_diagonal(side: frozenset, alpha: DihedralOrdering):
+def _arc_diagonal(side, alpha: DihedralOrdering):
     """Diagonal cutting off exactly the edges labeled by ``side``, or None
     if those edge positions are not cyclically contiguous."""
     m = alpha.size
@@ -594,8 +608,7 @@ def subdivision_from_tree(tree: PhyloTree, alpha: DihedralOrdering):
     if alpha.symmetry is not Symmetry.NONE and not tree.is_negation_closed():
         return None
     diagonals = []
-    for s in tree.splits:
-        side = min(s, key=lambda x: tuple(sorted(x)))
+    for (_, side, _), _ in tree.keyed_splits:
         d = _arc_diagonal(side, alpha)
         if d is None:
             return None
@@ -727,25 +740,31 @@ def symmetric_contractions(tree: PhyloTree) -> list[PhyloTree]:
 @dataclass(frozen=True)
 class Complex:
     """A simplicial complex whose vertices are canonical minimal trees and
-    whose faces carry canonical trees.  The empty face is materialized."""
+    whose faces are sets of vertex indices.  A face carries the tree of its
+    vertices' splits, made on first use.  The empty face is materialized."""
 
     family: str  # 'a' | 'as' | 'cs'
     n: int
     vertices: tuple[PhyloTree, ...]
     faces: frozenset[frozenset[int]]
-    _face_tree: dict = field(compare=False, hash=False, repr=False)
+    labels: frozenset[int]  # every tree's leaf labels
+    _face_tree: dict = field(default_factory=dict, compare=False, hash=False, repr=False)
     _ordering: DihedralOrdering = field(compare=False, hash=False, repr=False, default=None)
 
     # -- basic queries -------------------------------------------------------
 
     def face_tree(self, face: frozenset[int]) -> PhyloTree:
+        if face not in self._face_tree:
+            if face not in self.faces:
+                raise InvalidArgumentError(f"{sorted(face)} is not a face")
+            self._face_tree[face] = PhyloTree.union(self.labels, [self.vertices[v] for v in face])
         return self._face_tree[face]
 
     def face_source(self, face: frozenset[int]) -> Subdivision:
         """The subdivision of the complex's one ordering giving the face."""
         if self._ordering is None:
             raise InvalidArgumentError("face sources are only recorded for single-ordering builds")
-        return subdivision_from_tree(self._face_tree[face], self._ordering)
+        return subdivision_from_tree(self.face_tree(face), self._ordering)
 
     def sorted_faces(self) -> list[frozenset[int]]:
         return sorted(self.faces, key=lambda f: (len(f), tuple(sorted(f))))
@@ -863,7 +882,7 @@ class Complex:
                 for v in self.vertices
             ],
             "faces": [sorted(f) for f in faces],
-            "face_trees": [self._face_tree[f].to_json() for f in faces],
+            "face_trees": [self.face_tree(f).to_json() for f in faces],
         }
 
     @staticmethod
@@ -882,7 +901,7 @@ class Complex:
         if frozenset() not in faces:
             raise InvalidArgumentError("the empty face is missing")
         labels = stored[faces.index(frozenset())].labels
-        cx = _complex_from_faces(obj["family"], obj["n"], labels, vertices, faces)
+        cx = Complex(obj["family"], obj["n"], vertices, frozenset(faces), labels)
         if not cx.is_downward_closed():
             raise InvalidArgumentError("the face set is not downward closed")
         for f, tree in zip(faces, stored):
@@ -914,108 +933,134 @@ class Complex:
 
 
 def build_complex(family: str, n: int) -> Complex:
-    """The complex of a family: a face is a set of vertex indices and carries
-    the tree of its vertices' splits.  The plain family is the clique
-    complex of compatible splits (``_build_plain``); a symmetric family is
-    the union over its orderings of their clique complexes of non-crossing
-    symmetry units (``_build``), with vertices identified by canonical tree."""
+    """The complex of a family (``a``, ``as`` or ``cs``): a face is a set of
+    vertex indices and carries the tree of its vertices' splits.  Every
+    family is one clique complex of compatible split orbits
+    (``_build_family``)."""
     family = family.lower()
-    if family == "a":
-        return _build_plain(n)
-    symmetry = {"as": Symmetry.AXIAL, "cs": Symmetry.CENTRAL}.get(family)
-    if symmetry is None:
+    if family not in ("a", "as", "cs"):
         raise InvalidArgumentError(f"unknown family {family!r}")
-    return _build(family, n, enumerate_orderings(n, symmetry))
+    return _build_family(family, n)
 
 
 def build_sub(alpha: DihedralOrdering) -> Complex:
-    """The complex of one ordering (with face -> subdivision provenance)."""
+    """The complex of one ordering (with face -> subdivision provenance):
+    each unit's tree a vertex and each subdivision (a clique of units) a
+    face; vertices are sorted by canonical key."""
     family = {Symmetry.NONE: "a", Symmetry.AXIAL: "as", Symmetry.CENTRAL: "cs"}[alpha.symmetry]
-    return _build(family, alpha.size if alpha.symmetry is Symmetry.NONE else alpha.half, [alpha])
+    symmetric = alpha.symmetry is not Symmetry.NONE
+    n = alpha.half if symmetric else alpha.size
+    units, cliques = _unit_cliques(alpha, symmetric)
+    trees = [tree_from_subdivision(Subdivision(alpha, u, symmetric)) for u in units]
+    vertices = tuple(sorted(trees, key=lambda t: t.canonical_key))
+    ids = [vertices.index(t) for t in trees]
+    faces = [frozenset(map(ids.__getitem__, clique)) for clique in cliques]
+    return Complex(family, n, vertices, frozenset(faces), frozenset(alpha.labels), _ordering=alpha)
 
 
-def _cliques(adj):
-    """Every clique of the graph ``adj`` (vertex -> set of neighbours), the
-    empty clique first, by DFS over vertex-increasing extensions."""
+def _cliques(adj, admits=lambda clique, v: True):
+    """Every clique of the graph ``adj`` (vertex -> set of neighbours, of
+    which only the larger ones are read), the empty clique first, by DFS
+    over vertex-increasing extensions.  A clique
+    is extended by ``v`` only if ``admits(clique, v)``; a condition closed
+    under taking subsets thus prunes whole subtrees of the search."""
 
     def extend(clique, ext):
         yield clique
         for v in sorted(ext):
-            yield from extend(clique | {v}, {w for w in ext if w > v and w in adj[v]})
+            if admits(clique, v):
+                yield from extend(clique | {v}, {w for w in ext if w > v and w in adj[v]})
 
     return extend(frozenset(), set(adj))
 
 
-def _complex_from_faces(family: str, n: int, labels, vertices, faces, ordering=None) -> Complex:
-    """The complex whose faces are the given sets of vertex indices, each
-    carrying the tree on ``labels`` of its vertices' splits."""
-    face_tree = {
-        f: PhyloTree(labels, frozenset().union(*(vertices[v].splits for v in f))) for f in faces
-    }
-    return Complex(family, n, vertices, frozenset(face_tree), face_tree, ordering)
+def _is_fixed(s: Split) -> bool:
+    """Both sides are negation-closed: leaf negation fixes the edge
+    pointwise."""
+    return all(frozenset(-x for x in side) == side for side in s)
 
 
-def _build_plain(n: int) -> Complex:
-    """The plain complex on ``1..n`` as the clique complex of compatible
-    splits; it equals the union of the per-ordering complexes.
+def _compatible(splits, others) -> bool:
+    """Every split of ``splits`` is compatible with every one of ``others``."""
+    return all(splits_compatible(s, t) for s in splits for t in others)
 
-    A set of splits of ``1..n`` is the split system of a tree iff its
-    splits are pairwise compatible (Buneman's splits-equivalence theorem,
-    1971).  Every tree has a compatible circular ordering: draw it in the
-    plane and read its leaves around the boundary, then each internal
-    edge's split cuts that cycle into two arcs, i.e. it is a diagonal of
-    the polygon, and the edges give pairwise non-crossing diagonals.  So
-    every tree, and with it every set of pairwise compatible splits, is a
-    face of some ordering's complex, and each such face's vertices are its
-    one-split trees.  The vertices are the one-split trees of the
-    ``2^(n-1) - n - 1`` splits with both sides of size >= 2, sorted by
-    canonical key as in ``_build``.
+
+def _three_apart(s: Split, t: Split, u: Split) -> bool:
+    """One side of each split, pairwise disjoint: in a tree holding all
+    three, no path runs through all three edges."""
+    return any(not (a & b or a & c or b & c) for a in s for b in t for c in u)
+
+
+def _build_family(family: str, n: int) -> Complex:
+    """The complex of a family as one clique complex of split orbits; it
+    equals the union of the complexes of the family's orderings.
+
+    Vertices are the trees of the orbits of splits with both sides of size
+    >= 2, sorted by canonical key.  For ``a`` an orbit is one split of
+    ``1..n``.  For ``as`` and ``cs`` it is ``{s, -s}`` on ``+-1..+-n`` with
+    ``s`` compatible with ``-s``; ``cs`` drops the orbits of *fixed*
+    splits, whose sides are both negation-closed.  Faces are the cliques
+    of the graph joining two orbits whose splits are pairwise compatible;
+    for ``as`` only those whose fixed splits lie on one path of the tree,
+    i.e. no three of them have pairwise disjoint sides.  That condition is
+    closed under taking subsets, so the clique search prunes on it.
+
+    Proof.  A set of splits is the split system of a tree iff its splits
+    are pairwise compatible (Buneman's splits-equivalence theorem, 1971).
+    A face of an ordering's complex is a subdivision, whose tree has the
+    union of its units' splits, and a unit's splits form one orbit.  So
+    faces are sets of orbits, and it remains to say which trees of
+    pairwise compatible splits some ordering's subdivision induces.
+
+    * ``a``: every tree.  Draw it in the plane and read its leaves around
+      the boundary; each internal edge's split cuts that cycle into two
+      arcs, i.e. it is a diagonal of the polygon, and the edges give
+      pairwise non-crossing diagonals.
+    * ``as`` and ``cs``: a subdivision is symmetric iff its tree is
+      negation-closed, and then leaf negation is an involution of the
+      tree, the polygon's symmetry restricted to the dual tree.  Its fixed
+      set is a subtree (the unique path between two fixed points is
+      fixed), whose edges are the fixed splits; an edge reversed by the
+      involution has a split ``A | -A``.  A reflection of the plane fixes
+      a line, which crosses the cells and diagonals on the axis in a row,
+      so for an axial ordering the fixed subtree is a path: three of its
+      edges lie on no common path iff, seen from where their paths meet,
+      their far sides are pairwise disjoint.  A rotation by pi fixes one
+      point, so for a central ordering the fixed subtree is one point: a
+      cell, or the midpoint of the one diagonal through the centre (two
+      distinct splits ``A | -A`` are never compatible), and no split is
+      fixed.  Conversely, lay a fixed path along the axis (a fixed point at
+      the centre), put one branch of each swapped pair at a fixed vertex
+      on one side and its mirror image (its rotation by pi) on the other.
+      Reading the leaves around the boundary gives an axial (central)
+      ordering, and the edges give a symmetric set of non-crossing
+      diagonals, i.e. a symmetric subdivision with this tree.
     """
     if n < 3:
         raise InvalidArgumentError(f"need n >= 3, got {n}")
-    labels = frozenset(range(1, n + 1))
-    rest = range(1, n)  # the side without label n names the split
+    symmetric = family != "a"
+    labels = frozenset(x for i in range(1, n + 1) for x in ((i, -i) if symmetric else (i,)))
     splits = [
         make_split(side, labels - set(side))
-        for k in range(2, n - 1)
-        for side in itertools.combinations(rest, k)
+        for k in range(2, len(labels) - 1)
+        for side in itertools.combinations(sorted(labels - {n}), k)  # the side without n
     ]
-    vertices = tuple(sorted(
-        (PhyloTree(labels, frozenset([s])) for s in splits), key=lambda t: t.canonical_key
-    ))
-    vsplit = [next(iter(t.splits)) for t in vertices]
-    adj = {
-        v: {w for w in range(len(vertices)) if w != v and splits_compatible(vsplit[v], vsplit[w])}
-        for v in range(len(vertices))
+    orbits = {frozenset({s, negate_split(s)} if symmetric else {s}) for s in splits}
+    orbits = {o for o in orbits if _compatible(o, o) and not (family == "cs" and any(map(_is_fixed, o)))}
+    vertices = tuple(sorted((PhyloTree(labels, o) for o in orbits), key=lambda t: t.canonical_key))
+    adj = {  # the clique search only asks for larger neighbours
+        v: {w for w in range(v + 1, len(vertices)) if _compatible(t.splits, vertices[w].splits)}
+        for v, t in enumerate(vertices)
     }
-    return _complex_from_faces("a", n, labels, vertices, _cliques(adj))
+    fixed = {v: s for v, t in enumerate(vertices) for s in t.splits if family == "as" and _is_fixed(s)}
 
+    def on_one_path(clique, v):
+        return v not in fixed or not any(
+            _three_apart(fixed[x], fixed[y], fixed[v])
+            for x, y in itertools.combinations(sorted(clique & fixed.keys()), 2)
+        )
 
-def _build(family: str, n: int, orderings) -> Complex:
-    """The union of the orderings' complexes, each unit's tree a vertex and
-    each subdivision (a clique of units) a face; vertices are sorted by
-    canonical key.  A single ordering is kept for ``Complex.face_source``."""
-    symmetric = family in ("as", "cs")
-    by_shape = {}  # units and their cliques depend on the polygon's size and axis only
-    per_ordering = []  # (cliques, one tree per unit)
-    vertex_by_key: dict[bytes, PhyloTree] = {}
-    for alpha in orderings:
-        shape = (alpha.size, alpha.axis_reflection())
-        if shape not in by_shape:
-            by_shape[shape] = _unit_cliques(alpha, symmetric)
-        units, cliques = by_shape[shape]
-        trees = [tree_from_subdivision(Subdivision(alpha, u, symmetric)) for u in units]
-        for t in trees:
-            vertex_by_key.setdefault(t.canonical_key, t)
-        per_ordering.append((cliques, trees))
-    vertices = tuple(sorted(vertex_by_key.values(), key=lambda t: t.canonical_key))
-    index = {t.canonical_key: i for i, t in enumerate(vertices)}
-    faces = set()
-    for cliques, trees in per_ordering:
-        ids = [index[t.canonical_key] for t in trees]
-        faces.update(frozenset(map(ids.__getitem__, clique)) for clique in cliques)
-    ordering = orderings[0] if len(orderings) == 1 else None
-    return _complex_from_faces(family, n, frozenset(orderings[0].labels), vertices, faces, ordering)
+    return Complex(family, n, vertices, frozenset(_cliques(adj, on_one_path)), labels)
 
 
 # ---------------------------------------------------------------------------

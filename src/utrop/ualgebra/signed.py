@@ -275,26 +275,30 @@ class ConeCertifier:
         self.stats: dict = {}
         self.initial = initial_ideal(ideal, w, max_pairs, self.stats)
         self.monomial_free = is_monomial_free(self.initial, max_pairs)
-        self._monomial_witness = None
-        if not self.monomial_free:
-            self._monomial_witness = self._find_monomial()
+        self._monomial_witness = None if self.monomial_free else self._find_monomial()
 
     def _find_monomial(self):
-        nf = NormalFormCalculator(self.initial.generators, grevlex(self.ideal.nvars))
-        for k in range(1, 7):
-            probe = Poly.monomial((k,) * self.ideal.nvars, self.ideal.nvars)
-            if nf.contains(probe):
-                return probe
-        return None
+        """The least power (prod u)^k in J.  Saturation found a monomial in
+        J, so some power of prod u lies in J and the loop ends.  NF is
+        linear and u * (p - NF(p)) lies in J, so NF((prod u)^k) is
+        NF(prod u * NF((prod u)^(k-1)))."""
+        n = self.ideal.nvars
+        nf = NormalFormCalculator(self.initial.generators, grevlex(n))
+        step = Poly.monomial((1,) * n, n)
+        k, rem = 1, nf.reduce(step)
+        while rem:
+            k, rem = k + 1, nf.reduce(step * rem)
+        return Poly.monomial((k,) * n, n)
 
     def certify(self, tau) -> Certificate:
         n = self.ideal.nvars
         _check_tau(tau, n)
         stats = dict(self.stats)
         if not self.monomial_free:
-            witness = {"type": "monomial_in_initial_ideal"}
-            if self._monomial_witness is not None:
-                witness["element"] = self._monomial_witness.text(list(self.ideal.variables))
+            witness = {
+                "type": "monomial_in_initial_ideal",
+                "element": self._monomial_witness.text(list(self.ideal.variables)),
+            }
             return Certificate(Verdict.NON_MEMBER, witness, stats)
         twisted = [twist_poly(g, tau) for g in self.initial.generators]
         # cheap scan: a sign-definite basis element is (up to sign) an

@@ -2,12 +2,14 @@
 
 import hashlib
 import json
+import pickle
 from types import SimpleNamespace
 
 import pytest
 
 from utrop import cli, fans
 from utrop.cli import EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, _canonical_json, _sha256, main
+from utrop.errors import GroebnerBudgetError
 from utrop.fans import Fan
 from utrop.symtrees import Complex
 
@@ -209,6 +211,22 @@ def test_certify_resource_cap(tmp_path):
     )
     assert code == EXIT_OK
     assert load(out)["faces_total"] == 1
+
+
+def test_certify_budget_exhausted_in_a_worker_exits_resource(tmp_path):
+    # the budget error raised in a pool worker must cross back to the parent
+    assert run(
+        tmp_path, "certify", "--kind", "c", "--n", "3", "--max-pairs", "1", "--jobs", "2"
+    ) == EXIT_RESOURCE
+
+
+def test_budget_error_pickle_round_trip():
+    err = GroebnerBudgetError(5, 5, zero_reductions=2, basis_size=9)
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is GroebnerBudgetError
+    assert str(back) == str(err)
+    assert (back.pairs_processed, back.budget) == (5, 5)
+    assert back.stats == err.stats == {"pairs": 5, "zero_reductions": 2, "basis_size": 9}
 
 
 def test_certify_parallel_jobs_match_serial(tmp_path):

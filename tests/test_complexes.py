@@ -21,7 +21,6 @@ from utrop.symtrees import (
     PhyloTree,
     Subdivision,
     Symmetry,
-    _build,
     build_complex,
     build_sub,
     enumerate_coarsest,
@@ -120,6 +119,10 @@ def test_empty_face_and_downward_closure(theta_as3, theta_cs3, theta5):
         assert frozenset() in cx.faces
         assert cx.is_downward_closed()
         assert not cx.face_tree(frozenset()).splits  # the star tree
+        assert cx.face_tree(frozenset()).labels == cx.vertices[0].labels
+    # face trees are made on first use, and only for faces
+    with pytest.raises(InvalidArgumentError, match="is not a face"):
+        theta_as3.face_tree(frozenset(range(len(theta_as3.vertices))))
 
 
 def test_purity_and_dimensions(theta5, theta_as3, theta_cs3):
@@ -129,11 +132,12 @@ def test_purity_and_dimensions(theta5, theta_as3, theta_cs3):
 
 
 def test_flagness():
-    # the per-ordering complexes and the plain complex (built as a clique
-    # complex) are flag by construction; the axial union is NOT (the {i,-i}
-    # split trees are pairwise joinable but not jointly: their three arcs
-    # cannot coexist in one axial ordering), which the triangle of the
-    # 1-skeleton exhibits
+    # the per-ordering complexes and the plain and central complexes
+    # (clique complexes of split orbits) are flag; the axial complex is NOT:
+    # leaf negation fixes the edges of the {i,-i} splits pointwise, and its
+    # fixed set in an axial tree is a path, on which the three edges of the
+    # star {1,-1} | {2,-2} | {3,-3} do not lie.  They are pairwise joinable
+    # but not jointly, which the triangle of the 1-skeleton exhibits
     theta5 = build_complex("a", 5)
     assert theta5.is_flag()
     theta_as3 = build_complex("as", 3)
@@ -241,17 +245,41 @@ def test_dot_export(theta_as3):
     assert dot.strip().startswith("graph g {") and dot.strip().endswith("}")
 
 
+def ordering_union(family, n):
+    """Reference build: the union over every ordering of the family of its
+    complex, vertices identified by canonical key and sorted by it, each
+    face keeping the tree its orderings give it."""
+    symmetry = {"a": Symmetry.NONE, "as": Symmetry.AXIAL, "cs": Symmetry.CENTRAL}[family]
+    subs = [build_sub(alpha) for alpha in enumerate_orderings(n, symmetry)]
+    by_key = {v.canonical_key: v for sub in subs for v in sub.vertices}
+    keys = sorted(by_key)
+    index = {k: i for i, k in enumerate(keys)}
+    face_tree = {}
+    for sub in subs:
+        ids = [index[v.canonical_key] for v in sub.vertices]
+        for f in sub.faces:
+            face_tree.setdefault(frozenset(ids[v] for v in f), sub.face_tree(f))
+    vertices = tuple(by_key[k] for k in keys)
+    return Complex(family, n, vertices, frozenset(face_tree), subs[0].labels, face_tree)
+
+
+def assert_same_complex(built, union):
+    assert built.vertices == union.vertices  # same trees in the same order
+    assert built.faces == union.faces
+    assert all(built.face_tree(f) == union.face_tree(f) for f in union.faces)
+    assert built.to_json() == union.to_json()
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_plain_clique_build_equals_ordering_union(n):
-    clique = build_complex("a", n)
-    union = _build("a", n, enumerate_orderings(n))
-    assert clique.vertices == union.vertices  # same trees in the same order
-    assert clique.faces == union.faces
-    assert all(
-        clique.face_tree(f).canonical_key == union.face_tree(f).canonical_key
-        for f in union.faces
-    )
-    assert clique.to_json() == union.to_json()
+    assert_same_complex(build_complex("a", n), ordering_union("a", n))
+
+
+@pytest.mark.parametrize("family,n", [(f, n) for f in ("as", "cs") for n in (3, 4, 5)])
+def test_symmetric_clique_build_equals_ordering_union(family, n):
+    # one clique complex of split orbits (with the fixed-path condition for
+    # as, without fixed splits for cs) is the union over the orderings
+    assert_same_complex(build_complex(family, n), ordering_union(family, n))
 
 
 def test_plain_complex_n7():

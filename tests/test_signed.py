@@ -15,6 +15,7 @@ from utrop.fans import interior_point
 from utrop.symtrees import DihedralOrdering, Symmetry, build_sub
 from utrop.ualgebra import Verdict, certify_signed, ideal_a, initial_ideal, sign_twist
 from utrop.ualgebra.groebner import NormalFormCalculator, groebner_basis
+from utrop.ualgebra.ideals import Ideal
 from utrop.ualgebra.initial import twist_poly
 from utrop.ualgebra.poly import Poly, grevlex
 from utrop.ualgebra.signed import (
@@ -220,3 +221,18 @@ def test_cone_certifier_runs_two_groebner_bases(fan_c3, ideal_c3, monkeypatch):
     face = fan_c3.proper_faces()[0]
     signed_mod.ConeCertifier(ideal_c3, interior_point(fan_c3.cones[face]).vector)
     assert len(calls) == 2  # the weighted run, then the saturation run
+
+
+@pytest.mark.parametrize(
+    "terms,w", [({(7, 7): 1}, (0, 0)), ({(7, 7): 1, (8, 7): 1}, (1, 0))]
+)
+def test_monomial_nonmember_names_the_least_power(terms, w):
+    # the initial ideal is <x^7*y^7>: the least power of x*y in it lies past
+    # any small fixed cap, and the witness must still name it
+    ideal = Ideal(("x", "y"), (Poly(2, terms),))
+    cert = certify_signed(ideal, (1, 1), w)
+    assert cert.verdict is Verdict.NON_MEMBER
+    assert cert.witness == {"type": "monomial_in_initial_ideal", "element": "x^7*y^7"}
+    nf = NormalFormCalculator(initial_ideal(ideal, w).generators, grevlex(2))
+    assert nf.contains(Poly.monomial((7, 7), 2))
+    assert not nf.contains(Poly.monomial((6, 6), 2))

@@ -218,3 +218,22 @@ def test_json_round_trip():
         [make_split({1, -2}, {2, 3, -1, -3}), make_split({-1, 2}, {1, 3, -2, -3})],
     )
     assert PhyloTree.from_json(t.to_json()).canonical_key == t.canonical_key
+
+
+def test_union_tree_equals_the_tree_of_its_splits():
+    # the union takes its sorted split keys from its parts when their split
+    # systems are disjoint, and sorts its own otherwise; either way every
+    # view of the tree is the one built from the splits directly
+    labels = range(1, 8)
+    s12, s123, s67 = (make_split(a, set(labels) - a) for a in ({1, 2}, {1, 2, 3}, {6, 7}))
+    one = PhyloTree.make(labels, [s123])
+    two = PhyloTree.make(labels, [s12, s67])
+    overlapping = PhyloTree.make(labels, [s12])
+    for parts in ([one, two], [two, one], [one, two, overlapping], [PhyloTree.star(labels)]):
+        tree = PhyloTree.union(frozenset(labels), parts)
+        direct = PhyloTree.make(labels, set().union(*(p.splits for p in parts)))
+        assert tree == direct
+        assert tree.keyed_splits == direct.keyed_splits
+        assert tree.canonical_key == direct.canonical_key
+        assert tree.to_json() == direct.to_json()
+        assert tree.adjacency == direct.adjacency
