@@ -23,7 +23,7 @@ from .symtrees import DihedralOrdering, Symmetry, build_complex, enumerate_order
 from .ualgebra import Ideal, Verdict, certify_trop, ideal_a, ideal_c
 from .ualgebra.cas import emit_cas_script
 from .ualgebra.groebner import DEFAULT_MAX_PAIRS
-from .ualgebra.signed import ConeCertifier
+from .ualgebra.signed import ConeCertifier, cone_orbits, orbit_certifiers
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -217,10 +217,20 @@ def _certify_face(certifier: ConeCertifier, taus):
     return out
 
 
+def _certify_orbit(ideal: Ideal, w, perms, taus, max_pairs: int):
+    """The ``_certify_face`` results of one orbit of ``cone_orbits``, whose
+    representative has weight ``w``, in the orbit's order."""
+    return [_certify_face(c, taus) for c in orbit_certifiers(ideal, w, perms, max_pairs)]
+
+
 def _worker(payload):
-    ideal = Ideal.from_json(payload["ideal"])
-    certifier = ConeCertifier(ideal, payload["w"], payload["max_pairs"])
-    return _certify_face(certifier, [tuple(t) for t in payload["taus"]])
+    return _certify_orbit(
+        Ideal.from_json(payload["ideal"]),
+        tuple(payload["w"]),
+        [tuple(p) for p in payload["perms"]],
+        [tuple(t) for t in payload["taus"]],
+        payload["max_pairs"],
+    )
 
 
 def cmd_certify(args) -> int:
@@ -244,23 +254,30 @@ def cmd_certify(args) -> int:
         faces = [f for i, f in enumerate(faces) if i in wanted]
 
     weights = [interior_point(fan.cones[f]).vector for f in faces]
+    orbits = cone_orbits(ideal, weights)
     try:
         if args.jobs > 1:
             payloads = [
-                {"ideal": ideal.to_json(), "w": list(w), "taus": [list(t) for t in taus],
+                {"ideal": ideal.to_json(), "w": list(weights[orbit[0][0]]),
+                 "perms": [list(p) for _, p in orbit], "taus": [list(t) for t in taus],
                  "max_pairs": args.max_pairs}
-                for w in weights
+                for orbit in orbits
             ]
             with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                results = list(pool.map(_worker, payloads))
+                per_orbit = list(pool.map(_worker, payloads))
         else:
-            results = []
-            for w in weights:
-                certifier = ConeCertifier(ideal, w, args.max_pairs)
-                results.append(_certify_face(certifier, taus))
+            per_orbit = [
+                _certify_orbit(ideal, weights[orbit[0][0]], [p for _, p in orbit], taus,
+                               args.max_pairs)
+                for orbit in orbits
+            ]
     except GroebnerBudgetError as exc:
         sys.stderr.write(f"certify: {exc}\n")
         return EXIT_RESOURCE
+    results = [None] * len(weights)
+    for orbit, orbit_results in zip(orbits, per_orbit):
+        for (i, _), res in zip(orbit, orbit_results):
+            results[i] = res
 
     records = []
     all_in_trop = True

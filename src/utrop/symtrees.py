@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 from .errors import InvalidArgumentError, InternalConsistencyError, NotAxiallySymmetricError
 
@@ -299,14 +299,29 @@ def _perpendicular_diagonals(c: int, m: int) -> list[Diagonal]:
     return out
 
 
-def _units(alpha: DihedralOrdering, symmetric: bool) -> list[frozenset[Diagonal]]:
+def _shape(alpha: DihedralOrdering, symmetric: bool):
+    """What ``alpha``'s units depend on: the polygon's size, its symmetry
+    (none for plain subdivisions) and, if axial, the axis constant."""
+    if not symmetric:
+        return alpha.size, Symmetry.NONE, None
+    if alpha.symmetry is Symmetry.AXIAL:
+        return alpha.size, Symmetry.AXIAL, alpha.axis_reflection()
+    if alpha.symmetry is Symmetry.CENTRAL:
+        return alpha.size, Symmetry.CENTRAL, None
+    raise InvalidArgumentError("ordering carries no symmetry flag")
+
+
+def _units(alpha: DihedralOrdering, symmetric: bool) -> tuple[frozenset[Diagonal], ...]:
     """Minimal nonempty (symmetry-closed) non-crossing diagonal sets: single
     diagonals, or symmetry orbits of diagonals."""
-    m = alpha.size
-    if not symmetric:
-        return [frozenset([d]) for d in all_diagonals(m)]
-    if alpha.symmetry is Symmetry.AXIAL:
-        c = alpha.axis_reflection()
+    return _shape_units(*_shape(alpha, symmetric))
+
+
+@cache  # one entry per polygon shape; the tuples are shared, so immutable
+def _shape_units(m: int, symmetry: Symmetry, c) -> tuple[frozenset[Diagonal], ...]:
+    if symmetry is Symmetry.NONE:
+        return tuple(frozenset([d]) for d in all_diagonals(m))
+    if symmetry is Symmetry.AXIAL:
         units = [frozenset([_axis_diagonal(c, m)])]
         units += [frozenset([d]) for d in _perpendicular_diagonals(c, m)]
         seen = set()
@@ -317,19 +332,17 @@ def _units(alpha: DihedralOrdering, symmetric: bool) -> list[frozenset[Diagonal]
                 if unit not in seen:
                     seen.add(unit)
                     units.append(unit)
-        return units
-    if alpha.symmetry is Symmetry.CENTRAL:
-        n = m // 2
-        units, seen = [], set()
-        for d in all_diagonals(m):
-            e = _rotate_diagonal(d, n, m)
-            unit = frozenset([d, e])
-            if unit not in seen:
-                seen.add(unit)
-                if all(not x.crosses(y) for x, y in itertools.combinations(unit, 2)):
-                    units.append(unit)
-        return units
-    raise InvalidArgumentError("ordering carries no symmetry flag")
+        return tuple(units)
+    n = m // 2
+    units, seen = [], set()
+    for d in all_diagonals(m):
+        e = _rotate_diagonal(d, n, m)
+        unit = frozenset([d, e])
+        if unit not in seen:
+            seen.add(unit)
+            if all(not x.crosses(y) for x, y in itertools.combinations(unit, 2)):
+                units.append(unit)
+    return tuple(units)
 
 
 def enumerate_coarsest(alpha: DihedralOrdering, symmetric: bool = False) -> list[Subdivision]:
@@ -342,13 +355,19 @@ def _unit_cliques(alpha: DihedralOrdering, symmetric: bool):
     """``alpha``'s units and the cliques of the graph joining units that
     cross nowhere, as sets of unit indices in ``_cliques`` order.  A set of
     units is a subdivision iff its units pairwise cross nowhere, so the
-    cliques are the subdivisions, each exactly once."""
-    units = _units(alpha, symmetric)
+    cliques are the subdivisions, each exactly once.  Both depend only on
+    the polygon's shape (``_shape``), so each shape computes them once."""
+    return _shape_unit_cliques(*_shape(alpha, symmetric))
+
+
+@cache
+def _shape_unit_cliques(m: int, symmetry: Symmetry, c):
+    units = _shape_units(m, symmetry, c)
     apart = {
         i: {j for j, v in enumerate(units) if all(not d.crosses(e) for d in u for e in v)} - {i}
         for i, u in enumerate(units)
     }
-    return units, list(_cliques(apart))
+    return units, tuple(_cliques(apart))
 
 
 def enumerate_subdivisions(alpha: DihedralOrdering, symmetric: bool = False) -> list[Subdivision]:

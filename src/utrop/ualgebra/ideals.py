@@ -5,11 +5,12 @@ line, and its symplectic analogue on doubled labels)."""
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from ..errors import InvalidArgumentError
-from ..fans import IndexSetD, index_set, vertex_position
+from ..fans import IndexSetD, index_set, standard_labels, vertex_position
 from ..symtrees import Diagonal
 from .poly import Poly
 
@@ -192,3 +193,70 @@ def ideal_c(n: int) -> Ideal:
         raise InvalidArgumentError("need n >= 3")
     ideal = binary_ideal(compatibility_spec("c", n))
     return Ideal(ideal.variables, ideal.generators, index_set("c", n))
+
+
+# ---------------------------------------------------------------------------
+# symmetries
+# ---------------------------------------------------------------------------
+
+
+def permute_poly(p: Poly, perm) -> Poly:
+    """``p`` with variable ``i`` renamed to variable ``perm[i]``."""
+    out = {}
+    for m, c in p.terms.items():
+        image = [0] * p.nvars
+        for i, e in enumerate(m):
+            image[perm[i]] = e
+        out[tuple(image)] = c
+    return Poly(p.nvars, out)
+
+
+def permute_weight(w, perm) -> tuple:
+    """The weight ``g.w`` with ``(g.w)[perm[i]] == w[i]``: a monomial and
+    its image under :func:`permute_poly` have the same weight."""
+    out = [0] * len(w)
+    for i, x in enumerate(w):
+        out[perm[i]] = x
+    return tuple(out)
+
+
+def ideal_symmetries(ideal: Ideal) -> list[tuple[int, ...]]:
+    """The variable permutations of the polygon's dihedral group that map
+    the generators onto themselves, coefficients included, identity first.
+
+    ``perm[i]`` is the image of variable ``i``.  A polygon symmetry moves
+    the diagonal of each pair of ``ideal.index_set`` to another diagonal;
+    for kind ``c`` a pair stands for the central-symmetry orbit of its
+    diagonal, so either ``(a, b)`` or ``(-a, -b)`` names the image, and the
+    rotation by half a turn acts trivially (the group of the 2n-gon modulo
+    its centre).  A candidate is kept only if it permutes the generator
+    multiset exactly; an ideal with no index set gets the identity only.
+    The candidates come in a fixed order: the rotations ``p -> p + r`` of
+    the vertex positions for r = 0..m-1 (identity first), then the
+    reflections ``p -> r - p``.
+    """
+    D = ideal.index_set
+    if D is None:
+        return [tuple(range(ideal.nvars))]
+    labels = standard_labels(D.kind, D.n)
+    position = {lab: vertex_position(lab, D.kind, D.n) for lab in labels}
+    label_at = {p: lab for lab, p in position.items()}
+    slot = {}
+    for k, (a, b) in enumerate(D.pairs):
+        slot[frozenset((a, b))] = k
+        if D.kind == "c":
+            slot[frozenset((-a, -b))] = k
+    m = len(labels)
+    gens = Counter(ideal.generators)
+    out, seen = [], set()
+    for sign, shift in itertools.product((1, -1), range(m)):
+        perm = tuple(
+            slot[frozenset(label_at[(sign * position[x] + shift) % m] for x in pair)]
+            for pair in D.pairs
+        )
+        if perm in seen:
+            continue
+        seen.add(perm)
+        if Counter(permute_poly(p, perm) for p in ideal.generators) == gens:
+            out.append(perm)
+    return out

@@ -14,8 +14,12 @@ polynomial with all-positive coefficients.  Certificates:
   silently converted.
 
 Twisting commutes with taking initial ideals and maps reduced bases to
-reduced bases, so per-weight Groebner data is computed once and reused
-across all sign patterns.
+reduced bases, so the Groebner data of a weight is reused across all sign
+patterns.  It is computed once per symmetry orbit of cones: a variable
+permutation g with g.I = I (:func:`~.ideals.ideal_symmetries`) gives
+in_{g.w}(I) = g.in_w(I), so a cone in the orbit of a representative takes
+the permuted initial ideal, and monomial-freeness, which g preserves,
+without a weighted or a saturation run of its own.
 """
 
 from __future__ import annotations
@@ -28,9 +32,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .. import linalg
-from ..errors import GroebnerBudgetError
+from ..errors import GroebnerBudgetError, InvalidArgumentError
 from .groebner import DEFAULT_MAX_PAIRS, NormalFormCalculator, groebner_basis
-from .ideals import Ideal
+from .ideals import Ideal, ideal_symmetries, permute_poly, permute_weight
 from .initial import _check_tau, initial_ideal, is_monomial_free, twist_poly
 from .poly import Poly, grevlex
 
@@ -259,23 +263,42 @@ class Certificate:
 class ConeCertifier:
     """Per-weight certification engine, reusable across sign patterns.
 
-    Runs two Groebner bases per weight, once for all patterns: the weighted
-    run inside :func:`initial_ideal`, which already yields the reduced
-    grevlex basis of the initial ideal J, and the saturation run of
-    :func:`is_monomial_free`, started from that basis.  A sign twist maps
-    the reduced basis onto the reduced basis of the twisted initial ideal,
-    so per-pattern work is only the positive-point / positive-element
-    search.  ``stats`` holds the weighted run's counters.
+    A representative cone runs two Groebner bases, once for all patterns:
+    the weighted run inside :func:`initial_ideal`, which already yields the
+    reduced grevlex basis of the initial ideal J, and the saturation run of
+    :func:`is_monomial_free`, started from that basis.  A cone given
+    ``image_of=(rep, perm)``, with ``w`` the permuted weight of ``rep``
+    under a symmetry of the ideal, runs neither: since g.I = I, its J is
+    g.J_rep, whose reduced grevlex basis one grevlex run from the permuted
+    basis of J_rep gives, and J is monomial-free iff J_rep is.  A sign
+    twist maps the reduced basis onto the reduced basis of the twisted
+    initial ideal, so per-pattern work is only the positive-point /
+    positive-element search.  ``stats`` holds the counters of the weighted
+    run, or of the grevlex run next to ``image_of`` (the representative's
+    weight) and ``permutation``.
     """
 
-    def __init__(self, ideal: Ideal, w, max_pairs: int = DEFAULT_MAX_PAIRS, lp_caps=(2, 3)):
+    def __init__(self, ideal: Ideal, w, max_pairs: int = DEFAULT_MAX_PAIRS, lp_caps=(2, 3),
+                 image_of=None):
         self.ideal = ideal
         self.w = tuple(w)
         self.lp_caps = tuple(lp_caps)
         self.stats: dict = {}
-        self.initial = initial_ideal(ideal, w, max_pairs, self.stats)
-        self.monomial_free = is_monomial_free(self.initial, max_pairs)
-        self._monomial_witness = None if self.monomial_free else self._find_monomial()
+        if image_of is None:
+            self.initial = initial_ideal(ideal, w, max_pairs, self.stats)
+            self.monomial_free = is_monomial_free(self.initial, max_pairs)
+            self._monomial_witness = None if self.monomial_free else self._find_monomial()
+            return
+        rep, perm = image_of
+        if permute_weight(rep.w, perm) != self.w:
+            raise InvalidArgumentError("w is not the permuted weight of the representative")
+        gens = [permute_poly(g, perm) for g in rep.initial.generators]
+        basis = groebner_basis(gens, grevlex(ideal.nvars), max_pairs, self.stats)
+        self.stats.update(image_of=list(rep.w), permutation=list(perm))
+        self.initial = Ideal(ideal.variables, tuple(basis), ideal.index_set)
+        self.monomial_free = rep.monomial_free
+        # the least power of the product of all variables is symmetric
+        self._monomial_witness = rep._monomial_witness
 
     def _find_monomial(self):
         """The least power (prod u)^k in J.  Saturation found a monomial in
@@ -343,6 +366,44 @@ def certify_signed(ideal: Ideal, tau, w, max_pairs: int = DEFAULT_MAX_PAIRS, lp_
     return ConeCertifier(ideal, w, max_pairs, lp_caps).certify(tuple(tau))
 
 
+def cone_orbits(ideal: Ideal, weights) -> list[list[tuple[int, tuple[int, ...]]]]:
+    """The orbits of the cones at ``weights`` under the symmetries of
+    ``ideal``, as lists of ``(index, perm)`` in ascending index order.
+
+    ``perm`` maps the orbit's first, lowest-index cone (its representative,
+    with the identity) onto the cone: it is the first permutation of
+    :func:`~.ideals.ideal_symmetries` whose permuted representative weight
+    (:func:`~.ideals.permute_weight`) is exactly that cone's weight.  A
+    symmetry maps each cone of a symmetric fan onto a cone, rays onto rays,
+    so interior points onto interior points.
+    """
+    group = ideal_symmetries(ideal)
+    index_of = {tuple(w): i for i, w in enumerate(weights)}
+    placed, orbits = set(), []
+    for i, w in enumerate(weights):
+        if i in placed:
+            continue
+        orbit = {}
+        for perm in group:
+            j = index_of.get(permute_weight(w, perm))
+            if j is not None and j not in orbit:
+                orbit[j] = perm
+        placed.update(orbit)
+        orbits.append(sorted(orbit.items()))
+    return orbits
+
+
+def orbit_certifiers(ideal: Ideal, w, perms, max_pairs: int = DEFAULT_MAX_PAIRS, lp_caps=(2, 3)):
+    """The certifiers of one orbit of :func:`cone_orbits`: the
+    representative at ``w`` (``perms[0]``, the identity), then one cone per
+    further permutation, transported from the representative."""
+    rep = ConeCertifier(ideal, w, max_pairs, lp_caps)
+    return [rep] + [
+        ConeCertifier(ideal, permute_weight(rep.w, perm), max_pairs, lp_caps, image_of=(rep, perm))
+        for perm in perms[1:]
+    ]
+
+
 # ---------------------------------------------------------------------------
 # exhaustive sweep over sign patterns (small n)
 # ---------------------------------------------------------------------------
@@ -353,20 +414,27 @@ def search_sign_patterns_c(n: int, fan, ideal: Ideal, max_pairs: int = DEFAULT_M
     the resulting subfans against the per-ordering subcomplexes.
 
     Returns a report dict; Inconclusive verdicts are listed, never dropped.
+    The certifiers are built per symmetry orbit (:func:`orbit_certifiers`),
+    and a Groebner budget error skips the whole orbit: its cones are listed
+    in ``skipped_faces``.
     """
     from ..fans import interior_point
     from ..symtrees import Symmetry, build_sub, enumerate_orderings
 
     faces = fan.proper_faces()
-    certifiers, skipped = [], []
-    for f in faces:
-        w = interior_point(fan.cones[f]).vector
+    weights = [interior_point(fan.cones[f]).vector for f in faces]
+    built, skipped = {}, []
+    for orbit in cone_orbits(ideal, weights):
+        indices, perms = zip(*orbit)
         try:
-            certifiers.append((f, ConeCertifier(ideal, w, max_pairs, lp_caps)))
+            certs = orbit_certifiers(ideal, weights[indices[0]], perms, max_pairs, lp_caps)
         except GroebnerBudgetError:
-            skipped.append(sorted(f))
-    faces = [f for f, _ in certifiers]
-    certifiers = [c for _, c in certifiers]
+            skipped.extend(indices)  # a budget error skips the whole orbit
+            continue
+        built.update(zip(indices, certs))
+    skipped = [sorted(faces[i]) for i in sorted(skipped)]
+    faces = [faces[i] for i in sorted(built)]
+    certifiers = [built[i] for i in sorted(built)]
 
     def face_key_set(complex_):
         return frozenset(

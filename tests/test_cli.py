@@ -114,11 +114,28 @@ def test_fan_a4_has_three_rays(tmp_path):
 FAN_A6_OUTPUT_HASH = "96a2e48a7f300ce7bab358bcf5c80b4c30253fff52c28a4a4b5bc5e5670d5800"
 
 # output hashes of `utrop certify --kind c --n 3` with the two published
-# sign patterns and of `utrop certify --kind a --n 5`, recorded when the
-# certifier still ran a grevlex basis of each initial ideal of its own; any
-# change to a verdict, a witness or a cone's stats changes them
-CERTIFY_C3_OUTPUT_HASH = "2e8ee6fb2d9d5ad4cd518b0bf36609408c03ddc47f6b60933b61955063946af6"
+# sign patterns and of `utrop certify --kind a --n 5`; any change to a
+# verdict, a witness or a cone's stats changes them.  The c3 hash was
+# recorded when cones started sharing Groebner work across symmetry orbits:
+# a member cone's stats describe its transport run (a grevlex run from the
+# permuted basis of its representative), with `image_of` and `permutation`.
+# The a5 report has no sign patterns, hence no stats, and kept its hash.
+CERTIFY_C3_OUTPUT_HASH = "4eb5626036dd664db0d92e0cab1c6e936f453e851f5adcd6366070d686c66b56"
 CERTIFY_A5_OUTPUT_HASH = "c21edf7ab0ee1b3c4de37b7dd47d08fa3b09d9def3dd4f96c1c7a5cc92032b7f"
+
+# sha256 of the same c3 report's canonical payload without the manifest and
+# without every cone's `signed[*].stats`, recorded when each cone still ran
+# its own weighted Groebner basis: the verdicts and witnesses must not move
+CERTIFY_C3_STATS_FREE_HASH = "8dc7d197b24131ae2460c3ef8e3d5080bc4a3a0ce34d5b4f8a403688f3ad5029"
+
+
+def stats_free_hash(doc):
+    doc = json.loads(json.dumps(doc))
+    doc.pop("manifest")
+    for cone in doc["cones"]:
+        for cert in cone["signed"].values():
+            cert.pop("stats")
+    return _sha256(_canonical_json(doc))
 
 
 # sha256 of the canonical payload of `utrop fan --kind c --n 4
@@ -280,6 +297,7 @@ def test_certify_c3_full_reproduction(tmp_path):
     assert doc["all_in_trop"] is True
     assert doc["inconclusive"] == 0
     assert doc["signed_member_counts"] == {"+,+,+,+,-,+": 12, "+,+,-,+,+,+": 10}
+    assert stats_free_hash(doc) == CERTIFY_C3_STATS_FREE_HASH
     assert doc["manifest"]["output_hash"] == CERTIFY_C3_OUTPUT_HASH
 
 
@@ -296,6 +314,28 @@ def test_certify_c3_parallel_matches_serial(tmp_path):
     assert run(tmp_path, *args, "--out", str(serial)) == EXIT_OK
     assert run(tmp_path, *args, "--jobs", "2", "--out", str(parallel)) == EXIT_OK
     assert strip_timing(load(serial)) == strip_timing(load(parallel))
+    # stats included: the workers transported the same members
+    members = [
+        c for c in load(parallel)["cones"] if "image_of" in c["signed"]["+,+,+,+,-,+"]["stats"]
+    ]
+    assert len(members) == 34 - 11
+
+
+def test_certify_selected_cones_match_the_full_run(tmp_path):
+    full, some = tmp_path / "full.json", tmp_path / "some.json"
+    args = ["certify", "--kind", "c", "--n", "3", "--sign=+,+,+,+,-,+", "--sign=+,+,-,+,+,+"]
+    assert run(tmp_path, *args, "--out", str(full)) == EXIT_OK
+    assert run(tmp_path, *args, "--cones", "0,5,20", "--out", str(some)) == EXIT_OK
+
+    def verdicts(cone):
+        return cone["in_trop"], {
+            tau: (cert["verdict"], cert["witness"]) for tau, cert in cone["signed"].items()
+        }
+
+    cones = load(full)["cones"]
+    chosen = load(some)["cones"]
+    assert [c["face"] for c in chosen] == [cones[i]["face"] for i in (0, 5, 20)]
+    assert [verdicts(c) for c in chosen] == [verdicts(cones[i]) for i in (0, 5, 20)]
 
 
 def test_emit_cas_deterministic(tmp_path):

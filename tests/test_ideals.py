@@ -1,5 +1,8 @@
 """u-equation ideal construction: the worked doubled-hexagon example, the
-4-cycle, degenerate inputs, and the stratification spot checks."""
+4-cycle, degenerate inputs, the stratification spot checks, and the
+polygon symmetries of the ideals."""
+
+from collections import Counter
 
 import pytest
 
@@ -13,6 +16,7 @@ from utrop.ualgebra import (
     ideal_a,
     ideal_c,
 )
+from utrop.ualgebra.ideals import ideal_symmetries, permute_poly, permute_weight
 from utrop.ualgebra.poly import Poly, grevlex
 
 
@@ -198,3 +202,55 @@ def test_stratification_spot_checks_pentagon():
                 assert kind == "unit"
             else:
                 assert kind == "point"
+
+
+@pytest.mark.parametrize(
+    "make,n,order", [(ideal_c, 3, 6), (ideal_c, 4, 8), (ideal_a, 5, 10), (ideal_a, 6, 12)]
+)
+def test_ideal_symmetries_are_the_polygon_group(make, n, order):
+    # the dihedral group of the n-gon, or of the 2n-gon modulo its centre,
+    # acts faithfully on the coordinates and fixes the generator multiset
+    ideal = make(n)
+    group = ideal_symmetries(ideal)
+    assert len(group) == len(set(group)) == order
+    assert group[0] == tuple(range(ideal.nvars))
+    gens = Counter(ideal.generators)
+    for perm in group:
+        assert sorted(perm) == list(range(ideal.nvars))
+        assert Counter(permute_poly(g, perm) for g in ideal.generators) == gens
+
+
+def test_ideal_symmetries_check_the_coefficients():
+    # a changed coefficient breaks every symmetry that moves its generator
+    ideal = ideal_c(3)
+    g = ideal.generators[4]
+    changed = Poly(g.nvars, {m: 2 * c if sum(m) == 0 else c for m, c in g.terms.items()})
+    gens = ideal.generators[:4] + (changed,) + ideal.generators[5:]
+    mutated = Ideal(ideal.variables, gens, ideal.index_set)
+    kept = [p for p in ideal_symmetries(ideal) if permute_poly(changed, p) == changed]
+    assert ideal_symmetries(mutated) == kept
+    assert 1 <= len(kept) < 6
+
+
+def test_ideal_without_index_set_has_only_the_identity():
+    ideal = binary_ideal(
+        CompatibilitySpec.make(
+            vertices=(1, 2, 3, 4),
+            edges=[(1, 2), (2, 3), (3, 4), (4, 1)],
+            degrees={(1, 3): 1, (2, 4): 1},
+        )
+    )
+    assert ideal.index_set is None
+    assert ideal_symmetries(ideal) == [(0, 1, 2, 3)]
+
+
+def test_permuted_monomials_keep_their_weight():
+    perm, w = (2, 0, 1), (5, -1, 3)
+    p = Poly(3, {(1, 0, 2): 1, (0, 3, 0): -2})
+    image = permute_poly(p, perm)
+    assert image == Poly(3, {(0, 2, 1): 1, (3, 0, 0): -2})
+    assert permute_weight(w, perm) == (-1, 3, 5)
+    weight = lambda m, v: sum(a * b for a, b in zip(m, v))
+    assert sorted(weight(m, w) for m in p.terms) == sorted(
+        weight(m, permute_weight(w, perm)) for m in image.terms
+    )

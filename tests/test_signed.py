@@ -19,7 +19,10 @@ from utrop.ualgebra.ideals import Ideal
 from utrop.ualgebra.initial import twist_poly
 from utrop.ualgebra.poly import Poly, grevlex
 from utrop.ualgebra.signed import (
+    ConeCertifier,
     all_positive_element_search,
+    cone_orbits,
+    orbit_certifiers,
     positive_point_search,
 )
 
@@ -168,6 +171,8 @@ def test_sweep_flags_budget_exhaustion(fan_c3, ideal_c3):
     rep = search_sign_patterns_c(3, fan_c3, ideal_c3, max_pairs=1)
     assert rep["partial"] is True
     assert len(rep["skipped_faces"]) == 34
+    # a representative's budget error skips every cone of its orbit
+    assert rep["skipped_faces"] == [sorted(f) for f in fan_c3.proper_faces()]
     assert rep["matches_conjecture"] is False
 
 
@@ -236,3 +241,70 @@ def test_monomial_nonmember_names_the_least_power(terms, w):
     nf = NormalFormCalculator(initial_ideal(ideal, w).generators, grevlex(2))
     assert nf.contains(Poly.monomial((7, 7), 2))
     assert not nf.contains(Poly.monomial((6, 6), 2))
+
+
+def _orbit_certifiers_of(ideal, weights):
+    """Every cone's certifier, built per orbit, by cone index."""
+    out = {}
+    for orbit in cone_orbits(ideal, weights):
+        w = weights[orbit[0][0]]
+        certs = orbit_certifiers(ideal, w, [p for _, p in orbit])
+        out.update(zip((i for i, _ in orbit), certs))
+    return out
+
+
+def test_transported_initial_ideals_equal_the_direct_ones(certifiers_c3, ideal_c3):
+    # 34 c3 cones in 11 orbits, 25 a5 cones in 5: every member's reduced
+    # basis equals the one a weighted run of its own gives
+    from utrop.fans import assemble_fan
+    from utrop.symtrees import build_complex
+
+    fan_a5 = assemble_fan(build_complex("a", 5), "a", check_intersections=False)
+    ideal_a5 = ideal_a(5)
+    weights_a5 = [interior_point(fan_a5.cones[f]).vector for f in fan_a5.proper_faces()]
+    cases = [
+        (ideal_c3, [w for _, w, _ in certifiers_c3], [c for _, _, c in certifiers_c3], 11),
+        (ideal_a5, weights_a5, [ConeCertifier(ideal_a5, w) for w in weights_a5], 5),
+    ]
+    for ideal, weights, direct, orbit_count in cases:
+        orbits = cone_orbits(ideal, weights)
+        assert len(orbits) == orbit_count
+        assert sorted(i for orbit in orbits for i, _ in orbit) == list(range(len(weights)))
+        built = _orbit_certifiers_of(ideal, weights)
+        for i, (w, reference) in enumerate(zip(weights, direct)):
+            assert built[i].w == tuple(w)
+            assert built[i].initial.generators == reference.initial.generators
+            assert built[i].monomial_free == reference.monomial_free
+        for orbit in orbits:
+            rep = orbit[0][0]
+            assert built[rep].stats == direct[rep].stats  # a representative is unchanged
+            for i, perm in orbit[1:]:
+                assert built[i].stats["image_of"] == list(weights[rep])
+                assert built[i].stats["permutation"] == list(perm)
+                assert set(built[i].stats) == {
+                    "pairs", "zero_reductions", "basis_size", "image_of", "permutation"
+                }
+
+
+def test_orbit_member_runs_one_grevlex_basis(fan_c3, ideal_c3, monkeypatch):
+    import utrop.ualgebra.groebner as groebner_mod
+    import utrop.ualgebra.initial as initial_mod
+    import utrop.ualgebra.signed as signed_mod
+
+    weights = [interior_point(fan_c3.cones[f]).vector for f in fan_c3.proper_faces()]
+    orbit = next(o for o in cone_orbits(ideal_c3, weights) if len(o) > 1)
+    rep = ConeCertifier(ideal_c3, weights[orbit[0][0]])
+    orders = []
+
+    def counting(gens, order, *args, **kwargs):
+        orders.append(order)
+        return groebner_basis(gens, order, *args, **kwargs)
+
+    for mod in (groebner_mod, initial_mod, signed_mod):
+        monkeypatch.setattr(mod, "groebner_basis", counting)
+    i, perm = orbit[1]
+    member = ConeCertifier(ideal_c3, weights[i], image_of=(rep, perm))
+    assert orders == [grevlex(ideal_c3.nvars)]  # no weighted, no saturation run
+    assert member.monomial_free
+    with pytest.raises(InvalidArgumentError):
+        ConeCertifier(ideal_c3, weights[orbit[0][0]], image_of=(rep, perm))
