@@ -9,7 +9,6 @@ Exit codes: 0 success, 1 usage error, 2 certification failure,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
 import random
@@ -23,7 +22,7 @@ from .symtrees import DihedralOrdering, Symmetry, build_complex, enumerate_order
 from .ualgebra import Ideal, Verdict, certify_trop, ideal_a, ideal_c
 from .ualgebra.cas import emit_cas_script
 from .ualgebra.groebner import DEFAULT_MAX_PAIRS
-from .ualgebra.signed import ConeCertifier, cone_orbits, orbit_certifiers
+from .ualgebra.signed import certify_weights, sign_key
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -108,20 +107,29 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-def _parse_ordering(text: str, symmetry: Symmetry) -> DihedralOrdering:
-    labels = [int(x) for x in text.replace(" ", "").split(",")]
-    return DihedralOrdering.make(labels, symmetry)
+def _parse_ordering(text, symmetry: Symmetry, labels) -> DihedralOrdering | None:
+    """The ordering of a ``--highlight-*`` list, which must use exactly the
+    complex's ``labels``; None when no list was given."""
+    if text is None:
+        return None
+    try:
+        seq = [int(x) for x in text.split(",")]
+    except ValueError:
+        raise InvalidArgumentError(f"bad ordering {text!r}: labels are integers") from None
+    if set(seq) != labels:
+        raise InvalidArgumentError(f"ordering {text!r} does not use the labels {sorted(labels)}")
+    return DihedralOrdering.make(seq, symmetry)
 
 
 def cmd_complex(args) -> int:
     started = time.time()
     cx = build_complex(args.family, args.n)
+    hi_as = _parse_ordering(args.highlight_as, Symmetry.AXIAL, cx.labels)
+    hi_cs = _parse_ordering(args.highlight_cs, Symmetry.CENTRAL, cx.labels)
     payload = cx.to_json()
     params = {"family": args.family, "n": args.n}
     write_json(payload, "complex", params, started, args.out)
     if args.dot:
-        hi_as = _parse_ordering(args.highlight_as, Symmetry.AXIAL) if args.highlight_as else None
-        hi_cs = _parse_ordering(args.highlight_cs, Symmetry.CENTRAL) if args.highlight_cs else None
         dot = cx.to_dot(f"{args.family}{args.n}", highlight_as=hi_as, highlight_cs=hi_cs)
         write_text(dot, "//", "complex", {**params, "dot": True}, started, args.dot)
     degs = set(cx.degree_sequence())
@@ -208,34 +216,11 @@ def _support_contains(fan: Fan, w) -> bool:
     return False
 
 
-def _certify_face(certifier: ConeCertifier, taus):
-    in_trop = certifier.monomial_free
-    out = {"in_trop": in_trop, "signed": {}}
-    for tau in taus:
-        cert = certifier.certify(tau)
-        out["signed"][",".join("+" if t > 0 else "-" for t in tau)] = cert.to_json()
-    return out
-
-
-def _certify_orbit(ideal: Ideal, w, perms, taus, max_pairs: int):
-    """The ``_certify_face`` results of one orbit of ``cone_orbits``, whose
-    representative has weight ``w``, in the orbit's order."""
-    return [_certify_face(c, taus) for c in orbit_certifiers(ideal, w, perms, max_pairs)]
-
-
-def _worker(payload):
-    return _certify_orbit(
-        Ideal.from_json(payload["ideal"]),
-        tuple(payload["w"]),
-        [tuple(p) for p in payload["perms"]],
-        [tuple(t) for t in payload["taus"]],
-        payload["max_pairs"],
-    )
-
-
 def cmd_certify(args) -> int:
     started = time.time()
     kind, n = args.kind, args.n
+    if args.jobs < 1:
+        raise InvalidArgumentError(f"--jobs must be at least 1, got {args.jobs}")
     max_n = DEFAULT_MAX_N[kind] if args.max_n is None else args.max_n
     if n > max_n:
         sys.stderr.write(
@@ -254,47 +239,21 @@ def cmd_certify(args) -> int:
         faces = [f for i, f in enumerate(faces) if i in wanted]
 
     weights = [interior_point(fan.cones[f]).vector for f in faces]
-    orbits = cone_orbits(ideal, weights)
-    try:
-        if args.jobs > 1:
-            payloads = [
-                {"ideal": ideal.to_json(), "w": list(weights[orbit[0][0]]),
-                 "perms": [list(p) for _, p in orbit], "taus": [list(t) for t in taus],
-                 "max_pairs": args.max_pairs}
-                for orbit in orbits
-            ]
-            with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                per_orbit = list(pool.map(_worker, payloads))
-        else:
-            per_orbit = [
-                _certify_orbit(ideal, weights[orbit[0][0]], [p for _, p in orbit], taus,
-                               args.max_pairs)
-                for orbit in orbits
-            ]
-    except GroebnerBudgetError as exc:
-        sys.stderr.write(f"certify: {exc}\n")
+    results = certify_weights(ideal, weights, taus, args.max_pairs, jobs=args.jobs)
+    exhausted = [r for r in results if isinstance(r, GroebnerBudgetError)]
+    if exhausted:
+        sys.stderr.write(f"certify: {exhausted[0]}\n")
         return EXIT_RESOURCE
-    results = [None] * len(weights)
-    for orbit, orbit_results in zip(orbits, per_orbit):
-        for (i, _), res in zip(orbit, orbit_results):
-            results[i] = res
 
-    records = []
-    all_in_trop = True
-    inconclusive = 0
-    for f, w, res in zip(faces, weights, results):
-        all_in_trop = all_in_trop and res["in_trop"]
-        for cert in res["signed"].values():
-            inconclusive += cert["verdict"] == Verdict.INCONCLUSIVE.value
-        records.append(
-            {
-                "face": sorted(f),
-                "dimension": len(f),
-                "weight": list(w),
-                "in_trop": res["in_trop"],
-                "signed": res["signed"],
-            }
-        )
+    records = [
+        {"face": sorted(f), "dimension": len(f), "weight": list(w), **record}
+        for f, w, record in zip(faces, weights, results)
+    ]
+    all_in_trop = all(r["in_trop"] for r in records)
+    inconclusive = sum(
+        cert["verdict"] == Verdict.INCONCLUSIVE.value
+        for r in records for cert in r["signed"].values()
+    )
 
     probe_records, probe_mismatch = [], 0
     if args.probes:
@@ -311,7 +270,7 @@ def cmd_certify(args) -> int:
 
     member_counts = {}
     for tau in taus:
-        key = ",".join("+" if t > 0 else "-" for t in tau)
+        key = sign_key(tau)
         member_counts[key] = sum(
             1 for r in records if r["signed"][key]["verdict"] == Verdict.MEMBER.value
         )
@@ -414,7 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cones", help="comma-separated cone indices to restrict to")
     p.add_argument("--probes", type=int, default=0, help="random probe weights")
     p.add_argument("--probe-seed", type=int, default=7)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes, at most one per cone orbit")
     p.add_argument("--max-pairs", type=int, default=DEFAULT_MAX_PAIRS)
     p.add_argument("--max-n", type=int, default=None, help="raise the size budget")
     p.add_argument("--out")

@@ -25,11 +25,10 @@ def _m2_poly(g, names) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def emit_cas_script(ideal: Ideal, weights, title: str, tau=None) -> str:
+def emit_cas_script(ideal: Ideal, weights, title: str) -> str:
     """Deterministic external-verification script.
 
-    ``weights`` is a list of ``(name, vector, expected_in_trop)`` triples;
-    ``tau`` optionally twists the ideal coordinates by signs first.
+    ``weights`` is a list of ``(name, vector, expected_in_trop)`` triples.
     """
     names = list(ideal.variables)
     nv = len(names)
@@ -47,8 +46,6 @@ def emit_cas_script(ideal: Ideal, weights, title: str, tau=None) -> str:
         "",
         f"-- variable order: {', '.join(names)}",
     ]
-    if tau is not None:
-        lines.append(f"-- coordinate signs applied first: {list(tau)}")
     gens = [_m2_poly(g, names) for g in ideal.generators]
     lines.append("")
     lines.append(f"S = QQ[{', '.join(names)}];")

@@ -404,6 +404,59 @@ def orbit_certifiers(ideal: Ideal, w, perms, max_pairs: int = DEFAULT_MAX_PAIRS,
     ]
 
 
+def sign_key(tau) -> str:
+    """A sign pattern as reports name it, e.g. ``+,+,-``."""
+    return ",".join("+" if t > 0 else "-" for t in tau)
+
+
+def _certify_orbit(ideal: Ideal, w, perms, taus, max_pairs: int, lp_caps):
+    """The records of one orbit of :func:`cone_orbits`, in the orbit's
+    order; a Groebner budget error anywhere in the orbit stands in for
+    every one of them."""
+    try:
+        return [
+            {"in_trop": c.monomial_free,
+             "signed": {sign_key(tau): c.certify(tau).to_json() for tau in taus}}
+            for c in orbit_certifiers(ideal, w, perms, max_pairs, lp_caps)
+        ]
+    except GroebnerBudgetError as exc:
+        return [exc] * len(perms)
+
+
+def certify_weights(ideal: Ideal, weights, taus, max_pairs: int = DEFAULT_MAX_PAIRS,
+                    lp_caps=(2, 3), jobs: int = 1) -> list:
+    """Certify the cones at ``weights`` under every sign pattern of
+    ``taus``, one symmetry orbit at a time (:func:`orbit_certifiers`).
+
+    Returns, per weight, ``{"in_trop": bool, "signed": {sign_key(tau):
+    certificate JSON}}``, or the :class:`GroebnerBudgetError` that stopped
+    its orbit.  With ``jobs > 1`` the orbits run in a pool of at most
+    ``jobs`` worker processes, never more than there are orbits; the
+    records are the same.
+    """
+    orbits = cone_orbits(ideal, weights)
+    tasks = [
+        (ideal, weights[orbit[0][0]], [p for _, p in orbit], taus, max_pairs, lp_caps)
+        for orbit in orbits
+    ]
+    workers = min(jobs, len(orbits))
+    if workers > 1:
+        import concurrent.futures  # only a pool needs these
+        import multiprocessing
+
+        context = multiprocessing.get_context("spawn")  # workers import afresh
+        with concurrent.futures.ProcessPoolExecutor(workers, mp_context=context) as pool:
+            futures = [pool.submit(_certify_orbit, *task) for task in tasks]
+            per_orbit = [future.result() for future in futures]
+    else:
+        per_orbit = [_certify_orbit(*task) for task in tasks]
+    records = [None] * len(weights)
+    for orbit, results in zip(orbits, per_orbit):
+        for (i, _), record in zip(orbit, results):
+            records[i] = record
+    return records
+
+
 # ---------------------------------------------------------------------------
 # exhaustive sweep over sign patterns (small n)
 # ---------------------------------------------------------------------------
@@ -414,27 +467,22 @@ def search_sign_patterns_c(n: int, fan, ideal: Ideal, max_pairs: int = DEFAULT_M
     the resulting subfans against the per-ordering subcomplexes.
 
     Returns a report dict; Inconclusive verdicts are listed, never dropped.
-    The certifiers are built per symmetry orbit (:func:`orbit_certifiers`),
-    and a Groebner budget error skips the whole orbit: its cones are listed
-    in ``skipped_faces``.
+    The cones are certified by :func:`certify_weights`, and the cones of an
+    orbit that exhausted the Groebner budget are listed in
+    ``skipped_faces``.
     """
     from ..fans import interior_point
     from ..symtrees import Symmetry, build_sub, enumerate_orderings
 
     faces = fan.proper_faces()
     weights = [interior_point(fan.cones[f]).vector for f in faces]
-    built, skipped = {}, []
-    for orbit in cone_orbits(ideal, weights):
-        indices, perms = zip(*orbit)
-        try:
-            certs = orbit_certifiers(ideal, weights[indices[0]], perms, max_pairs, lp_caps)
-        except GroebnerBudgetError:
-            skipped.extend(indices)  # a budget error skips the whole orbit
-            continue
-        built.update(zip(indices, certs))
-    skipped = [sorted(faces[i]) for i in sorted(skipped)]
-    faces = [faces[i] for i in sorted(built)]
-    certifiers = [built[i] for i in sorted(built)]
+    taus = list(itertools.product((1, -1), repeat=ideal.nvars))
+    certified, skipped = [], []
+    for f, record in zip(faces, certify_weights(ideal, weights, taus, max_pairs, lp_caps)):
+        if isinstance(record, GroebnerBudgetError):
+            skipped.append(sorted(f))
+        else:
+            certified.append((f, record))
 
     def face_key_set(complex_):
         return frozenset(
@@ -447,16 +495,16 @@ def search_sign_patterns_c(n: int, fan, ideal: Ideal, max_pairs: int = DEFAULT_M
     for alpha in enumerate_orderings(n, Symmetry.CENTRAL):
         named_subfans[("cs", alpha.labels)] = face_key_set(build_sub(alpha))
 
-    tree_keys = [fan.complex.face_tree(f).canonical_key for f in faces]
+    tree_keys = [fan.complex.face_tree(f).canonical_key for f, _ in certified]
     patterns = []
     nonempty = 0
-    for tau in itertools.product((1, -1), repeat=ideal.nvars):
-        certs = [c.certify(tau) for c in certifiers]
+    for tau in taus:
+        verdicts = [record["signed"][sign_key(tau)]["verdict"] for _, record in certified]
         members = frozenset(
-            k for k, c in zip(tree_keys, certs) if c.verdict is Verdict.MEMBER
+            k for k, v in zip(tree_keys, verdicts) if v == Verdict.MEMBER.value
         )
         inconclusive = [
-            sorted(f) for f, c in zip(faces, certs) if c.verdict is Verdict.INCONCLUSIVE
+            sorted(f) for (f, _), v in zip(certified, verdicts) if v == Verdict.INCONCLUSIVE.value
         ]
         match = next(
             (name for name, keys in named_subfans.items() if keys == members), None

@@ -49,6 +49,8 @@ def test_usage_errors(tmp_path):
     assert run(tmp_path, "enumerate", "--n", "2") == EXIT_USAGE
     assert run(tmp_path, "complex", "--family", "zzz", "--n", "5") == EXIT_USAGE
     assert run(tmp_path, "certify", "--kind", "c", "--n", "3", "--sign", "+,+") == EXIT_USAGE
+    for jobs in ("0", "-1"):
+        assert run(tmp_path, "certify", "--kind", "c", "--n", "3", "--jobs", jobs) == EXIT_USAGE
 
 
 def test_certify_rejects_bad_cone_indices(tmp_path, capsys):
@@ -85,6 +87,23 @@ def test_complex_command_round_trip(tmp_path):
     assert text.count("color=red") == 5
     assert text.count("color=blue") == 6
     assert "// manifest:" in text
+
+
+@pytest.mark.parametrize("ordering,message", [
+    ("1,x,3", "bad ordering '1,x,3': labels are integers"),
+    ("1,2,-2,-1", "ordering '1,2,-2,-1' does not use the labels [-3, -2, -1, 1, 2, 3]"),
+])
+def test_complex_rejects_bad_highlight_orderings(tmp_path, capsys, ordering, message):
+    # a label that is not an integer, and an ordering of another polygon
+    out, dot = tmp_path / "cx.json", tmp_path / "cx.dot"
+    for flag in ("--highlight-as", "--highlight-cs"):
+        code = run(
+            tmp_path, "complex", "--family", "as", "--n", "3",
+            "--out", str(out), "--dot", str(dot), flag, ordering,
+        )
+        assert code == EXIT_USAGE
+        assert message in capsys.readouterr().err
+    assert not out.exists() and not dot.exists()
 
 
 def test_fan_command_round_trip(tmp_path):
@@ -230,11 +249,49 @@ def test_certify_resource_cap(tmp_path):
     assert load(out)["faces_total"] == 1
 
 
-def test_certify_budget_exhausted_in_a_worker_exits_resource(tmp_path):
+def test_certify_budget_exhausted_in_a_worker_exits_resource(tmp_path, capsys):
     # the budget error raised in a pool worker must cross back to the parent
+    out = tmp_path / "cert.json"
     assert run(
-        tmp_path, "certify", "--kind", "c", "--n", "3", "--max-pairs", "1", "--jobs", "2"
+        tmp_path, "certify", "--kind", "c", "--n", "3", "--max-pairs", "1", "--jobs", "2",
+        "--out", str(out),
     ) == EXIT_RESOURCE
+    assert not out.exists()
+    assert "Groebner pair budget exhausted" in capsys.readouterr().err
+
+
+def test_certify_pool_never_outnumbers_the_orbits(tmp_path, monkeypatch):
+    import concurrent.futures
+
+    asked = []
+
+    class RecordingPool:
+        """An in-process stand-in for ``ProcessPoolExecutor`` that records
+        how many workers it was asked for and starts no process."""
+
+        def __init__(self, max_workers, mp_context=None):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            value = fn(*args)
+            return SimpleNamespace(result=lambda: value)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    out = tmp_path / "cert.json"
+    args = ["certify", "--kind", "c", "--n", "3", "--sign=+,+,+,+,-,+", "--out", str(out)]
+    assert run(tmp_path, *args, "--jobs", "64") == EXIT_OK
+    assert asked == [11]  # c3: 34 cones in 11 orbits
+    assert load(out)["faces_total"] == 34
+    # cones 0 and 1 lie in two orbits; a single orbit runs in process
+    assert run(tmp_path, *args, "--jobs", "8", "--cones", "0,1") == EXIT_OK
+    assert run(tmp_path, *args, "--jobs", "8", "--cones", "0") == EXIT_OK
+    assert asked == [11, 2]
 
 
 def test_budget_error_pickle_round_trip():

@@ -258,7 +258,9 @@ def ordering_union(family, n):
     for sub in subs:
         ids = [index[v.canonical_key] for v in sub.vertices]
         for f in sub.faces:
-            face_tree.setdefault(frozenset(ids[v] for v in f), sub.face_tree(f))
+            key = frozenset(ids[v] for v in f)
+            if key not in face_tree:
+                face_tree[key] = sub.face_tree(f)
     vertices = tuple(by_key[k] for k in keys)
     return Complex(family, n, vertices, frozenset(face_tree), subs[0].labels, face_tree)
 

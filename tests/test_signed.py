@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from utrop.errors import InvalidArgumentError
+from utrop.errors import GroebnerBudgetError, InvalidArgumentError
 from utrop.fans import interior_point
 from utrop.symtrees import DihedralOrdering, Symmetry, build_sub
 from utrop.ualgebra import Verdict, certify_signed, ideal_a, initial_ideal, sign_twist
@@ -21,6 +21,7 @@ from utrop.ualgebra.poly import Poly, grevlex
 from utrop.ualgebra.signed import (
     ConeCertifier,
     all_positive_element_search,
+    certify_weights,
     cone_orbits,
     orbit_certifiers,
     positive_point_search,
@@ -174,6 +175,16 @@ def test_sweep_flags_budget_exhaustion(fan_c3, ideal_c3):
     # a representative's budget error skips every cone of its orbit
     assert rep["skipped_faces"] == [sorted(f) for f in fan_c3.proper_faces()]
     assert rep["matches_conjecture"] is False
+    # the shared driver marks every cone with the error and its counters,
+    # in process and in a pool alike
+    weights = [interior_point(fan_c3.cones[f]).vector for f in fan_c3.proper_faces()]
+    for jobs in (1, 2):
+        records = certify_weights(ideal_c3, weights, PUBLISHED_C3_PATTERNS, max_pairs=1, jobs=jobs)
+        assert len(records) == 34
+        for err in records:
+            assert isinstance(err, GroebnerBudgetError)
+            assert (err.pairs_processed, err.budget) == (1, 1)
+            assert err.stats["pairs"] == 1 and err.stats["basis_size"] > 0
 
 
 def test_certify_signed_validates_pattern():
