@@ -219,8 +219,10 @@ def _support_contains(fan: Fan, w) -> bool:
 def cmd_certify(args) -> int:
     started = time.time()
     kind, n = args.kind, args.n
-    if args.jobs < 1:
-        raise InvalidArgumentError(f"--jobs must be at least 1, got {args.jobs}")
+    for flag, value, least in (("--jobs", args.jobs, 1), ("--probes", args.probes, 0),
+                               ("--max-pairs", args.max_pairs, 0)):
+        if value < least:
+            raise InvalidArgumentError(f"{flag} must be at least {least}, got {value}")
     max_n = DEFAULT_MAX_N[kind] if args.max_n is None else args.max_n
     if n > max_n:
         sys.stderr.write(
@@ -234,7 +236,7 @@ def cmd_certify(args) -> int:
     cx = build_complex(_family_for_kind(kind), n)
     fan = assemble_fan(cx, kind, check_intersections=False)
     faces = fan.proper_faces()
-    if args.cones:
+    if args.cones is not None:
         wanted = _parse_cones(args.cones, len(faces))
         faces = [f for i, f in enumerate(faces) if i in wanted]
 

@@ -351,17 +351,13 @@ def enumerate_coarsest(alpha: DihedralOrdering, symmetric: bool = False) -> list
     return [Subdivision.make(alpha, u, symmetric) for u in _units(alpha, symmetric)]
 
 
-def _unit_cliques(alpha: DihedralOrdering, symmetric: bool):
-    """``alpha``'s units and the cliques of the graph joining units that
+@cache
+def _shape_unit_cliques(m: int, symmetry: Symmetry, c):
+    """A shape's units and the cliques of the graph joining units that
     cross nowhere, as sets of unit indices in ``_cliques`` order.  A set of
     units is a subdivision iff its units pairwise cross nowhere, so the
     cliques are the subdivisions, each exactly once.  Both depend only on
     the polygon's shape (``_shape``), so each shape computes them once."""
-    return _shape_unit_cliques(*_shape(alpha, symmetric))
-
-
-@cache
-def _shape_unit_cliques(m: int, symmetry: Symmetry, c):
     units = _shape_units(m, symmetry, c)
     apart = {
         i: {j for j, v in enumerate(units) if all(not d.crosses(e) for d in u for e in v)} - {i}
@@ -372,7 +368,7 @@ def _shape_unit_cliques(m: int, symmetry: Symmetry, c):
 
 def enumerate_subdivisions(alpha: DihedralOrdering, symmetric: bool = False) -> list[Subdivision]:
     """Every (symmetric) subdivision, the trivial one included."""
-    units, cliques = _unit_cliques(alpha, symmetric)
+    units, cliques = _shape_unit_cliques(*_shape(alpha, symmetric))
     return [
         Subdivision(alpha, frozenset().union(*(units[i] for i in clique)), symmetric)
         for clique in cliques
@@ -768,7 +764,6 @@ class Complex:
     faces: frozenset[frozenset[int]]
     labels: frozenset[int]  # every tree's leaf labels
     _face_tree: dict = field(default_factory=dict, compare=False, hash=False, repr=False)
-    _ordering: DihedralOrdering = field(compare=False, hash=False, repr=False, default=None)
 
     # -- basic queries -------------------------------------------------------
 
@@ -779,11 +774,24 @@ class Complex:
             self._face_tree[face] = PhyloTree.union(self.labels, [self.vertices[v] for v in face])
         return self._face_tree[face]
 
-    def face_source(self, face: frozenset[int]) -> Subdivision:
-        """The subdivision of the complex's one ordering giving the face."""
-        if self._ordering is None:
-            raise InvalidArgumentError("face sources are only recorded for single-ordering builds")
-        return subdivision_from_tree(self.face_tree(face), self._ordering)
+    def compatible_vertices(self, alpha: DihedralOrdering) -> frozenset[int]:
+        """The vertices whose trees are compatible with ``alpha``.  A face's
+        tree is compatible iff its vertices' trees are, so ``alpha``'s named
+        subcomplex is the subcomplex these vertices induce.
+
+        Proof.  A tree is compatible iff each split cuts off an arc of
+        ``alpha``'s polygon (a diagonal), the splits are negation-closed if
+        ``alpha`` is symmetric, and the diagonals form a (symmetric)
+        subdivision (``subdivision_from_tree``).  A face's splits are the
+        union of its vertices' splits, each vertex one negation orbit, so
+        the first two conditions hold for a face iff for each vertex.  A
+        compatible vertex's diagonals then form one of ``alpha``'s units,
+        and units make a subdivision iff they cross nowhere.  A face's
+        splits are pairwise compatible, and the arcs of two compatible
+        splits are nested, disjoint or cover the polygon together: their
+        diagonals do not cross.
+        """
+        return frozenset(v for v, tree in enumerate(self.vertices) if is_compatible(tree, alpha))
 
     def sorted_faces(self) -> list[frozenset[int]]:
         return sorted(self.faces, key=lambda f: (len(f), tuple(sorted(f))))
@@ -930,22 +938,19 @@ class Complex:
 
     def to_dot(self, name: str = "skeleton", highlight_as=None, highlight_cs=None) -> str:
         """Graphviz text of the 1-skeleton.  ``highlight_as``/``highlight_cs``
-        are orderings whose subcomplex edges get colored red/blue."""
+        are orderings whose subcomplex edges get colored red/blue: the edges
+        whose two ends are both compatible with the ordering
+        (``compatible_vertices``)."""
         hi = {}
         for alpha, color in ((highlight_as, "red"), (highlight_cs, "blue")):
-            if alpha is None:
-                continue
-            sub = build_sub(alpha)
-            for a, b in sub.edges():
-                ka = sub.vertices[a].canonical_key
-                kb = sub.vertices[b].canonical_key
-                hi[frozenset((ka, kb))] = color
+            if alpha is not None:
+                keep = self.compatible_vertices(alpha)
+                hi.update({e: color for e in self.edges() if keep.issuperset(e)})
         lines = [f"graph {name} {{", "  node [shape=circle];"]
         for i, v in enumerate(self.vertices):
             lines.append(f'  v{i} [label="{i}"];')
         for a, b in self.edges():
-            key = frozenset((self.vertices[a].canonical_key, self.vertices[b].canonical_key))
-            attr = f' [color={hi[key]}]' if key in hi else ""
+            attr = f" [color={hi[a, b]}]" if (a, b) in hi else ""
             lines.append(f"  v{a} -- v{b}{attr};")
         lines.append("}")
         return "\n".join(lines) + "\n"
@@ -963,18 +968,15 @@ def build_complex(family: str, n: int) -> Complex:
 
 
 def build_sub(alpha: DihedralOrdering) -> Complex:
-    """The complex of one ordering (with face -> subdivision provenance):
-    each unit's tree a vertex and each subdivision (a clique of units) a
-    face; vertices are sorted by canonical key."""
+    """The complex of one ordering: its family's complex induced on the
+    vertices compatible with ``alpha`` (``Complex.compatible_vertices``),
+    renumbered in order, so vertices stay sorted by canonical key."""
     family = {Symmetry.NONE: "a", Symmetry.AXIAL: "as", Symmetry.CENTRAL: "cs"}[alpha.symmetry]
-    symmetric = alpha.symmetry is not Symmetry.NONE
-    n = alpha.half if symmetric else alpha.size
-    units, cliques = _unit_cliques(alpha, symmetric)
-    trees = [tree_from_subdivision(Subdivision(alpha, u, symmetric)) for u in units]
-    vertices = tuple(sorted(trees, key=lambda t: t.canonical_key))
-    ids = [vertices.index(t) for t in trees]
-    faces = [frozenset(map(ids.__getitem__, clique)) for clique in cliques]
-    return Complex(family, n, vertices, frozenset(faces), frozenset(alpha.labels), _ordering=alpha)
+    cx = build_complex(family, alpha.size if family == "a" else alpha.half)
+    keep = cx.compatible_vertices(alpha)
+    index = {v: i for i, v in enumerate(sorted(keep))}
+    faces = frozenset(frozenset(map(index.__getitem__, f)) for f in cx.faces if f <= keep)
+    return Complex(family, cx.n, tuple(cx.vertices[v] for v in index), faces, cx.labels)
 
 
 def _cliques(adj, admits=lambda clique, v: True):
@@ -1139,11 +1141,11 @@ def delta_as_iso(alpha: DihedralOrdering):
     axial = build_sub(alpha)
     plain = build_sub(q_ordering)
     plain_by_diagonals = {
-        plain.face_source(f).diagonals: f for f in plain.faces
+        subdivision_from_tree(plain.face_tree(f), q_ordering).diagonals: f for f in plain.faces
     }
     face_map = {}
     for f in axial.faces:
-        image = transfer(axial.face_source(f))
+        image = transfer(subdivision_from_tree(axial.face_tree(f), alpha))
         if image not in plain_by_diagonals:
             raise InternalConsistencyError("transferred subdivision is not a face")
         face_map[f] = plain_by_diagonals[image]

@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import gcd
 from operator import add, le
 
-from ..errors import GroebnerBudgetError
+from ..errors import GroebnerBudgetError, InvalidArgumentError
 from .poly import Poly, TermOrder, monomial_div, monomial_divides, monomial_lcm
 
 DEFAULT_MAX_PAIRS = 200000
@@ -324,8 +324,11 @@ def groebner_basis(gens, order: TermOrder, max_pairs: int = DEFAULT_MAX_PAIRS, s
     Returns monic polynomials sorted by leading monomial (ascending order
     key); the result is the unique reduced basis for the order.  Raises
     :class:`GroebnerBudgetError` when more than ``max_pairs`` S-pairs would
-    be reduced, after copying the counters it reached into ``stats``.
+    be reduced, after copying the counters it reached into ``stats``, and
+    :class:`InvalidArgumentError` when ``max_pairs`` is negative.
     """
+    if max_pairs < 0:
+        raise InvalidArgumentError(f"max_pairs must be at least 0, got {max_pairs}")
     ints = [_primitive(g)[0] for g in gens]
     try:
         basis, run_stats = _buchberger_int([g for g in ints if g], order, max_pairs)

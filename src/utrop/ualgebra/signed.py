@@ -466,13 +466,16 @@ def search_sign_patterns_c(n: int, fan, ideal: Ideal, max_pairs: int = DEFAULT_M
     """Certify every candidate cone under every sign pattern and classify
     the resulting subfans against the per-ordering subcomplexes.
 
+    A pattern's MEMBER faces and an ordering's named subfan, the faces on
+    its ``Complex.compatible_vertices``, are both faces of ``fan.complex``.
+
     Returns a report dict; Inconclusive verdicts are listed, never dropped.
     The cones are certified by :func:`certify_weights`, and the cones of an
     orbit that exhausted the Groebner budget are listed in
     ``skipped_faces``.
     """
     from ..fans import interior_point
-    from ..symtrees import Symmetry, build_sub, enumerate_orderings
+    from ..symtrees import Symmetry, enumerate_orderings
 
     faces = fan.proper_faces()
     weights = [interior_point(fan.cones[f]).vector for f in faces]
@@ -484,31 +487,21 @@ def search_sign_patterns_c(n: int, fan, ideal: Ideal, max_pairs: int = DEFAULT_M
         else:
             certified.append((f, record))
 
-    def face_key_set(complex_):
-        return frozenset(
-            complex_.face_tree(f).canonical_key for f in complex_.faces if f
-        )
-
     named_subfans = {}
-    for alpha in enumerate_orderings(n, Symmetry.AXIAL):
-        named_subfans[("as", alpha.labels)] = face_key_set(build_sub(alpha))
-    for alpha in enumerate_orderings(n, Symmetry.CENTRAL):
-        named_subfans[("cs", alpha.labels)] = face_key_set(build_sub(alpha))
+    for family, symmetry in (("as", Symmetry.AXIAL), ("cs", Symmetry.CENTRAL)):
+        for alpha in enumerate_orderings(n, symmetry):
+            keep = fan.complex.compatible_vertices(alpha)
+            named_subfans[family, alpha.labels] = frozenset(f for f in faces if f <= keep)
 
-    tree_keys = [fan.complex.face_tree(f).canonical_key for f, _ in certified]
     patterns = []
     nonempty = 0
     for tau in taus:
         verdicts = [record["signed"][sign_key(tau)]["verdict"] for _, record in certified]
-        members = frozenset(
-            k for k, v in zip(tree_keys, verdicts) if v == Verdict.MEMBER.value
-        )
+        members = frozenset(f for (f, _), v in zip(certified, verdicts) if v == Verdict.MEMBER.value)
         inconclusive = [
             sorted(f) for (f, _), v in zip(certified, verdicts) if v == Verdict.INCONCLUSIVE.value
         ]
-        match = next(
-            (name for name, keys in named_subfans.items() if keys == members), None
-        )
+        match = next((name for name, subfan in named_subfans.items() if subfan == members), None)
         if members:
             nonempty += 1
         patterns.append(

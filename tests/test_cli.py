@@ -51,6 +51,13 @@ def test_usage_errors(tmp_path):
     assert run(tmp_path, "certify", "--kind", "c", "--n", "3", "--sign", "+,+") == EXIT_USAGE
     for jobs in ("0", "-1"):
         assert run(tmp_path, "certify", "--kind", "c", "--n", "3", "--jobs", jobs) == EXIT_USAGE
+    # a negative probe count or pair budget is rejected, not run as none or
+    # as no budget at all
+    out = tmp_path / "cert.json"
+    for flag, value in (("--probes", "-3"), ("--max-pairs", "-1")):
+        argv = ["certify", "--kind", "c", "--n", "3", "--cones", "0", flag, value, "--out", str(out)]
+        assert run(tmp_path, *argv) == EXIT_USAGE
+    assert not out.exists()
 
 
 def test_certify_rejects_bad_cone_indices(tmp_path, capsys):
@@ -60,6 +67,7 @@ def test_certify_rejects_bad_cone_indices(tmp_path, capsys):
         ("x", "bad cone index 'x'"),
         ("0,999", "cone index 999 is outside 0..33"),
         ("-1", "cone index -1 is outside 0..33"),
+        ("", "bad cone index ''"),  # an empty list is not "every cone"
     ]:
         code = run(tmp_path, "certify", "--kind", "c", "--n", "3", "--cones", cones, "--out", str(out))
         assert code == EXIT_USAGE

@@ -26,8 +26,10 @@ from utrop.symtrees import (
     enumerate_coarsest,
     enumerate_orderings,
     enumerate_subdivisions,
+    is_compatible,
     make_split,
     orbit_count,
+    subdivision_from_tree,
     symmetric_contractions,
     tree_from_subdivision,
 )
@@ -246,23 +248,32 @@ def test_dot_export(theta_as3):
 
 
 def ordering_union(family, n):
-    """Reference build: the union over every ordering of the family of its
-    complex, vertices identified by canonical key and sorted by it, each
-    face keeping the tree its orderings give it."""
+    """Reference build from polygon subdivisions alone, with neither
+    ``build_complex`` nor ``build_sub``: the union over every ordering of
+    the family of its complex.  An ordering's vertices are the trees of its
+    units (coarsest subdivisions), a face is the set of its subdivision's
+    units, each diagonal lying in exactly one unit, and the face keeps the
+    subdivision's tree.  Vertices are identified by canonical key and sorted
+    by it."""
     symmetry = {"a": Symmetry.NONE, "as": Symmetry.AXIAL, "cs": Symmetry.CENTRAL}[family]
-    subs = [build_sub(alpha) for alpha in enumerate_orderings(n, symmetry)]
-    by_key = {v.canonical_key: v for sub in subs for v in sub.vertices}
-    keys = sorted(by_key)
-    index = {k: i for i, k in enumerate(keys)}
-    face_tree = {}
-    for sub in subs:
-        ids = [index[v.canonical_key] for v in sub.vertices]
-        for f in sub.faces:
-            key = frozenset(ids[v] for v in f)
-            if key not in face_tree:
-                face_tree[key] = sub.face_tree(f)
-    vertices = tuple(by_key[k] for k in keys)
-    return Complex(family, n, vertices, frozenset(face_tree), subs[0].labels, face_tree)
+    symmetric = symmetry is not Symmetry.NONE
+    orderings = enumerate_orderings(n, symmetry)
+    by_key, face_tree = {}, {}
+    for alpha in orderings:
+        unit_key = {}
+        for unit in enumerate_coarsest(alpha, symmetric):
+            tree = tree_from_subdivision(unit)
+            by_key.setdefault(tree.canonical_key, tree)
+            unit_key.update(dict.fromkeys(unit.diagonals, tree.canonical_key))
+        for sub in enumerate_subdivisions(alpha, symmetric):
+            face = frozenset(map(unit_key.__getitem__, sub.diagonals))
+            if face not in face_tree:
+                face_tree[face] = tree_from_subdivision(sub)
+    index = {k: i for i, k in enumerate(sorted(by_key))}
+    face_tree = {frozenset(map(index.__getitem__, f)): tree for f, tree in face_tree.items()}
+    vertices = tuple(by_key[k] for k in index)
+    labels = frozenset(orderings[0].labels)  # the a-complex of n = 3 has no vertex
+    return Complex(family, n, vertices, frozenset(face_tree), labels, face_tree)
 
 
 def assert_same_complex(built, union):
@@ -334,7 +345,9 @@ def test_face_trees_are_subdivision_trees(family, n):
     index = {v.canonical_key: i for i, v in enumerate(union.vertices)}
     for alpha in enumerate_orderings(n, symmetry):
         sub_cx = build_sub(alpha)
-        by_diagonals = {sub_cx.face_source(f).diagonals: f for f in sub_cx.faces}
+        by_diagonals = {
+            subdivision_from_tree(sub_cx.face_tree(f), alpha).diagonals: f for f in sub_cx.faces
+        }
         units = [u.diagonals for u in enumerate_coarsest(alpha, symmetry is not Symmetry.NONE)]
         subs = enumerate_subdivisions(alpha, symmetry is not Symmetry.NONE)
         assert len(by_diagonals) == len(sub_cx.faces) == len(subs)
@@ -348,6 +361,20 @@ def test_face_trees_are_subdivision_trees(family, n):
             )
             assert face in union.faces
             assert union.face_tree(face) == tree
+
+
+@pytest.mark.parametrize("family,n", [("a", 5), ("a", 6), ("as", 3), ("as", 4), ("cs", 3), ("cs", 4)])
+def test_compatible_faces_are_the_faces_on_compatible_vertices(family, n):
+    # an ordering's named subcomplex by definition (the faces whose tree is
+    # compatible with it) against the vertex filter, for every ordering that
+    # uses the complex's labels: the symmetric complexes take both axial and
+    # central orderings
+    cx = build_complex(family, n)
+    symmetries = [Symmetry.NONE] if family == "a" else [Symmetry.AXIAL, Symmetry.CENTRAL]
+    for alpha in (a for sym in symmetries for a in enumerate_orderings(n, sym)):
+        keep = cx.compatible_vertices(alpha)
+        by_definition = {f for f in cx.faces if is_compatible(cx.face_tree(f), alpha)}
+        assert by_definition == {f for f in cx.faces if f <= keep}
 
 
 def test_complex_from_json_rejects_malformed_input(theta_as3):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from utrop.errors import GroebnerBudgetError
+from utrop.errors import GroebnerBudgetError, InvalidArgumentError
 from utrop.ualgebra import NormalFormCalculator, groebner_basis, ideal_a, ideal_c
 from utrop.ualgebra.poly import (
     Poly,
@@ -129,6 +129,14 @@ def test_budget_error_keeps_the_counters_it_reached():
     exact = {}
     assert groebner_basis(gens, order, max_pairs=full["pairs"], stats=exact) == groebner_basis(gens, order)
     assert exact == full
+
+
+def test_negative_budget_is_rejected():
+    # a negative budget is never met by the pair counter, so it would
+    # otherwise run without any bound
+    ideal = ideal_c(3)
+    with pytest.raises(InvalidArgumentError, match="max_pairs must be at least 0, got -1"):
+        groebner_basis(ideal.generators, grevlex(ideal.nvars), max_pairs=-1)
 
 
 def test_determinism():
