@@ -3,11 +3,12 @@ feasibility (phase-1 simplex with Bland's rule).
 
 Inputs are lists of row lists of ``int`` or ``fractions.Fraction``.  Both
 kernels run on integer rows only: each input row is first multiplied by
-the common denominator of its entries, and each row update is done
-fraction-free (Bareiss-style, ``p * row_i - f * row_r`` with the pivot
-``p``) and followed by division by the row's gcd, which keeps the entries
-small.  A positive scaling of a row changes no sign and no ratio of its
-entries, so the elimination takes exactly the pivots a rational
+the common denominator of its entries (``solve_nonneg`` then negates, in
+integers, a row whose right-hand side is negative), and each row update is
+done fraction-free (Bareiss-style, ``p * row_i - f * row_r`` with the
+pivot ``p``) and followed by division by the row's gcd, which keeps the
+entries small.  A positive scaling of a row changes no sign and no ratio
+of its entries, so the elimination takes exactly the pivots a rational
 Gauss-Jordan or simplex loop would take, and ``solve_nonneg`` returns the
 same ``x``.
 """
@@ -69,10 +70,13 @@ def solve_nonneg(mat, rhs):
     n = len(mat[0])
     tab = []
     for i in range(m):
-        sign = -1 if rhs[i] < 0 else 1
         artificial = [int(i == j) for j in range(m)]
         # clearing denominators puts the row's scale in its artificial column
-        tab.append(_integer_row([sign * x for x in mat[i]] + artificial + [sign * rhs[i]]))
+        row = _integer_row([*mat[i], *artificial, rhs[i]])
+        if row[-1] < 0:  # flip the equation; the artificial column stays positive
+            row[:n] = [-x for x in row[:n]]
+            row[-1] = -row[-1]
+        tab.append(row)
     # cost row: minus the sum of the rational rows, times the lcm of the scales
     scale = lcm(*(row[n + i] for i, row in enumerate(tab)))
     cost = [0] * (n + m + 1)

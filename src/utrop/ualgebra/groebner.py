@@ -3,6 +3,10 @@
 Polynomials are cleared to primitive integer form on entry, and all S-pair,
 reduction and normal-form arithmetic stays in integers (cross-multiplying by
 leading coefficients), which avoids Fraction overhead in the inner loops.
+The kernel's polynomials are ``{monomial: int}`` dicts; only the edges see
+``Poly``: :func:`_primitive` reads a ``Poly``'s ``Fraction`` coefficients
+into integers, and :func:`_monic` turns a reduced basis back into ``Poly``
+objects whose coefficients are ``Fraction`` again.
 
 One run works on one :class:`_Basis`.  It memoizes each monomial's order
 key and variable-support bitmask, so a key is computed once per run however
@@ -19,7 +23,7 @@ instead of truncating.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import add, le
 
 from ..errors import GroebnerBudgetError, InvalidArgumentError
@@ -33,10 +37,11 @@ def _primitive(p: Poly):
     content) and the rational ``content`` with ``p == content * terms``."""
     if not p:
         return {}, Fraction(1)
-    den = 1
-    for c in p.terms.values():
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = {m: int(c * den) for m, c in p.terms.items()}
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    if den == 1:
+        ints = {m: c.numerator for m, c in p.terms.items()}
+    else:
+        ints = {m: c.numerator * (den // c.denominator) for m, c in p.terms.items()}
     g = 0
     for v in ints.values():
         g = gcd(g, v)
@@ -314,7 +319,11 @@ def _monic(reduced, nvars: int):
     out = []
     for lm, terms in reduced:
         lc = terms[lm]
-        out.append(Poly(nvars, {m: Fraction(v, lc) for m, v in terms.items()}))
+        if lc == 1:
+            monic = {m: Fraction(v) for m, v in terms.items()}
+        else:
+            monic = {m: Fraction(v, lc) for m, v in terms.items()}
+        out.append(Poly._trusted(nvars, monic))
     return out
 
 
@@ -341,18 +350,6 @@ def groebner_basis(gens, order: TermOrder, max_pairs: int = DEFAULT_MAX_PAIRS, s
         stats.update(run_stats)
         stats["basis_size"] = len(reduced)
     return _monic(reduced, order.nvars)
-
-
-def reduced_basis(gb, order: TermOrder):
-    """The reduced Groebner basis, in the form :func:`groebner_basis`
-    returns, of the ideal that ``gb`` generates, when ``gb`` is already a
-    Groebner basis for ``order``.
-
-    No S-pair is formed: the input is only minimalized and inter-reduced,
-    which is exact when its leading monomials already generate the leading
-    ideal.
-    """
-    return _monic(_reduced_basis(_filled(gb, order)), order.nvars)
 
 
 class NormalFormCalculator:

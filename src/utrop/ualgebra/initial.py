@@ -9,6 +9,11 @@ original ideal, so dehomogenizing the initial forms of a Groebner basis
 taken under (total degree, then -w, then grevlex) yields exactly the
 initial ideal of the original ideal.  The order is a genuine term order for
 any sign pattern of ``w`` because total degree comes first.
+
+Coefficients of every ``Poly`` here are ``Fraction``.  Between its one
+weighted Groebner run and the monic generators it returns,
+:func:`initial_ideal` works on the kernel's primitive integer forms: it
+takes initial forms, dehomogenizes and inter-reduces them in integers.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from math import gcd
 from operator import mul
 
 from ..errors import DegenerateIdealError, InvalidArgumentError
-from .groebner import DEFAULT_MAX_PAIRS, groebner_basis, reduced_basis
+from .groebner import DEFAULT_MAX_PAIRS, _Basis, _monic, _primitive, _reduced_basis, groebner_basis
 from .ideals import Ideal
 from .poly import Poly, grevlex, weighted_order
 
@@ -33,31 +38,25 @@ def _integer_weight(w, nvars: int):
     return tuple(int(f * den) for f in fracs)
 
 
+def _least_terms(terms, wz):
+    """The terms of least ``wz``-weight; variables past the end of ``wz``
+    weigh zero."""
+    wts = {m: sum(map(mul, wz, m)) for m in terms}
+    least = min(wts.values())
+    return {m: c for m, c in terms.items() if wts[m] == least}
+
+
 def initial_part(p: Poly, w) -> Poly:
     """Terms of minimal w-weight (the whole polynomial for w = 0)."""
     if not p:
         return p
     wz = _integer_weight(w, p.nvars)  # a positive multiple: the same least terms
-    wts = {m: sum(map(mul, wz, m)) for m in p.terms}
-    least = min(wts.values())
-    return Poly(p.nvars, {m: c for m, c in p.terms.items() if wts[m] == least})
+    return Poly(p.nvars, _least_terms(p.terms, wz))
 
 
 def _homogenize(p: Poly) -> Poly:
     d = p.degree()
     return Poly(p.nvars + 1, {m + (d - sum(m),): c for m, c in p.terms.items()})
-
-
-def _dehomogenize(p: Poly) -> Poly:
-    return Poly(p.nvars - 1, _collapse(p.terms))
-
-
-def _collapse(terms):
-    out = {}
-    for m, c in terms.items():
-        mm = m[:-1]
-        out[mm] = out.get(mm, 0) + c
-    return out
 
 
 def initial_ideal(ideal: Ideal, w, max_pairs: int = DEFAULT_MAX_PAIRS, stats: dict | None = None) -> Ideal:
@@ -83,9 +82,11 @@ def initial_ideal(ideal: Ideal, w, max_pairs: int = DEFAULT_MAX_PAIRS, stats: di
     neg = tuple(-x for x in wz) + (0,)
     order = weighted_order(neg, ideal.nvars + 1)
     basis = groebner_basis(hgens, order, max_pairs, stats)
-    ext_w = tuple(wz) + (0,)
-    inits = [_dehomogenize(initial_part(g, ext_w)) for g in basis]
-    gens = reduced_basis(inits, grevlex(ideal.nvars))
+    inits = _Basis(grevlex(ideal.nvars))
+    for g in basis:
+        # g is homogeneous, so setting h = 1 (dropping its exponent) merges no terms
+        inits.add({m[:-1]: v for m, v in _least_terms(_primitive(g)[0], wz).items()})
+    gens = _monic(_reduced_basis(inits), ideal.nvars)
     return Ideal(ideal.variables, tuple(gens), ideal.index_set)
 
 

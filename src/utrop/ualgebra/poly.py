@@ -1,7 +1,10 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
 Monomials are exponent tuples of a fixed arity; polynomials are
-``{monomial: Fraction}`` maps with no zero coefficients stored.
+``{monomial: Fraction}`` maps with no zero coefficients stored.  Every
+coefficient of a ``Poly`` is a ``Fraction``, never an ``int``, so ``/``
+between coefficients stays exact.  The Groebner kernel works on integer
+forms and converts back to ``Poly`` only at its edges.
 """
 
 from __future__ import annotations
@@ -20,12 +23,23 @@ class Poly:
         self.nvars = nvars
         clean = {}
         for m, c in (terms or {}).items():
-            c = Fraction(c)
+            if type(c) is not Fraction:
+                c = Fraction(c)
             if c:
                 if len(m) != nvars or any(e < 0 for e in m):
                     raise InvalidArgumentError(f"bad exponent vector {m} for {nvars} variables")
                 clean[tuple(m)] = c
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, nvars: int, terms: dict) -> "Poly":
+        """A Poly that owns ``terms`` as given, unchecked: the caller
+        guarantees nonzero ``Fraction`` coefficients on exponent tuples of
+        length ``nvars`` with no negative entry."""
+        p = object.__new__(cls)
+        p.nvars = nvars
+        p.terms = terms
+        return p
 
     # -- constructors ------------------------------------------------------
 
@@ -73,7 +87,7 @@ class Poly:
     # -- arithmetic ----------------------------------------------------------
 
     def __neg__(self) -> "Poly":
-        return Poly(self.nvars, {m: -c for m, c in self.terms.items()})
+        return Poly._trusted(self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __add__(self, other) -> "Poly":
         if not isinstance(other, Poly):
@@ -136,16 +150,21 @@ class Poly:
 
     def substitute(self, assignment: dict) -> "Poly":
         """Substitute rationals for a subset of variables (by index)."""
-        res = Poly.zero(self.nvars)
+        values = [(i, Fraction(v)) for i, v in assignment.items()]
+        res = {}
         for m, c in self.terms.items():
-            coeff = c
             new_m = list(m)
-            for i, val in assignment.items():
+            for i, val in values:
                 if m[i]:
-                    coeff *= Fraction(val) ** m[i]
+                    c *= val ** m[i]
                     new_m[i] = 0
-            res = res + Poly.monomial(tuple(new_m), self.nvars, coeff)
-        return res
+            new_m = tuple(new_m)
+            v = res.get(new_m, 0) + c
+            if v:
+                res[new_m] = v
+            else:
+                res.pop(new_m, None)
+        return Poly._trusted(self.nvars, res)
 
     # -- display ---------------------------------------------------------------
 

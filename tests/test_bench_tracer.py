@@ -1,7 +1,8 @@
 """The benchmark's span tracer (``benchmarks/spans.py``) rebinds ``utrop``
 names by attribute lookup, so renaming or deleting one of them under
-``src/`` breaks ``benchmarks/run.py --trace 1``.  This test catches that in
-the test suite instead."""
+``src/`` breaks ``benchmarks/run.py --trace 1``, and a Groebner run that
+does not go through a module's ``groebner_basis`` name is invisible to it.
+These tests catch both in the test suite instead."""
 
 import importlib
 import importlib.util
@@ -23,10 +24,15 @@ def snapshot():
     return {(owner, attr): value for owner in namespaces() for attr, value in vars(owner).items()}
 
 
-def test_tracer_patches_existing_names_and_restores_them():
+def load_spans():
     spec = importlib.util.spec_from_file_location("benchmark_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_tracer_patches_existing_names_and_restores_them():
+    spans = load_spans()
     before = snapshot()
     tracer = spans.Tracer()
     try:
@@ -39,3 +45,32 @@ def test_tracer_patches_existing_names_and_restores_them():
     after = snapshot()
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
+
+
+def test_certify_runs_every_groebner_role_through_the_traced_entry_point(tmp_path):
+    from utrop import cli
+    from utrop.fans import assemble_fan, interior_point
+    from utrop.symtrees import build_complex
+    from utrop.ualgebra import ideal_c
+    from utrop.ualgebra.signed import cone_orbits
+
+    spans = load_spans()
+    fan = assemble_fan(build_complex("as", 3), "c", check_intersections=False)
+    weights = [interior_point(fan.cones[f]).vector for f in fan.proper_faces()]
+    orbit = next(o for o in cone_orbits(ideal_c(3), weights) if len(o) > 1)
+    cones = f"{orbit[0][0]},{orbit[1][0]}"  # the representative and one member
+    argv = ["certify", "--kind", "c", "--n", "3", "--sign=+,+,+,+,-,+", "--cones", cones,
+            "--out", str(tmp_path / "cert.json")]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(argv) == cli.EXIT_OK
+    finally:
+        tracer.uninstall()
+    recorded = tracer.take()
+    roles = set()
+    for rec in recorded:
+        if rec[spans.NAME] == "groebner.groebner_basis" and "pairs" in (rec[spans.INFO] or {}):
+            parent = recorded[rec[spans.PARENT]][spans.NAME] if rec[spans.PARENT] >= 0 else ""
+            roles.add(spans.GROEBNER_ROLES.get(parent, "other"))
+    assert {"weighted", "saturation", "grevlex", "search"} <= roles

@@ -302,6 +302,55 @@ def test_certify_pool_never_outnumbers_the_orbits(tmp_path, monkeypatch):
     assert asked == [11, 2]
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_certify_orbit_error_propagates(tmp_path, monkeypatch, fan_c3, ideal_c3, jobs):
+    import concurrent.futures
+
+    from utrop.fans import interior_point
+    from utrop.ualgebra import signed
+
+    class InProcessPool:
+        """An in-process stand-in for ``ProcessPoolExecutor`` whose futures
+        hold a task's exception until ``result()``, as a process pool's do."""
+
+        def __init__(self, max_workers, mp_context=None):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            try:
+                future.set_result(fn(*args))
+            except Exception as exc:
+                future.set_exception(exc)
+            return future
+
+    weights = [interior_point(fan_c3.cones[f]).vector for f in fan_c3.proper_faces()]
+    faulty = tuple(weights[1])  # cone 1 leads the second of the 11 orbits
+    original = signed.orbit_certifiers
+
+    def orbit_certifiers(ideal, w, *args):
+        if tuple(w) == faulty:
+            raise RuntimeError("injected fault")
+        return original(ideal, w, *args)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(signed, "orbit_certifiers", orbit_certifiers)
+    # an unexpected error is neither a verdict nor a budget record
+    with pytest.raises(RuntimeError, match="injected fault"):
+        signed.certify_weights(ideal_c3, weights, [(1, 1, 1, 1, -1, 1)], jobs=jobs)
+    out = tmp_path / "cert.json"
+    argv = ["certify", "--kind", "c", "--n", "3", "--sign=+,+,+,+,-,+", "--jobs", str(jobs), "--out", str(out)]
+    with pytest.raises(RuntimeError, match="injected fault"):  # no exit code, 0 least of all
+        main(argv)
+    assert not out.exists()
+
+
 def test_budget_error_pickle_round_trip():
     err = GroebnerBudgetError(5, 5, zero_reductions=2, basis_size=9)
     back = pickle.loads(pickle.dumps(err))

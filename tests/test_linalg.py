@@ -174,6 +174,17 @@ def test_edge_cases():
     assert solve_nonneg([[1, -2], [0, 0], [1, 1]], [0, 0, 1]) == [Fraction(2, 3), Fraction(1, 3)]
 
 
+def test_solve_nonneg_negative_rhs_with_fraction_rows():
+    # rows with mixed denominators and a negative right-hand side: the row is
+    # cleared to integers, then negated, while its artificial column keeps
+    # the positive scale of the cleared row
+    mat = [[Fraction(-1, 2), Fraction(1, 3), Fraction(2, 7), 0], [Fraction(2, 3), Fraction(-3, 4), 0, -1], [1, 1, 1, 1]]
+    rhs = [Fraction(-7, 36), Fraction(-1, 8), Fraction(1)]
+    x = [Fraction(1, 2), Fraction(1, 6), Fraction(0), Fraction(1, 3)]
+    assert solve_nonneg(mat, rhs) == _solve_nonneg_ref(mat, rhs) == x
+    _check_solution(mat, rhs, x)
+
+
 _rationals = st.fractions(min_value=-5, max_value=5, max_denominator=8)
 
 
