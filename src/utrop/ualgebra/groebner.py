@@ -38,10 +38,7 @@ def _primitive(p: Poly):
     if not p:
         return {}, Fraction(1)
     den = lcm(*(c.denominator for c in p.terms.values()))
-    if den == 1:
-        ints = {m: c.numerator for m, c in p.terms.items()}
-    else:
-        ints = {m: c.numerator * (den // c.denominator) for m, c in p.terms.items()}
+    ints = {m: c.numerator * (den // c.denominator) for m, c in p.terms.items()}
     g = 0
     for v in ints.values():
         g = gcd(g, v)
@@ -319,11 +316,7 @@ def _monic(reduced, nvars: int):
     out = []
     for lm, terms in reduced:
         lc = terms[lm]
-        if lc == 1:
-            monic = {m: Fraction(v) for m, v in terms.items()}
-        else:
-            monic = {m: Fraction(v, lc) for m, v in terms.items()}
-        out.append(Poly._trusted(nvars, monic))
+        out.append(Poly._trusted(nvars, {m: Fraction(v, lc) for m, v in terms.items()}))
     return out
 
 
@@ -350,6 +343,18 @@ def groebner_basis(gens, order: TermOrder, max_pairs: int = DEFAULT_MAX_PAIRS, s
         stats.update(run_stats)
         stats["basis_size"] = len(reduced)
     return _monic(reduced, order.nvars)
+
+
+def reduced_basis(gb, order: TermOrder):
+    """The reduced Groebner basis, in the form :func:`groebner_basis`
+    returns, of the ideal that ``gb`` generates, when ``gb`` is already a
+    Groebner basis for ``order``.
+
+    No S-pair is formed: the input is only minimalized and inter-reduced,
+    which is exact when its leading monomials already generate the leading
+    ideal.
+    """
+    return _monic(_reduced_basis(_filled(gb, order)), order.nvars)
 
 
 class NormalFormCalculator:

@@ -10,10 +10,11 @@ taken under (total degree, then -w, then grevlex) yields exactly the
 initial ideal of the original ideal.  The order is a genuine term order for
 any sign pattern of ``w`` because total degree comes first.
 
-Coefficients of every ``Poly`` here are ``Fraction``.  Between its one
-weighted Groebner run and the monic generators it returns,
-:func:`initial_ideal` works on the kernel's primitive integer forms: it
-takes initial forms, dehomogenizes and inter-reduces them in integers.
+Coefficients of every ``Poly`` here are ``Fraction``.  :func:`initial_ideal`
+takes initial forms and dehomogenizes them on ``Poly`` terms, without
+arithmetic on coefficients; its two Groebner steps, the weighted run and
+the inter-reduction of the initial forms, work on the kernel's primitive
+integer forms inside :mod:`.groebner`.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from math import gcd
 from operator import mul
 
 from ..errors import DegenerateIdealError, InvalidArgumentError
-from .groebner import DEFAULT_MAX_PAIRS, _Basis, _monic, _primitive, _reduced_basis, groebner_basis
+from .groebner import DEFAULT_MAX_PAIRS, groebner_basis, reduced_basis
 from .ideals import Ideal
 from .poly import Poly, grevlex, weighted_order
 
@@ -82,11 +83,12 @@ def initial_ideal(ideal: Ideal, w, max_pairs: int = DEFAULT_MAX_PAIRS, stats: di
     neg = tuple(-x for x in wz) + (0,)
     order = weighted_order(neg, ideal.nvars + 1)
     basis = groebner_basis(hgens, order, max_pairs, stats)
-    inits = _Basis(grevlex(ideal.nvars))
-    for g in basis:
-        # g is homogeneous, so setting h = 1 (dropping its exponent) merges no terms
-        inits.add({m[:-1]: v for m, v in _least_terms(_primitive(g)[0], wz).items()})
-    gens = _monic(_reduced_basis(inits), ideal.nvars)
+    # each g is homogeneous, so setting h = 1 (dropping its exponent) merges no terms
+    inits = [
+        Poly(ideal.nvars, {m[:-1]: c for m, c in _least_terms(g.terms, wz).items()})
+        for g in basis
+    ]
+    gens = reduced_basis(inits, grevlex(ideal.nvars))
     return Ideal(ideal.variables, tuple(gens), ideal.index_set)
 
 

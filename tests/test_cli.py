@@ -1,5 +1,6 @@
 """CLI behavior: outputs, determinism, exit codes, and round trips."""
 
+import concurrent.futures
 import hashlib
 import json
 import pickle
@@ -12,6 +13,40 @@ from utrop.cli import EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, _canonical_json, _sha2
 from utrop.errors import GroebnerBudgetError
 from utrop.fans import Fan
 from utrop.symtrees import Complex
+
+
+class InProcessPool:
+    """An in-process stand-in for ``ProcessPoolExecutor``: it runs each task
+    when it is submitted and starts no process.  Its futures hold a task's
+    exception until ``result()``, as a process pool's do."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Put :class:`InProcessPool` in place of ``ProcessPoolExecutor``; the
+    returned list gets the worker count that each pool was asked for."""
+    asked = []
+
+    def pool(max_workers, mp_context=None):
+        asked.append(max_workers)
+        return InProcessPool()
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    return asked
 
 
 def run(tmp_path, *argv):
@@ -268,29 +303,8 @@ def test_certify_budget_exhausted_in_a_worker_exits_resource(tmp_path, capsys):
     assert "Groebner pair budget exhausted" in capsys.readouterr().err
 
 
-def test_certify_pool_never_outnumbers_the_orbits(tmp_path, monkeypatch):
-    import concurrent.futures
-
-    asked = []
-
-    class RecordingPool:
-        """An in-process stand-in for ``ProcessPoolExecutor`` that records
-        how many workers it was asked for and starts no process."""
-
-        def __init__(self, max_workers, mp_context=None):
-            asked.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            value = fn(*args)
-            return SimpleNamespace(result=lambda: value)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+def test_certify_pool_never_outnumbers_the_orbits(tmp_path, pool_sizes):
+    asked = pool_sizes
     out = tmp_path / "cert.json"
     args = ["certify", "--kind", "c", "--n", "3", "--sign=+,+,+,+,-,+", "--out", str(out)]
     assert run(tmp_path, *args, "--jobs", "64") == EXIT_OK
@@ -303,32 +317,9 @@ def test_certify_pool_never_outnumbers_the_orbits(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_certify_orbit_error_propagates(tmp_path, monkeypatch, fan_c3, ideal_c3, jobs):
-    import concurrent.futures
-
+def test_certify_orbit_error_propagates(tmp_path, monkeypatch, pool_sizes, fan_c3, ideal_c3, jobs):
     from utrop.fans import interior_point
     from utrop.ualgebra import signed
-
-    class InProcessPool:
-        """An in-process stand-in for ``ProcessPoolExecutor`` whose futures
-        hold a task's exception until ``result()``, as a process pool's do."""
-
-        def __init__(self, max_workers, mp_context=None):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            future = concurrent.futures.Future()
-            try:
-                future.set_result(fn(*args))
-            except Exception as exc:
-                future.set_exception(exc)
-            return future
 
     weights = [interior_point(fan_c3.cones[f]).vector for f in fan_c3.proper_faces()]
     faulty = tuple(weights[1])  # cone 1 leads the second of the 11 orbits
@@ -339,7 +330,6 @@ def test_certify_orbit_error_propagates(tmp_path, monkeypatch, fan_c3, ideal_c3,
             raise RuntimeError("injected fault")
         return original(ideal, w, *args)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(signed, "orbit_certifiers", orbit_certifiers)
     # an unexpected error is neither a verdict nor a budget record
     with pytest.raises(RuntimeError, match="injected fault"):

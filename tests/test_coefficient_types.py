@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from utrop.fans import assemble_fan, interior_point
 from utrop.symtrees import build_complex
 from utrop.ualgebra import Ideal, NormalFormCalculator, groebner_basis, grevlex, ideal_a, initial_ideal
+from utrop.ualgebra.groebner import reduced_basis
 from utrop.ualgebra.ideals import ideal_symmetries, permute_poly
 from utrop.ualgebra.initial import twist_poly
 from utrop.ualgebra.poly import Poly
@@ -31,6 +32,8 @@ def check_ideal(ideal, w):
     order = grevlex(n)
     gb = groebner_basis(ideal.generators, order)
     assert_fraction_coefficients(gb)
+    # a Groebner basis still, scaled off monic and with a redundant element
+    assert_fraction_coefficients(reduced_basis([g * Fraction(3, 2) for g in gb] + gb[:1], order))
     init = initial_ideal(ideal, w).generators
     assert_fraction_coefficients(init)
     tau = tuple(-1 if i % 2 else 1 for i in range(n))
