@@ -286,23 +286,28 @@ class Fan:
         return [f for f in self.sorted_faces() if f]
 
     def to_json(self) -> dict:
-        faces = self.sorted_faces()
+        """The fan as JSON-able data.  The payload shares sublists between
+        its entries (one list per face and per ray, made once per call), so
+        it is meant for serialization: copy a part before changing it."""
+        cx = self.complex
+        face_lists = cx._face_lists()
+        ray_lists = {r: list(r) for cone in self.cones.values() for r in cone.rays}
         return {
             "schema_version": SCHEMA_VERSION,
             "kind": "fan",
             "family": self.kind,
             "index_set": self.index_set.to_json(),
-            "complex": self.complex.to_json(),
+            "complex": cx._json(face_lists),
             "cones": [
                 {
-                    "face": sorted(f),
-                    "rays": [list(r) for r in self.cones[f].rays],
+                    "face": face_lists[f],
+                    "rays": [ray_lists[r] for r in self.cones[f].rays],
                     "tree_key": self.cones[f].tree_key.decode(),
                 }
-                for f in faces
+                for f in cx._sorted_faces
             ],
             "facet_relation": [
-                [sorted(child), sorted(parent)] for child, parent in self.facet_relation
+                [face_lists[child], face_lists[parent]] for child, parent in self.facet_relation
             ],
         }
 
@@ -316,10 +321,10 @@ class Fan:
             cones[face] = ConeZ(D, tuple(tuple(r) for r in rec["rays"]), rec["tree_key"].encode())
         if len(cones) != len(obj["cones"]) or set(cones) != cx.faces:
             raise InvalidArgumentError("the cones' faces are not the complex's faces")
-        rel = tuple(
-            (frozenset(c), frozenset(p)) for c, p in obj["facet_relation"]
-        )
-        return Fan(obj["family"], D, cx, cones, rel)
+        rel = tuple((frozenset(c), frozenset(p)) for c, p in obj["facet_relation"])
+        if rel != cx.facet_relation:
+            raise InvalidArgumentError("the facet relation is not the complex's")
+        return Fan(obj["family"], D, cx, cones, cx.facet_relation)
 
     def ray_matrix_text(self) -> str:
         """Plain matrix of all rays, one per line, for external polyhedral
@@ -341,23 +346,14 @@ def assemble_fan(complex: Complex, kind: str, check_intersections: bool = True) 
     least_key = [v.keyed_splits[0][0] for v in complex.vertices]
     D = cone_rays(complex.face_tree(frozenset()), kind).index_set
     cones = {}
-    for face in complex.sorted_faces():
+    for face in complex.faces:
         rays = tuple(vertex_cones[v].rays[0] for v in sorted(face, key=least_key.__getitem__))
         cones[face] = ConeZ(D, rays, complex.face_tree(face).canonical_key)
-    for face in complex.maximal_faces():
+    for face in complex.maximal_faces():  # raises if a facet is missing
         if face and linalg.rank(cones[face].rays) != len(face):
             raise InternalConsistencyError("cone generators are linearly dependent")
 
-    relation = []
-    for face in complex.sorted_faces():
-        for v in face:
-            if face - {v} not in complex.faces:
-                raise InternalConsistencyError("a facet of a face is missing from the complex")
-            relation.append((face - {v}, face))
-
-    fan = Fan(kind, D, complex, cones, tuple(sorted(
-        relation, key=lambda cp: (sorted(cp[1]), sorted(cp[0]))
-    )))
+    fan = Fan(kind, D, complex, cones, complex.facet_relation)
     if check_intersections:
         _check_pairwise_intersections(fan)
     return fan

@@ -793,8 +793,20 @@ class Complex:
         """
         return frozenset(v for v, tree in enumerate(self.vertices) if is_compatible(tree, alpha))
 
+    @cached_property
+    def _face_vertices(self) -> dict[frozenset[int], tuple[int, ...]]:
+        """Each face's vertices in increasing order."""
+        return {f: tuple(sorted(f)) for f in self.faces}
+
+    @cached_property
+    def _sorted_faces(self) -> tuple[frozenset[int], ...]:
+        by_size = sorted(self._face_vertices.items(), key=lambda ft: (len(ft[1]), ft[1]))
+        return tuple(f for f, _ in by_size)
+
     def sorted_faces(self) -> list[frozenset[int]]:
-        return sorted(self.faces, key=lambda f: (len(f), tuple(sorted(f))))
+        """Faces by size, then by their sorted vertices; sorted once per
+        complex."""
+        return list(self._sorted_faces)
 
     def edges(self) -> list[tuple[int, int]]:
         return sorted(tuple(sorted(f)) for f in self.faces if len(f) == 2)
@@ -803,33 +815,55 @@ class Complex:
     def dimension(self) -> int:
         return max(len(f) for f in self.faces) - 1
 
+    @cached_property
+    def facet_relation(self) -> tuple[tuple[frozenset[int], frozenset[int]], ...]:
+        """Every ``(facet, face)`` pair, a facet being the face minus one
+        vertex, from one pass over the faces.  The pairs come sorted by the
+        face's sorted vertices, then the facet's: faces in lexicographic
+        order of their sorted vertices, and each face's facets by dropping
+        its largest vertex first (dropping a later vertex leaves the
+        smaller tuple).  Raises if a facet is not a face."""
+        by_vertices = {t: f for f, t in self._face_vertices.items()}
+        relation = []
+        for t in sorted(by_vertices):
+            face = by_vertices[t]
+            for i in reversed(range(len(t))):
+                facet = by_vertices.get(t[:i] + t[i + 1:])
+                if facet is None:
+                    raise InternalConsistencyError("a facet of a face is missing from the complex")
+                relation.append((facet, face))
+        return tuple(relation)
+
     def maximal_faces(self) -> list[frozenset[int]]:
         """Inclusion-maximal faces, in ``sorted_faces`` order."""
         return list(self._maximal_faces)
 
     @cached_property
     def _maximal_faces(self) -> tuple[frozenset[int], ...]:
-        """Computed once per complex.  The face set is downward closed, so a
-        face lies in a larger face iff it lies in one with a single extra
-        vertex: O(faces x vertices)."""
-        vertices = range(len(self.vertices))
-        return tuple(
-            f
-            for f in self.sorted_faces()
-            if not any(v not in f and f | {v} in self.faces for v in vertices)
-        )
+        """The faces that are no face's facet.  The face set is downward
+        closed, so a face lies in a larger face iff it lies in one with a
+        single extra vertex, of which it is a facet."""
+        facets = {facet for facet, _ in self.facet_relation}
+        return tuple(f for f in self._sorted_faces if f not in facets)
 
     def is_pure(self) -> bool:
         top = self.dimension + 1
         return all(len(f) == top for f in self.maximal_faces())
 
     def is_downward_closed(self) -> bool:
-        return all(
-            frozenset(sub) in self.faces
-            for f in self.faces
-            for k in range(len(f))
-            for sub in itertools.combinations(sorted(f), k)
-        )
+        """Every subset of a face is a face.  It is enough that every face's
+        facets are faces (``facet_relation``).
+
+        Proof, by induction on face size: the subsets of a face of size 0
+        are faces.  A proper subset of a face ``F`` of size ``k > 0`` misses
+        some vertex ``v`` of ``F``, so it is a subset of the facet
+        ``F - {v}``, a face of size ``k - 1``, whose subsets are faces.
+        """
+        try:
+            self.facet_relation
+        except InternalConsistencyError:
+            return False
+        return True
 
     def is_flag(self) -> bool:
         """Every set of pairwise-adjacent vertices is a face."""
@@ -894,7 +928,27 @@ class Complex:
     # -- exports ---------------------------------------------------------------
 
     def to_json(self) -> dict:
-        faces = self.sorted_faces()
+        """The complex as JSON-able data.  The payload shares sublists
+        between its entries (one list per face, per split and for the
+        labels), so it is meant for serialization: copy a part before
+        changing it."""
+        return self._json(self._face_lists())
+
+    def _face_lists(self) -> dict[frozenset[int], list[int]]:
+        """One new sorted vertex list per face, for one payload."""
+        return {f: list(t) for f, t in self._face_vertices.items()}
+
+    def _json(self, face_lists: dict) -> dict:
+        """``to_json`` with the given face lists.  A face's tree has its
+        vertices' splits, so each split's ``[side, side]`` pair is made once
+        and the face trees list those pairs, with one shared label list."""
+        pairs = {s: [list(a), list(b)] for v in self.vertices for (_, a, b), s in v.keyed_splits}
+        face_labels = sorted(self.labels)  # every face tree's labels
+
+        def tree_json(tree, labels):
+            return {"labels": labels, "splits": [pairs[s] for _, s in tree.keyed_splits]}
+
+        faces = self._sorted_faces
         return {
             "schema_version": SCHEMA_VERSION,
             "kind": "complex",
@@ -903,13 +957,13 @@ class Complex:
             "vertices": [
                 {
                     "key": v.canonical_key.decode(),
-                    "tree": v.to_json(),
+                    "tree": tree_json(v, sorted(v.labels)),
                     "edges": list(v.adjacency[1]),
                 }
                 for v in self.vertices
             ],
-            "faces": [sorted(f) for f in faces],
-            "face_trees": [self.face_tree(f).to_json() for f in faces],
+            "faces": [face_lists[f] for f in faces],
+            "face_trees": [tree_json(self.face_tree(f), face_labels) for f in faces],
         }
 
     @staticmethod

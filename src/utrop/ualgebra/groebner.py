@@ -33,16 +33,18 @@ DEFAULT_MAX_PAIRS = 200000
 
 
 def _primitive(p: Poly):
-    """``(terms, content)``: the primitive integer form of ``p`` (positive
-    content) and the rational ``content`` with ``p == content * terms``."""
+    """``(terms, g, den)``: the primitive integer form of ``p`` and its
+    positive content as the integers ``g`` and ``den``, with ``p == g / den
+    * terms``.  Only a caller that reads the content builds it as a
+    ``Fraction``."""
     if not p:
-        return {}, Fraction(1)
+        return {}, 1, 1
     den = lcm(*(c.denominator for c in p.terms.values()))
     ints = {m: c.numerator * (den // c.denominator) for m, c in p.terms.items()}
     g = 0
     for v in ints.values():
         g = gcd(g, v)
-    return {m: v // g for m, v in ints.items()}, Fraction(g, den)
+    return {m: v // g for m, v in ints.items()}, g, den
 
 
 def _content_strip(terms):
@@ -305,7 +307,7 @@ def _filled(polys, order: TermOrder) -> _Basis:
     """A basis holding the primitive integer forms of the nonzero ``polys``."""
     basis = _Basis(order)
     for g in polys:
-        terms, _ = _primitive(g)
+        terms = _primitive(g)[0]
         if terms:
             basis.add(terms)
     return basis
@@ -378,9 +380,9 @@ class NormalFormCalculator:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        terms, content = _primitive(p)
+        terms, g, den = _primitive(p)
         remainder, scale = _reduce_scaled(terms, self._basis)
-        factor = content / scale
+        factor = Fraction(g, den * scale)
         result = Poly(self.nvars, {m: v * factor for m, v in remainder.items()})
         self._cache[key] = result
         return result

@@ -175,6 +175,11 @@ def test_fan_a4_has_three_rays(tmp_path):
 # relation of that fan changes it
 FAN_A6_OUTPUT_HASH = "96a2e48a7f300ce7bab358bcf5c80b4c30253fff52c28a4a4b5bc5e5670d5800"
 
+# sha256 of the canonical payload of `utrop fan --kind a --n 7
+# --skip-intersections`, the fan-build benchmark's a7 command, recorded
+# before the complex computed its facet relation in one pass
+FAN_A7_OUTPUT_HASH = "8b7e4c97672f6e68f5317be6e22ea9927b0d84e769f1f2d1bbc4e197e0c7ab66"
+
 # output hashes of `utrop certify --kind c --n 3` with the two published
 # sign patterns and of `utrop certify --kind a --n 5`; any change to a
 # verdict, a witness or a cone's stats changes them.  The c3 hash was
@@ -232,6 +237,15 @@ def test_fan_a6_golden_digest(tmp_path, monkeypatch):
     payload = {k: v for k, v in doc.items() if k != "manifest"}
     assert _sha256(_canonical_json(payload)) == FAN_A6_OUTPUT_HASH
     assert doc["manifest"]["output_hash"] == FAN_A6_OUTPUT_HASH
+
+
+def test_fan_a7_golden_digest(tmp_path):
+    out = tmp_path / "fan_a7.json"
+    assert run(tmp_path, "fan", "--kind", "a", "--n", "7", "--skip-intersections", "--out", str(out)) == EXIT_OK
+    doc = load(out)
+    payload = {k: v for k, v in doc.items() if k != "manifest"}
+    assert _sha256(_canonical_json(payload)) == FAN_A7_OUTPUT_HASH
+    assert doc["manifest"]["output_hash"] == FAN_A7_OUTPUT_HASH
 
 
 @pytest.mark.parametrize(

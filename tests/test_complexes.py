@@ -8,6 +8,7 @@ two-element ears); they pin the complex down completely, not just its
 f-vector.
 """
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -313,6 +314,35 @@ def test_maximal_faces(theta_as3, theta5):
         by_scan = [f for f in cx.sorted_faces() if not any(f < g for g in cx.faces)]
         assert cx.maximal_faces() == by_scan
     assert build_complex("a", 3).maximal_faces() == [frozenset()]
+
+
+@pytest.mark.parametrize("family,n", [("a", 5), ("a", 6), ("as", 3), ("as", 4), ("cs", 4)])
+def test_facet_pass_matches_sort_and_scan(family, n):
+    cx = build_complex(family, n)
+    by_sort = sorted(
+        ((f - {v}, f) for f in cx.faces for v in f),
+        key=lambda cp: (sorted(cp[1]), sorted(cp[0])),
+    )
+    assert cx.facet_relation == tuple(by_sort)
+    by_scan = [f for f in cx.sorted_faces() if not any(f < g for g in cx.faces)]
+    assert cx.maximal_faces() == by_scan
+
+
+def test_downward_closure_from_facets(theta5):
+    def by_subsets(faces):
+        return all(
+            frozenset(sub) in faces
+            for f in faces
+            for k in range(len(f))
+            for sub in itertools.combinations(f, k)
+        )
+
+    top = theta5.maximal_faces()[0]
+    v = min(top)
+    for drop, closed in ((frozenset(), False), (frozenset([v]), False), (top - {v}, False), (top, True)):
+        cx = dataclasses.replace(theta5, faces=theta5.faces - {drop})
+        assert cx.is_downward_closed() is closed
+        assert by_subsets(cx.faces) is closed
 
 
 # sha256 of the canonical JSON of build_complex(family, n).to_json(),

@@ -7,6 +7,7 @@ along it, independently of the split-counting used by the implementation.
 
 import dataclasses
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -470,6 +471,34 @@ def test_fan_json_round_trip(fan_c3):
         assert back.cones[f].rays == fan_c3.cones[f].rays
     assert back.facet_relation == fan_c3.facet_relation
     assert back.rays() == fan_c3.rays()
+
+
+def _scramble(obj):
+    """Change every list and dict inside ``obj`` in place."""
+    if isinstance(obj, list):
+        for x in obj:
+            _scramble(x)
+        obj.append(None)
+    elif isinstance(obj, dict):
+        for x in obj.values():
+            _scramble(x)
+        obj[None] = None
+
+
+def test_to_json_caches_nothing_mutable(fan_c3):
+    # the payloads share sublists within one call, never across calls
+    for obj in (fan_c3, fan_c3.complex):
+        text = json.dumps(obj.to_json(), sort_keys=True)
+        _scramble(obj.to_json())
+        assert json.dumps(obj.to_json(), sort_keys=True) == text
+
+
+def test_fan_from_json_rejects_a_foreign_facet_relation(fan_c3):
+    good = fan_c3.to_json()
+    rel = good["facet_relation"]
+    for bad in (rel[1:], rel[::-1], rel + [rel[0]]):
+        with pytest.raises(InvalidArgumentError, match="facet relation"):
+            Fan.from_json({**good, "facet_relation": bad})
 
 
 def test_fan_from_json_rejects_cones_off_the_complex(fan_c3):
