@@ -200,6 +200,12 @@ def _the_ideal(kind: str, n: int) -> Ideal:
     return ideal_c(n) if kind == "c" else ideal_a(n)
 
 
+def _candidate_fan(kind: str, n: int) -> Fan:
+    """The candidate fan that ``certify`` and ``emit-cas`` test, built
+    without the pairwise-intersection check."""
+    return assemble_fan(build_complex(_family_for_kind(kind), n), kind, check_intersections=False)
+
+
 def _support_contains(fan: Fan, w) -> bool:
     """Exact test whether ``w`` lies in the union of the candidate cones.
     Every cone lies in a maximal one, so only those are tried."""
@@ -233,14 +239,13 @@ def cmd_certify(args) -> int:
 
     ideal = _the_ideal(kind, n)
     taus = [_parse_sign(s, len(ideal.variables)) for s in (args.sign or [])]
-    cx = build_complex(_family_for_kind(kind), n)
-    fan = assemble_fan(cx, kind, check_intersections=False)
+    fan = _candidate_fan(kind, n)
     faces = fan.proper_faces()
     if args.cones is not None:
         wanted = _parse_cones(args.cones, len(faces))
         faces = [f for i, f in enumerate(faces) if i in wanted]
 
-    weights = [interior_point(fan.cones[f]).vector for f in faces]
+    weights = [interior_point(fan.cones[f]) for f in faces]
     results = certify_weights(ideal, weights, taus, args.max_pairs, jobs=args.jobs)
     exhausted = [r for r in results if isinstance(r, GroebnerBudgetError)]
     if exhausted:
@@ -259,10 +264,10 @@ def cmd_certify(args) -> int:
 
     probe_records, probe_mismatch = [], 0
     if args.probes:
-        rng = random.Random(args.probe_seed)
+        probe_random = random.Random(args.probe_seed)
         k = len(fan.index_set)
         for _ in range(args.probes):
-            w = tuple(rng.randint(-3, 3) for _ in range(k))
+            w = tuple(probe_random.randint(-3, 3) for _ in range(k))
             on_support = _support_contains(fan, w)
             in_trop = certify_trop(ideal, w, args.max_pairs)
             probe_mismatch += on_support != in_trop
@@ -312,12 +317,11 @@ def cmd_certify(args) -> int:
 def cmd_emit_cas(args) -> int:
     started = time.time()
     ideal = _the_ideal(args.kind, args.n)
-    cx = build_complex(_family_for_kind(args.kind), args.n)
-    fan = assemble_fan(cx, args.kind, check_intersections=False)
-    weights = []
-    for i, f in enumerate(fan.proper_faces()):
-        w = interior_point(fan.cones[f]).vector
-        weights.append((f"cone {i} (face {sorted(f)})", list(w), True))
+    fan = _candidate_fan(args.kind, args.n)
+    weights = [
+        (f"cone {i} (face {sorted(f)})", list(interior_point(fan.cones[f])), True)
+        for i, f in enumerate(fan.proper_faces())
+    ]
     title = f"tropical certification cross-check: kind {args.kind}, n={args.n}"
     text = emit_cas_script(ideal, weights, title)
     write_text(text, "--", "emit-cas", {"kind": args.kind, "n": args.n}, started, args.out)

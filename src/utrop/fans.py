@@ -241,20 +241,12 @@ def quotient_map_q(w, n: int):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class InteriorPoint:
-    vector: tuple[int, ...]
-    is_zero: bool
-
-
-def interior_point(cone: ConeZ) -> InteriorPoint:
-    """Sum of the ray generators; relative-interior point of a simplicial
-    cone.  The zero-dimensional cone yields the zero vector, flagged."""
-    k = len(cone.index_set)
-    if not cone.rays:
-        return InteriorPoint(tuple([0] * k), True)
-    vec = tuple(sum(r[t] for r in cone.rays) for t in range(k))
-    return InteriorPoint(vec, False)
+def interior_point(cone: ConeZ) -> tuple[int, ...]:
+    """The sum of the cone's ray generators, a point of the relative
+    interior of a simplicial cone, as a tuple with one integer per
+    coordinate of the cone's index set; the zero-dimensional cone gives
+    the zero vector."""
+    return tuple(sum(r[t] for r in cone.rays) for t in range(len(cone.index_set)))
 
 
 # ---------------------------------------------------------------------------

@@ -41,23 +41,14 @@ class Symmetry(enum.Enum):
 # ---------------------------------------------------------------------------
 
 
-def _rotations_and_reversals(seq):
-    n = len(seq)
-    rev = tuple(reversed(seq))
-    for i in range(n):
-        yield seq[i:] + seq[:i]
-        yield rev[i:] + rev[:i]
-
-
 def canonical_cycle(labels) -> tuple[int, ...]:
     """Lexicographically least representative of a label cycle under the
     dihedral action (signed integers compare naturally: -n < .. < -1 < 1 < ..)."""
-    seq = tuple(labels)
-    return min(_rotations_and_reversals(seq))
+    return canonical_cycle_with_transform(labels)[0]
 
 
 def canonical_cycle_with_transform(labels):
-    """Like :func:`canonical_cycle` but also returns ``(flip, shift)`` such
+    """:func:`canonical_cycle` of ``labels``, with the ``(flip, shift)`` such
     that ``new_edge[p] = old_edge[(shift - p) % m]`` when ``flip`` else
     ``old_edge[(p + shift) % m]``."""
     seq = tuple(labels)
@@ -763,7 +754,7 @@ class Complex:
     vertices: tuple[PhyloTree, ...]
     faces: frozenset[frozenset[int]]
     labels: frozenset[int]  # every tree's leaf labels
-    _face_tree: dict = field(default_factory=dict, compare=False, hash=False, repr=False)
+    _face_tree: dict = field(init=False, default_factory=dict, compare=False, hash=False, repr=False)
 
     # -- basic queries -------------------------------------------------------
 

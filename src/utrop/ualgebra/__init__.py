@@ -18,7 +18,7 @@ from .initial import (
     certify_trop,
     sign_twist,
 )
-from .signed import Verdict, certify_signed, ConeCertifier, search_sign_patterns_c
+from .signed import Verdict, ConeCertifier, search_sign_patterns_c
 from .crossratio import cross_ratio_point, sign_pattern_a
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "certify_trop",
     "sign_twist",
     "Verdict",
-    "certify_signed",
     "ConeCertifier",
     "search_sign_patterns_c",
     "cross_ratio_point",

@@ -39,6 +39,8 @@ from .initial import _check_tau, initial_ideal, is_monomial_free, twist_poly
 from .poly import Poly, grevlex
 
 SEARCH_SEED = 20240801  # fixed: certification output must be deterministic
+NODE_BUDGET = 4000  # search nodes per positive-point search
+LP_CAPS = (2, 3)  # degree caps of the all-positive-element LPs, in order
 
 
 class Verdict(enum.Enum):
@@ -113,17 +115,19 @@ def _forced_value(g: Poly):
     return (var, val)
 
 
-def positive_point_search(gens, nvars: int, node_budget: int = 4000, rng: random.Random | None = None):
+def positive_point_search(gens, nvars: int):
     """Backtracking search for a strictly positive rational common zero.
 
     Each node canonicalizes the substituted system with a small Groebner
     run (consistency and sign screening), applies forced single-variable
     solutions, then branches one variable over a fixed value menu plus a
-    few seeded random rationals.  Returns a full assignment dict or None.
+    few random rationals from a generator seeded afresh with
+    ``SEARCH_SEED`` on each call.  At most ``NODE_BUDGET`` nodes are
+    visited.  Returns a full assignment dict or None.
     """
     order = grevlex(nvars)
-    rng = rng or random.Random(SEARCH_SEED)
-    budget = [node_budget]
+    seeded = random.Random(SEARCH_SEED)
+    budget = [NODE_BUDGET]
 
     def canonicalize(system):
         try:
@@ -181,7 +185,7 @@ def positive_point_search(gens, nvars: int, node_budget: int = 4000, rng: random
         var = max(cands, key=lambda i: occur.get(i, 0))
         values = list(_BRANCH_VALUES)
         values += [
-            Fraction(rng.randrange(1, 12), rng.randrange(1, 12)) for _ in range(4)
+            Fraction(seeded.randrange(1, 12), seeded.randrange(1, 12)) for _ in range(4)
         ]
         tried = set()
         for val in values:
@@ -276,13 +280,16 @@ class ConeCertifier:
     positive-element search.  ``stats`` holds the counters of the weighted
     run, or of the grevlex run next to ``image_of`` (the representative's
     weight) and ``permutation``.
+
+    :meth:`certify` climbs a fixed ladder and stops at the first rung that
+    decides: a monomial in J, a sign-definite basis element, a positive
+    point (:func:`positive_point_search`, ``NODE_BUDGET`` nodes), then an
+    all-positive element by LP at each degree cap of ``LP_CAPS`` in turn.
     """
 
-    def __init__(self, ideal: Ideal, w, max_pairs: int = DEFAULT_MAX_PAIRS, lp_caps=(2, 3),
-                 image_of=None):
+    def __init__(self, ideal: Ideal, w, max_pairs: int = DEFAULT_MAX_PAIRS, image_of=None):
         self.ideal = ideal
         self.w = tuple(w)
-        self.lp_caps = tuple(lp_caps)
         self.stats: dict = {}
         if image_of is None:
             self.initial = initial_ideal(ideal, w, max_pairs, self.stats)
@@ -326,44 +333,28 @@ class ConeCertifier:
         twisted = [twist_poly(g, tau) for g in self.initial.generators]
         # cheap scan: a sign-definite basis element is (up to sign) an
         # all-positive element of the twisted initial ideal
-        for g in twisted:
-            if g and len(g.coefficient_signs()) == 1:
-                elt = g if g.coefficient_signs() == {1} else -g
-                return Certificate(
-                    Verdict.NON_MEMBER,
-                    {"type": "all_positive_element", "element": elt.text(list(self.ideal.variables))},
-                    stats,
-                )
-        point = positive_point_search(twisted, n)
-        if point is not None:
-            vec = [point[i] for i in range(n)]
-            bad = [g for g in twisted if g.evaluate(vec)]
-            if not bad and all(v > 0 for v in vec):
-                return Certificate(
-                    Verdict.MEMBER,
-                    {
+        elt = next((g for g in twisted if g and len(g.coefficient_signs()) == 1), None)
+        if elt is None:
+            point = positive_point_search(twisted, n)
+            if point is not None:
+                vec = [point[i] for i in range(n)]
+                if all(v > 0 for v in vec) and not any(g.evaluate(vec) for g in twisted):
+                    witness = {
                         "type": "positive_point",
                         "point": [[v.numerator, v.denominator] for v in vec],
-                    },
-                    stats,
-                )
-        nf = NormalFormCalculator(twisted, grevlex(n))
-        for cap in self.lp_caps:
-            elt = all_positive_element_search(nf, n, cap)
-            if elt is not None:
-                return Certificate(
-                    Verdict.NON_MEMBER,
-                    {"type": "all_positive_element", "element": elt.text(list(self.ideal.variables))},
-                    stats,
-                )
-        return Certificate(Verdict.INCONCLUSIVE, {"type": None}, stats)
-
-
-def certify_signed(ideal: Ideal, tau, w, max_pairs: int = DEFAULT_MAX_PAIRS, lp_caps=(2, 3)) -> Certificate:
-    """One-shot signed certification of weight ``w`` under pattern ``tau``;
-    equivalent to twisting first because twisting commutes with initial
-    ideals."""
-    return ConeCertifier(ideal, w, max_pairs, lp_caps).certify(tuple(tau))
+                    }
+                    return Certificate(Verdict.MEMBER, witness, stats)
+            nf = NormalFormCalculator(twisted, grevlex(n))
+            for cap in LP_CAPS:
+                elt = all_positive_element_search(nf, n, cap)
+                if elt is not None:
+                    break
+        if elt is None:
+            return Certificate(Verdict.INCONCLUSIVE, {"type": None}, stats)
+        if elt.coefficient_signs() != {1}:
+            elt = -elt  # a negative-definite basis element
+        witness = {"type": "all_positive_element", "element": elt.text(list(self.ideal.variables))}
+        return Certificate(Verdict.NON_MEMBER, witness, stats)
 
 
 def cone_orbits(ideal: Ideal, weights) -> list[list[tuple[int, tuple[int, ...]]]]:
@@ -393,13 +384,13 @@ def cone_orbits(ideal: Ideal, weights) -> list[list[tuple[int, tuple[int, ...]]]
     return orbits
 
 
-def orbit_certifiers(ideal: Ideal, w, perms, max_pairs: int = DEFAULT_MAX_PAIRS, lp_caps=(2, 3)):
+def orbit_certifiers(ideal: Ideal, w, perms, max_pairs: int = DEFAULT_MAX_PAIRS):
     """The certifiers of one orbit of :func:`cone_orbits`: the
     representative at ``w`` (``perms[0]``, the identity), then one cone per
     further permutation, transported from the representative."""
-    rep = ConeCertifier(ideal, w, max_pairs, lp_caps)
+    rep = ConeCertifier(ideal, w, max_pairs)
     return [rep] + [
-        ConeCertifier(ideal, permute_weight(rep.w, perm), max_pairs, lp_caps, image_of=(rep, perm))
+        ConeCertifier(ideal, permute_weight(rep.w, perm), max_pairs, image_of=(rep, perm))
         for perm in perms[1:]
     ]
 
@@ -409,7 +400,7 @@ def sign_key(tau) -> str:
     return ",".join("+" if t > 0 else "-" for t in tau)
 
 
-def _certify_orbit(ideal: Ideal, w, perms, taus, max_pairs: int, lp_caps):
+def _certify_orbit(ideal: Ideal, w, perms, taus, max_pairs: int):
     """The records of one orbit of :func:`cone_orbits`, in the orbit's
     order; a Groebner budget error anywhere in the orbit stands in for
     every one of them."""
@@ -417,14 +408,14 @@ def _certify_orbit(ideal: Ideal, w, perms, taus, max_pairs: int, lp_caps):
         return [
             {"in_trop": c.monomial_free,
              "signed": {sign_key(tau): c.certify(tau).to_json() for tau in taus}}
-            for c in orbit_certifiers(ideal, w, perms, max_pairs, lp_caps)
+            for c in orbit_certifiers(ideal, w, perms, max_pairs)
         ]
     except GroebnerBudgetError as exc:
         return [exc] * len(perms)
 
 
 def certify_weights(ideal: Ideal, weights, taus, max_pairs: int = DEFAULT_MAX_PAIRS,
-                    lp_caps=(2, 3), jobs: int = 1) -> list:
+                    jobs: int = 1) -> list:
     """Certify the cones at ``weights`` under every sign pattern of
     ``taus``, one symmetry orbit at a time (:func:`orbit_certifiers`).
 
@@ -436,7 +427,7 @@ def certify_weights(ideal: Ideal, weights, taus, max_pairs: int = DEFAULT_MAX_PA
     """
     orbits = cone_orbits(ideal, weights)
     tasks = [
-        (ideal, weights[orbit[0][0]], [p for _, p in orbit], taus, max_pairs, lp_caps)
+        (ideal, weights[orbit[0][0]], [p for _, p in orbit], taus, max_pairs)
         for orbit in orbits
     ]
     workers = min(jobs, len(orbits))
@@ -462,7 +453,7 @@ def certify_weights(ideal: Ideal, weights, taus, max_pairs: int = DEFAULT_MAX_PA
 # ---------------------------------------------------------------------------
 
 
-def search_sign_patterns_c(n: int, fan, ideal: Ideal, max_pairs: int = DEFAULT_MAX_PAIRS, lp_caps=(2, 3)):
+def search_sign_patterns_c(n: int, fan, ideal: Ideal, max_pairs: int = DEFAULT_MAX_PAIRS):
     """Certify every candidate cone under every sign pattern and classify
     the resulting subfans against the per-ordering subcomplexes.
 
@@ -478,10 +469,10 @@ def search_sign_patterns_c(n: int, fan, ideal: Ideal, max_pairs: int = DEFAULT_M
     from ..symtrees import Symmetry, enumerate_orderings
 
     faces = fan.proper_faces()
-    weights = [interior_point(fan.cones[f]).vector for f in faces]
+    weights = [interior_point(fan.cones[f]) for f in faces]
     taus = list(itertools.product((1, -1), repeat=ideal.nvars))
     certified, skipped = [], []
-    for f, record in zip(faces, certify_weights(ideal, weights, taus, max_pairs, lp_caps)):
+    for f, record in zip(faces, certify_weights(ideal, weights, taus, max_pairs)):
         if isinstance(record, GroebnerBudgetError):
             skipped.append(sorted(f))
         else:

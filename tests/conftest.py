@@ -40,7 +40,7 @@ def certifiers_c3(fan_c3, ideal_c3):
     """One certification engine per proper face of the candidate fan."""
     out = []
     for face in fan_c3.proper_faces():
-        w = interior_point(fan_c3.cones[face]).vector
+        w = interior_point(fan_c3.cones[face])
         out.append((face, w, ConeCertifier(ideal_c3, w)))
     return out
 

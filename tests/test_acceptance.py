@@ -151,7 +151,7 @@ def test_criterion_06_unsigned_certification():
     ok &= sum(1 for f in faces if len(f) == 1) == 13
     ok &= sum(1 for f in faces if len(f) == 2) == 21
     for f in faces:
-        w = interior_point(fan.cones[f]).vector
+        w = interior_point(fan.cones[f])
         ok &= certify_trop(ideal, w)
     report(6, ok, "all 13 rays and 21 two-dimensional cones have monomial-free initial ideals", t0, 300)
 
@@ -164,7 +164,7 @@ def test_criterion_07_signed_subfans():
     fan = assemble_fan(build_complex("as", 3), "c", check_intersections=False)
     pack = []
     for f in fan.proper_faces():
-        w = interior_point(fan.cones[f]).vector
+        w = interior_point(fan.cones[f])
         pack.append((f, ConeCertifier(ideal, w)))
     cases = [
         ((1, 1, 1, 1, -1, 1), DihedralOrdering.make([1, -2, 3, -1, 2, -3], Symmetry.CENTRAL), 12),
@@ -192,7 +192,7 @@ def test_criterion_08_type_a_sanity(theta5):
     fan4 = assemble_fan(build_complex("a", 4), "a")
     ok = len(fan4.rays()) == 3 and all(len(f) <= 1 for f in fan4.cones)
     for f in fan4.proper_faces():
-        ok &= certify_trop(I4, interior_point(fan4.cones[f]).vector)
+        ok &= certify_trop(I4, interior_point(fan4.cones[f]))
     # off-fan probes must be rejected
     for probe in [(-1, -2), (1, 2), (2, 1), (-3, -1)]:
         ok &= not certify_trop(I4, probe)
@@ -200,18 +200,18 @@ def test_criterion_08_type_a_sanity(theta5):
     faces5 = fan5.proper_faces()
     ok &= len(faces5) == 25
     for f in faces5:
-        ok &= certify_trop(I5, interior_point(fan5.cones[f]).vector)
+        ok &= certify_trop(I5, interior_point(fan5.cones[f]))
     # positive part at n=4: exactly the two coordinate rays and the origin
-    from utrop.ualgebra import certify_signed
+    from utrop.ualgebra import ConeCertifier
 
     verdicts = {}
     for f in fan4.proper_faces():
-        w = interior_point(fan4.cones[f]).vector
-        verdicts[w] = certify_signed(I4, (1, 1), w).verdict
+        w = interior_point(fan4.cones[f])
+        verdicts[w] = ConeCertifier(I4, w).certify((1, 1)).verdict
     ok &= verdicts[(0, 1)] is Verdict.MEMBER
     ok &= verdicts[(1, 0)] is Verdict.MEMBER
     ok &= verdicts[(-1, -1)] is Verdict.NON_MEMBER
-    ok &= certify_signed(I4, (1, 1), (0, 0)).verdict is Verdict.MEMBER  # origin
+    ok &= ConeCertifier(I4, (0, 0)).certify((1, 1)).verdict is Verdict.MEMBER  # origin
     report(8, ok, "the n=4 line and n=5 Petersen fans certify; positive part at n=4 is the 2-vertex complex", t0, 60)
 
 

@@ -56,7 +56,7 @@ def test_certify_runs_every_groebner_role_through_the_traced_entry_point(tmp_pat
 
     spans = load_spans()
     fan = assemble_fan(build_complex("as", 3), "c", check_intersections=False)
-    weights = [interior_point(fan.cones[f]).vector for f in fan.proper_faces()]
+    weights = [interior_point(fan.cones[f]) for f in fan.proper_faces()]
     orbit = next(o for o in cone_orbits(ideal_c(3), weights) if len(o) > 1)
     cones = f"{orbit[0][0]},{orbit[1][0]}"  # the representative and one member
     argv = ["certify", "--kind", "c", "--n", "3", "--sign=+,+,+,+,-,+", "--cones", cones,

@@ -335,7 +335,7 @@ def test_certify_orbit_error_propagates(tmp_path, monkeypatch, pool_sizes, fan_c
     from utrop.fans import interior_point
     from utrop.ualgebra import signed
 
-    weights = [interior_point(fan_c3.cones[f]).vector for f in fan_c3.proper_faces()]
+    weights = [interior_point(fan_c3.cones[f]) for f in fan_c3.proper_faces()]
     faulty = tuple(weights[1])  # cone 1 leads the second of the 11 orbits
     original = signed.orbit_certifiers
 

@@ -54,7 +54,7 @@ def test_c3_and_a5_coefficients_are_fractions(fan_c3, ideal_c3):
                        (assemble_fan(build_complex("a", 5), "a", check_intersections=False), ideal_a(5))):
         faces = fan.proper_faces()
         for f in (faces[0], faces[-1]):
-            check_ideal(ideal, interior_point(fan.cones[f]).vector)
+            check_ideal(ideal, interior_point(fan.cones[f]))
 
 
 _coefficients = st.one_of(st.integers(-4, 4), st.fractions(min_value=-3, max_value=3, max_denominator=6))

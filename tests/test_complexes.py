@@ -274,7 +274,9 @@ def ordering_union(family, n):
     face_tree = {frozenset(map(index.__getitem__, f)): tree for f, tree in face_tree.items()}
     vertices = tuple(by_key[k] for k in index)
     labels = frozenset(orderings[0].labels)  # the a-complex of n = 3 has no vertex
-    return Complex(family, n, vertices, frozenset(face_tree), labels, face_tree)
+    union = Complex(family, n, vertices, frozenset(face_tree), labels)
+    union._face_tree.update(face_tree)  # the subdivisions' trees, not the vertex unions
+    return union
 
 
 def assert_same_complex(built, union):
@@ -430,3 +432,17 @@ def test_complex_from_json_rejects_malformed_input(theta_as3):
     for change, message in cases:
         with pytest.raises(InvalidArgumentError, match=message):
             Complex.from_json({**good, **change})
+
+
+def test_replaced_complex_has_its_own_face_tree_cache():
+    # dataclasses.replace builds a new complex; its face trees come from its
+    # own vertices, and the trees it makes stay out of the original's cache
+    a = build_complex("a", 5)
+    a.face_tree(frozenset([0]))
+    b = dataclasses.replace(a, vertices=tuple(reversed(a.vertices)))
+    assert b.vertices[0] != a.vertices[0]
+    assert b.face_tree(frozenset([0])) == b.vertices[0]
+    edge = next(f for f in b.faces if len(f) == 2)
+    b.face_tree(edge)
+    assert set(a._face_tree) == {frozenset([0])}
+    assert a.face_tree(frozenset([0])) == a.vertices[0]

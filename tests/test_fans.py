@@ -387,13 +387,12 @@ def test_fan_c4_rays_match_complex_vertices():
 
 
 def test_interior_point(fan_c3):
-    zero = interior_point(fan_c3.cones[frozenset()])
-    assert zero.is_zero and all(x == 0 for x in zero.vector)
+    assert interior_point(fan_c3.cones[frozenset()]) == (0,) * 6
     for face, cone in fan_c3.cones.items():
         if len(face) == 2:
             p = interior_point(cone)
-            assert not p.is_zero
-            assert list(p.vector) == [a + b for a, b in zip(*cone.rays)]
+            assert any(p)
+            assert list(p) == [a + b for a, b in zip(*cone.rays)]
 
 
 def test_blue_edge_interior_point(fan_c3, theta_as3):
@@ -403,7 +402,7 @@ def test_blue_edge_interior_point(fan_c3, theta_as3):
         {theta_as3.vertex_index(tree1), theta_as3.vertex_index(tree10)}
     )
     assert face in fan_c3.cones
-    assert interior_point(fan_c3.cones[face]).vector == (3, 0, 0, -1, -1, 0)
+    assert interior_point(fan_c3.cones[face]) == (3, 0, 0, -1, -1, 0)
 
 
 def test_hexagon_edge_interior_point_is_ray_sum(fan_c3, theta_as3):
@@ -413,7 +412,7 @@ def test_hexagon_edge_interior_point_is_ray_sum(fan_c3, theta_as3):
     tree4 = t3({2, 3}, {-2, -3})
     face = frozenset({theta_as3.vertex_index(tree1), theta_as3.vertex_index(tree4)})
     assert face in fan_c3.cones
-    assert interior_point(fan_c3.cones[face]).vector == (1, 0, 0, 1, 0, 0)
+    assert interior_point(fan_c3.cones[face]) == (1, 0, 0, 1, 0, 0)
 
 
 def test_minimal_plain_complex_is_a_point():
@@ -421,7 +420,7 @@ def test_minimal_plain_complex_is_a_point():
     assert len(theta3.vertices) == 0
     assert theta3.faces == frozenset({frozenset()})
     fan = assemble_fan(theta3, "a")
-    assert interior_point(fan.cones[frozenset()]).is_zero
+    assert interior_point(fan.cones[frozenset()]) == (0,) * len(fan.index_set)
 
 
 def test_type_c_rays_pull_back_to_doubled_type_a(fan_c3):

@@ -13,7 +13,7 @@ import pytest
 from utrop.errors import GroebnerBudgetError, InvalidArgumentError
 from utrop.fans import interior_point
 from utrop.symtrees import DihedralOrdering, Symmetry, build_sub
-from utrop.ualgebra import Verdict, certify_signed, ideal_a, initial_ideal, sign_twist
+from utrop.ualgebra import Verdict, ideal_a, initial_ideal, sign_twist
 from utrop.ualgebra.groebner import NormalFormCalculator, groebner_basis
 from utrop.ualgebra.ideals import Ideal
 from utrop.ualgebra.initial import twist_poly
@@ -90,9 +90,9 @@ def test_all_positive_element_absent_for_positive_variety():
 def test_certify_signed_type_a_positive_part():
     ideal = ideal_a(4)
     # rays of the candidate line: direction (0,1), (1,0), (-1,-1)
-    assert certify_signed(ideal, (1, 1), (0, 1)).verdict is Verdict.MEMBER
-    assert certify_signed(ideal, (1, 1), (1, 0)).verdict is Verdict.MEMBER
-    assert certify_signed(ideal, (1, 1), (-1, -1)).verdict is Verdict.NON_MEMBER
+    assert ConeCertifier(ideal, (0, 1)).certify((1, 1)).verdict is Verdict.MEMBER
+    assert ConeCertifier(ideal, (1, 0)).certify((1, 1)).verdict is Verdict.MEMBER
+    assert ConeCertifier(ideal, (-1, -1)).certify((1, 1)).verdict is Verdict.NON_MEMBER
 
 
 def test_every_realized_pattern_matches_its_ordering_n4():
@@ -108,7 +108,7 @@ def test_every_realized_pattern_matches_its_ordering_n4():
     for alpha in enumerate_orderings(4):
         tau = sign_pattern_a(alpha)
         for tree, ray in rays.items():
-            verdict = certify_signed(ideal, tau, ray).verdict
+            verdict = ConeCertifier(ideal, ray).certify(tau).verdict
             expected = Verdict.MEMBER if is_compatible(tree, alpha) else Verdict.NON_MEMBER
             assert verdict is expected
 
@@ -177,7 +177,7 @@ def test_sweep_flags_budget_exhaustion(fan_c3, ideal_c3):
     assert rep["matches_conjecture"] is False
     # the shared driver marks every cone with the error and its counters,
     # in process and in a pool alike
-    weights = [interior_point(fan_c3.cones[f]).vector for f in fan_c3.proper_faces()]
+    weights = [interior_point(fan_c3.cones[f]) for f in fan_c3.proper_faces()]
     for jobs in (1, 2):
         records = certify_weights(ideal_c3, weights, PUBLISHED_C3_PATTERNS, max_pairs=1, jobs=jobs)
         assert len(records) == 34
@@ -189,9 +189,9 @@ def test_sweep_flags_budget_exhaustion(fan_c3, ideal_c3):
 
 def test_certify_signed_validates_pattern():
     with pytest.raises(InvalidArgumentError):
-        certify_signed(ideal_a(4), (1, 0), (0, 1))
+        ConeCertifier(ideal_a(4), (0, 1)).certify((1, 0))
     with pytest.raises(InvalidArgumentError):
-        certify_signed(ideal_a(4), (1, 1, 1), (0, 1))
+        ConeCertifier(ideal_a(4), (0, 1)).certify((1, 1, 1))
 
 
 def test_cone_certifier_validates_pattern(certifiers_c3, ideal_c3):
@@ -235,7 +235,7 @@ def test_cone_certifier_runs_two_groebner_bases(fan_c3, ideal_c3, monkeypatch):
     for mod in (groebner_mod, initial_mod, signed_mod):
         monkeypatch.setattr(mod, "groebner_basis", counting)
     face = fan_c3.proper_faces()[0]
-    signed_mod.ConeCertifier(ideal_c3, interior_point(fan_c3.cones[face]).vector)
+    signed_mod.ConeCertifier(ideal_c3, interior_point(fan_c3.cones[face]))
     assert len(calls) == 2  # the weighted run, then the saturation run
 
 
@@ -246,7 +246,7 @@ def test_monomial_nonmember_names_the_least_power(terms, w):
     # the initial ideal is <x^7*y^7>: the least power of x*y in it lies past
     # any small fixed cap, and the witness must still name it
     ideal = Ideal(("x", "y"), (Poly(2, terms),))
-    cert = certify_signed(ideal, (1, 1), w)
+    cert = ConeCertifier(ideal, w).certify((1, 1))
     assert cert.verdict is Verdict.NON_MEMBER
     assert cert.witness == {"type": "monomial_in_initial_ideal", "element": "x^7*y^7"}
     nf = NormalFormCalculator(initial_ideal(ideal, w).generators, grevlex(2))
@@ -272,7 +272,7 @@ def test_transported_initial_ideals_equal_the_direct_ones(certifiers_c3, ideal_c
 
     fan_a5 = assemble_fan(build_complex("a", 5), "a", check_intersections=False)
     ideal_a5 = ideal_a(5)
-    weights_a5 = [interior_point(fan_a5.cones[f]).vector for f in fan_a5.proper_faces()]
+    weights_a5 = [interior_point(fan_a5.cones[f]) for f in fan_a5.proper_faces()]
     cases = [
         (ideal_c3, [w for _, w, _ in certifiers_c3], [c for _, _, c in certifiers_c3], 11),
         (ideal_a5, weights_a5, [ConeCertifier(ideal_a5, w) for w in weights_a5], 5),
@@ -302,7 +302,7 @@ def test_orbit_member_runs_one_grevlex_basis(fan_c3, ideal_c3, monkeypatch):
     import utrop.ualgebra.initial as initial_mod
     import utrop.ualgebra.signed as signed_mod
 
-    weights = [interior_point(fan_c3.cones[f]).vector for f in fan_c3.proper_faces()]
+    weights = [interior_point(fan_c3.cones[f]) for f in fan_c3.proper_faces()]
     orbit = next(o for o in cone_orbits(ideal_c3, weights) if len(o) > 1)
     rep = ConeCertifier(ideal_c3, weights[orbit[0][0]])
     orders = []
@@ -319,3 +319,23 @@ def test_orbit_member_runs_one_grevlex_basis(fan_c3, ideal_c3, monkeypatch):
     assert member.monomial_free
     with pytest.raises(InvalidArgumentError):
         ConeCertifier(ideal_c3, weights[orbit[0][0]], image_of=(rep, perm))
+
+
+def test_lp_ladder_reaches_degree_three_after_degree_two(monkeypatch):
+    # x^2 - xy + y^2 has no positive zero, is not sign-definite, and its
+    # least all-positive multiple is (x + y)(x^2 - xy + y^2) = x^3 + y^3:
+    # only the degree-3 LP, tried after the degree-2 one, decides it
+    import utrop.ualgebra.signed as signed_mod
+
+    caps = []
+
+    def recording(nf, nvars, cap):
+        caps.append(cap)
+        return all_positive_element_search(nf, nvars, cap)
+
+    monkeypatch.setattr(signed_mod, "all_positive_element_search", recording)
+    ideal = Ideal(("x", "y"), (Poly(2, {(2, 0): 1, (1, 1): -1, (0, 2): 1}),))
+    cert = ConeCertifier(ideal, (0, 0)).certify((1, 1))
+    assert cert.verdict is Verdict.NON_MEMBER
+    assert cert.witness == {"type": "all_positive_element", "element": "1/2*x^3 + 1/2*y^3"}
+    assert caps == [2, 3]
