@@ -3,44 +3,115 @@
 Polynomials are cleared to primitive integer form on entry, and all S-pair,
 reduction and normal-form arithmetic stays in integers (cross-multiplying by
 leading coefficients), which avoids Fraction overhead in the inner loops.
-The kernel's polynomials are ``{monomial: int}`` dicts; only the edges see
-``Poly``: :func:`_primitive` reads a ``Poly``'s ``Fraction`` coefficients
-into integers, and :func:`_monic` turns a reduced basis back into ``Poly``
-objects whose coefficients are ``Fraction`` again.
 
-One run works on one :class:`_Basis`.  It memoizes each monomial's order
-key and variable-support bitmask, so a key is computed once per run however
-often leading-term choice, pair selection and the pair update compare that
-monomial.  The divisor search tests the bitmasks first: ``lm`` can divide
-``m`` only if ``lm`` uses no variable that ``m`` lacks.  ``_reduce_scaled``
-is the one reduction loop; it also serves :class:`NormalFormCalculator`,
-which undoes the loop's integer scale to return exact rational normal
-forms.  Pair pruning follows Gebauer-Moeller; pair selection is the normal
-strategy (smallest lcm in the term order).  A hard pair budget raises
-instead of truncating.
+Inside the kernel a monomial is one Python int, packed by the run's
+:class:`_Codec`, and a polynomial is a ``{packed monomial: int}`` dict.  The
+packed int holds fixed-width fields, from most to least significant: the
+total degree, ``W0 + weight . m`` (``W0`` makes it non-negative), and one
+field ``top - e_i`` per variable, the last variable highest, each variable
+field with a zero guard bit above it.  Comparing two packed ints compares
+total degree, then weight, then the grevlex tie-break (the smaller exponent
+of the last variable wins): the ints' natural order is the term order, so
+the leading term of a dict is ``max(p)`` and the smallest lcm of a pair set
+is a plain ``min``.
+
+The packing is affine in the exponents, ``pack(m) = one + steps . m``, so
+``pack(a + b) == pack(a) + pack(b) - one``: a reduction step moves each
+tail term of a reducer by one int addition of ``lm - lm_i``.  Divisibility
+is one subtract-and-mask test: ``lm`` divides ``m`` iff no guard bit of
+``m - lm + low`` is set, where ``low`` holds ``top`` in every variable
+field.  Variable field ``i`` of that difference is ``top - (e_i(m) -
+e_i(lm))``, which stays in ``[0, 2 * top]`` and so never borrows from its
+neighbour, and it passes ``top``, setting its guard bit, exactly when
+``e_i(m) < e_i(lm)``.
+
+Range rule: a codec with ``top = 2**b - 1`` packs every monomial of total
+degree at most ``top``, and a codec made for degree ``d`` has ``top >= 2 *
+d``.  In a degree-first order every term a reduction makes is smaller than
+the term it cancels, so no run meets a degree above those of its inputs
+and its S-pair lcms.  A run starts with a codec for its inputs and, before
+it packs an lcm of higher degree than ``top``, widens it: it repacks its
+basis and its pairs with a codec for that degree.
+:class:`NormalFormCalculator` widens its basis in the same way for an
+input of higher degree than ``top``.
+
+Only the edges see ``Poly``: :func:`_primitive` reads a ``Poly``'s
+``Fraction`` coefficients into integers and packs its monomials, and
+:func:`_monic` and :meth:`NormalFormCalculator.reduce` unpack results into
+``Poly`` objects whose coefficients are ``Fraction`` again.
+``_reduce_scaled`` is the one reduction loop; it also serves
+:class:`NormalFormCalculator`, which undoes the loop's integer scale to
+return exact rational normal forms.  Pair pruning follows Gebauer-Moeller;
+pair selection is the normal strategy (smallest lcm in the term order).  A
+hard pair budget raises instead of truncating.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, le
+from operator import mul
 
 from ..errors import GroebnerBudgetError, InvalidArgumentError
-from .poly import Poly, TermOrder, monomial_div, monomial_divides, monomial_lcm
+from .poly import Poly, TermOrder
 
 DEFAULT_MAX_PAIRS = 200000
 
 
-def _primitive(p: Poly):
-    """``(terms, g, den)``: the primitive integer form of ``p`` and its
-    positive content as the integers ``g`` and ``den``, with ``p == g / den
-    * terms``.  Only a caller that reads the content builds it as a
-    ``Fraction``."""
+class _Codec:
+    """Packing of one term order's monomials of total degree at most
+    ``top`` into ints whose natural order is the term order, where ``top``
+    is ``2**b - 1`` for the least ``b`` that makes it at least ``2 * need``.
+
+    Each variable field is ``b`` bits wide plus its guard bit.  The weight
+    field is as wide as ``(max weight - min weight) * top`` needs, and the
+    degree field, the most significant, is as wide as the int; neither
+    needs a guard bit, since only the variable fields' guard bits are read.
+    Weights that are not integers are scaled to integers first, which keeps
+    the order.
+    """
+
+    __slots__ = ("top", "one", "low", "guards", "steps", "shifts")
+
+    def __init__(self, order: TermOrder, need: int):
+        b = (2 * need).bit_length() or 1
+        top = (1 << b) - 1
+        weight = order.weight or (0,) * order.nvars
+        if any(type(x) is not int for x in weight):
+            weight = [Fraction(x) for x in weight]
+            den = lcm(*(x.denominator for x in weight))
+            weight = [int(x * den) for x in weight]
+        below, above = -min((0, *weight)), max((0, *weight))
+        wshift = order.nvars * (b + 1)
+        dshift = wshift + ((below + above) * top).bit_length()
+        self.top = top
+        self.shifts = range(0, wshift, b + 1)
+        self.steps = tuple((1 << dshift) + (w << wshift) - (1 << s) for w, s in zip(weight, self.shifts))
+        self.low = sum(top << s for s in self.shifts)
+        self.one = self.low + (below * top << wshift)
+        self.guards = sum(1 << (s + b) for s in self.shifts)
+
+    def pack(self, m) -> int:
+        return self.one + sum(map(mul, m, self.steps))
+
+    def unpack(self, x) -> tuple:
+        top = self.top
+        return tuple(top - (x >> s & top) for s in self.shifts)
+
+
+def _degree(polys) -> int:
+    return max((sum(m) for p in polys for m in p.terms), default=0)
+
+
+def _primitive(p: Poly, pack):
+    """``(terms, g, den)``: the primitive integer form of ``p``, keyed by
+    ``pack`` of each monomial, and its positive content as the integers
+    ``g`` and ``den``, with ``p == g / den * terms``.  Only a caller that
+    reads the content builds it as a ``Fraction``."""
     if not p:
         return {}, 1, 1
     den = lcm(*(c.denominator for c in p.terms.values()))
-    ints = {m: c.numerator * (den // c.denominator) for m, c in p.terms.items()}
+    ints = {pack(m): c.numerator * (den // c.denominator) for m, c in p.terms.items()}
     g = 0
     for v in ints.values():
         g = gcd(g, v)
@@ -64,83 +135,62 @@ def _normalize_sign(terms, lm):
     return terms
 
 
-def _support(m) -> int:
-    """Bitmask of the variables that occur in monomial ``m``."""
-    mask = 0
-    for i, e in enumerate(m):
-        if e:
-            mask |= 1 << i
-    return mask
-
-
-class _Memo(dict):
-    """Values of a function of monomials, each computed on first use."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, m):
-        value = self[m] = self.fn(m)
-        return value
-
-
 class _Basis:
-    """Basis polynomials of one run with cached leading data.
+    """Basis polynomials of one run, packed by ``codec``, with cached
+    leading data.
 
-    ``key(m)`` and ``support(m)`` are the run's memoized order key and
-    support bitmask.  Each element keeps its leading monomial (``lms``),
-    leading coefficient (``lcs``), the support bitmask of its leading
-    monomial (``sevs``) and its tail (the terms below the leading one).
-    Elements are only ever appended, so an index stays valid for the whole
-    run.
+    Each element keeps its leading monomial (``lms``, packed), its
+    divisor-test key ``lm - codec.low`` (``divs``: ``lms[i]`` divides a
+    packed ``m`` iff ``not (m - divs[i]) & codec.guards``, the module's
+    guard-bit test), the exponent tuple of its leading monomial (``exps``,
+    from which lcms are taken and their degrees checked against the range),
+    its leading coefficient (``lcs``) and its tail (the terms below the
+    leading one).  Every monomial held has total degree at most
+    ``codec.top``; :meth:`widen` swaps in a codec of larger range and
+    repacks every element.  Elements are only ever appended, so an index
+    stays valid for the whole run.
     """
 
-    __slots__ = ("order", "key", "support", "polys", "lms", "lcs", "sevs", "tails")
+    _lists = ("polys", "lms", "divs", "exps", "lcs", "tails")
+    __slots__ = ("order", "codec") + _lists
 
-    def __init__(self, order: TermOrder, key=None, support=None):
+    def __init__(self, order: TermOrder, codec: _Codec):
         self.order = order
-        self.key = key or _Memo(order.key).__getitem__
-        self.support = support or _Memo(_support).__getitem__
-        self.polys = []
-        self.lms = []
-        self.lcs = []
-        self.sevs = []
-        self.tails = []
+        self.codec = codec
+        for name in self._lists:
+            setattr(self, name, [])
 
     def add(self, terms):
-        lm = max(terms, key=self.key)
+        lm = max(terms)
         terms = _normalize_sign(_content_strip(terms), lm)
         self.polys.append(terms)
         self.lms.append(lm)
+        self.divs.append(lm - self.codec.low)
+        self.exps.append(self.codec.unpack(lm))
         self.lcs.append(terms[lm])
-        self.sevs.append(self.support(lm))
         self.tails.append([(m, v) for m, v in terms.items() if m != lm])
         return len(self.polys) - 1
 
     def restrict(self, indices):
-        """A basis of the elements at ``indices`` (in that order), sharing
-        this run's memos."""
-        out = _Basis(self.order, self.key, self.support)
-        for i in indices:
-            out.polys.append(self.polys[i])
-            out.lms.append(self.lms[i])
-            out.lcs.append(self.lcs[i])
-            out.sevs.append(self.sevs[i])
-            out.tails.append(self.tails[i])
+        """A basis of the elements at ``indices`` (in that order), with
+        this basis's codec."""
+        out = _Basis(self.order, self.codec)
+        for name in self._lists:
+            whole = getattr(self, name)
+            getattr(out, name).extend(whole[i] for i in indices)
         return out
 
-    def find_reducer(self, m, skip: int = -1) -> int:
-        """Index of the first element (other than ``skip``) whose leading
-        monomial divides ``m``, or -1."""
-        outside = ~self.support(m)
-        lms = self.lms
-        for i, sev in enumerate(self.sevs):
-            if not sev & outside and i != skip and all(map(le, lms[i], m)):
-                return i
-        return -1
+    def widen(self, need: int):
+        """Repack every element with a codec whose range covers total
+        degree ``need``; returns the function that repacks a monomial."""
+        unpack, polys = self.codec.unpack, self.polys
+        self.codec = _Codec(self.order, need)
+        pack = self.codec.pack
+        for name in self._lists:
+            setattr(self, name, [])
+        for terms in polys:
+            self.add({pack(unpack(m)): v for m, v in terms.items()})
+        return lambda m: pack(unpack(m))
 
 
 def _reduce_scaled(terms, basis: _Basis, skip: int = -1):
@@ -149,17 +199,21 @@ def _reduce_scaled(terms, basis: _Basis, skip: int = -1):
 
     Returns ``(remainder, scale)`` with ``remainder == scale * NF(terms)``
     exactly, where ``scale`` is the positive product of the multipliers the
-    loop applied to keep the arithmetic integral.
+    loop applied to keep the arithmetic integral.  Each step cancels the
+    leading term with the first element, by index, whose leading monomial
+    divides it.
     """
-    key, find = basis.key, basis.find_reducer
-    lms, lcs, tails = basis.lms, basis.lcs, basis.tails
+    guards = basis.codec.guards
+    lms, divs, lcs, tails = basis.lms, basis.divs, basis.lcs, basis.tails
     p = dict(terms)
     remainder = {}
     scale = 1
     while p:
-        lm = max(p, key=key)
-        i = find(lm, skip)
-        if i < 0:
+        lm = max(p)
+        for i, d in enumerate(divs):
+            if not (lm - d) & guards and i != skip:
+                break
+        else:
             remainder[lm] = p.pop(lm)
             continue
         lc, glc = p.pop(lm), lcs[i]  # glc > 0: basis elements are sign-normalized
@@ -170,14 +224,14 @@ def _reduce_scaled(terms, basis: _Basis, skip: int = -1):
             p = {m: a * v for m, v in p.items()}
             if remainder:
                 remainder = {m: a * v for m, v in remainder.items()}
-        shift = monomial_div(lm, lms[i])
+        shift = lm - lms[i]
         for m, v in tails[i]:
-            mm = tuple(map(add, m, shift))
-            w = p.get(mm, 0) - b * v
+            m += shift
+            w = p.get(m, 0) - b * v
             if w:
-                p[mm] = w
+                p[m] = w
             else:
-                del p[mm]
+                del p[m]
     return remainder, scale
 
 
@@ -187,25 +241,24 @@ def _reduce_int(terms, basis: _Basis, skip: int = -1):
     remainder, _ = _reduce_scaled(terms, basis, skip)
     if not remainder:
         return {}
-    return _normalize_sign(_content_strip(remainder), max(remainder, key=basis.key))
+    return _normalize_sign(_content_strip(remainder), max(remainder))
 
 
 def _s_poly(basis: _Basis, i: int, j: int, lcm):
-    li, lj = basis.lms[i], basis.lms[j]
     ci, cj = basis.lcs[i], basis.lcs[j]
     d = gcd(ci, cj)
-    mi, mj = monomial_div(lcm, li), monomial_div(lcm, lj)
+    si, sj = lcm - basis.lms[i], lcm - basis.lms[j]
     fi, fj = cj // d, ci // d
     out = {}  # the leading terms cancel, so only the tails contribute
     for m, v in basis.tails[i]:
-        out[tuple(map(add, m, mi))] = fi * v
+        out[m + si] = fi * v
     for m, v in basis.tails[j]:
-        mm = tuple(map(add, m, mj))
-        w = out.get(mm, 0) - fj * v
+        m += sj
+        w = out.get(m, 0) - fj * v
         if w:
-            out[mm] = w
+            out[m] = w
         else:
-            del out[mm]
+            del out[m]
     return out
 
 
@@ -213,37 +266,43 @@ def _update_pairs(basis: _Basis, pairs: set, lcms: dict, t: int):
     """Gebauer-Moeller pair update after appending generator ``t``.
 
     ``pairs`` holds the open pairs; ``lcms`` maps each pair ever opened to
-    the lcm of its leading monomials.
+    the packed lcm of its leading monomials.  When an lcm with ``t`` would
+    leave the codec's range, the basis and ``lcms`` are repacked first.
     """
-    lms, sevs, key = basis.lms, basis.sevs, basis.key
-    lmt, st = lms[t], sevs[t]
-    lcm = monomial_lcm
+    et = basis.exps[t]
+    lts = [tuple(map(max, e, et)) for e in basis.exps[:t]]
+    need = max(map(sum, lts), default=0)
+    if need > basis.codec.top:
+        repack = basis.widen(need)
+        for ij, L in lcms.items():
+            lcms[ij] = repack(L)
+    codec = basis.codec
+    one, steps, guards, low = codec.one, codec.steps, codec.guards, codec.low
+    lts = [one + sum(map(mul, L, steps)) for L in lts]  # codec.pack, inlined
+    lms = basis.lms
+    lmt, dt = lms[t], basis.divs[t]
     # discard old pairs strictly dominated by t
     kill = set()
     for ij in pairs:
         i, j = ij
         lij = lcms[ij]
-        if (
-            not st & ~(sevs[i] | sevs[j])
-            and monomial_divides(lmt, lij)
-            and lij != lcm(lms[i], lmt)
-            and lij != lcm(lms[j], lmt)
-        ):
+        if not (lij - dt) & guards and lij != lts[i] and lij != lts[j]:
             kill.add(ij)
     pairs -= kill
     # new pairs (i, t), pruned
     new = {}
-    for i in range(t):
-        new.setdefault(lcm(lms[i], lmt), []).append(i)
+    for i, L in enumerate(lts):
+        new.setdefault(L, []).append(i)
     keep = []
     minimal = []
-    for L in sorted(new, key=key):
-        if any(monomial_divides(M, L) for M in minimal):
+    coprime = lmt - one  # lcm(lm_i, lm_t) == lms[i] + coprime iff the lms share no variable
+    for L in sorted(new):
+        if any(not (L - d) & guards for d in minimal):
             continue
-        minimal.append(L)
+        minimal.append(L - low)
         reps = new[L]
         # product criterion: skip if some representative has disjoint lm
-        if any(not sevs[i] & st for i in reps):
+        if any(L == lms[i] + coprime for i in reps):
             continue
         lcms[(reps[0], t)] = L
         keep.append((reps[0], t))
@@ -251,13 +310,12 @@ def _update_pairs(basis: _Basis, pairs: set, lcms: dict, t: int):
 
 
 def _buchberger_int(gens, order: TermOrder, max_pairs: int):
-    basis = _Basis(order)
-    key = basis.key
+    basis = _Basis(order, _Codec(order, _degree(gens)))
     pairs: set = set()
     lcms: dict = {}
     stats = {"pairs": 0, "zero_reductions": 0}
     for g in gens:
-        g = _reduce_int(g, basis)
+        g = _reduce_int(_primitive(g, basis.codec.pack)[0], basis)
         if g:
             _update_pairs(basis, pairs, lcms, basis.add(g))
     while pairs:
@@ -265,7 +323,7 @@ def _buchberger_int(gens, order: TermOrder, max_pairs: int):
             raise GroebnerBudgetError(
                 max_pairs, max_pairs, stats["zero_reductions"], len(basis.polys)
             )
-        ij = min(pairs, key=lambda p: key(lcms[p]))
+        ij = min(pairs, key=lcms.__getitem__)
         pairs.discard(ij)
         stats["pairs"] += 1
         r = _reduce_int(_s_poly(basis, *ij, lcms[ij]), basis)
@@ -278,7 +336,8 @@ def _buchberger_int(gens, order: TermOrder, max_pairs: int):
 
 def _reduced_basis(basis: _Basis):
     """The reduced basis as ``(lm, terms)`` pairs in ascending order of
-    ``lm``, each ``terms`` primitive with positive leading coefficient.
+    ``lm``, each ``terms`` primitive with positive leading coefficient,
+    with the monomials packed by ``basis.codec``.
 
     Minimalize (keep the elements whose leading monomial no other leading
     monomial divides), then reduce each minimal element ``g`` once against
@@ -291,10 +350,10 @@ def _reduced_basis(basis: _Basis):
     than ``lm(g)``.  So each result is reduced against the final set of
     leading monomials, whatever the other results are.
     """
-    key, lms = basis.key, basis.lms
+    lms, divs, guards = basis.lms, basis.divs, basis.codec.guards
     kept = []
-    for i in sorted(range(len(basis.polys)), key=lambda i: key(lms[i])):
-        if not any(monomial_divides(lms[j], lms[i]) for j in kept):
+    for i in sorted(range(len(lms)), key=lms.__getitem__):
+        if not any(not (lms[i] - divs[j]) & guards for j in kept):
             kept.append(i)
     minimal = basis.restrict(kept)
     return [
@@ -305,20 +364,21 @@ def _reduced_basis(basis: _Basis):
 
 def _filled(polys, order: TermOrder) -> _Basis:
     """A basis holding the primitive integer forms of the nonzero ``polys``."""
-    basis = _Basis(order)
+    basis = _Basis(order, _Codec(order, _degree(polys)))
     for g in polys:
-        terms = _primitive(g)[0]
+        terms = _primitive(g, basis.codec.pack)[0]
         if terms:
             basis.add(terms)
     return basis
 
 
-def _monic(reduced, nvars: int):
+def _monic(reduced, codec: _Codec, nvars: int):
     """``_reduced_basis`` output as monic polynomials, in the same order."""
+    unpack = codec.unpack
     out = []
     for lm, terms in reduced:
         lc = terms[lm]
-        out.append(Poly._trusted(nvars, {m: Fraction(v, lc) for m, v in terms.items()}))
+        out.append(Poly._trusted(nvars, {unpack(m): Fraction(v, lc) for m, v in terms.items()}))
     return out
 
 
@@ -333,9 +393,8 @@ def groebner_basis(gens, order: TermOrder, max_pairs: int = DEFAULT_MAX_PAIRS, s
     """
     if max_pairs < 0:
         raise InvalidArgumentError(f"max_pairs must be at least 0, got {max_pairs}")
-    ints = [_primitive(g)[0] for g in gens]
     try:
-        basis, run_stats = _buchberger_int([g for g in ints if g], order, max_pairs)
+        basis, run_stats = _buchberger_int([g for g in gens if g], order, max_pairs)
     except GroebnerBudgetError as exc:
         if stats is not None:
             stats.update(exc.stats)
@@ -344,7 +403,7 @@ def groebner_basis(gens, order: TermOrder, max_pairs: int = DEFAULT_MAX_PAIRS, s
     if stats is not None:
         stats.update(run_stats)
         stats["basis_size"] = len(reduced)
-    return _monic(reduced, order.nvars)
+    return _monic(reduced, basis.codec, order.nvars)
 
 
 def reduced_basis(gb, order: TermOrder):
@@ -356,7 +415,8 @@ def reduced_basis(gb, order: TermOrder):
     which is exact when its leading monomials already generate the leading
     ideal.
     """
-    return _monic(_reduced_basis(_filled(gb, order)), order.nvars)
+    basis = _filled(gb, order)
+    return _monic(_reduced_basis(basis), basis.codec, order.nvars)
 
 
 class NormalFormCalculator:
@@ -380,10 +440,15 @@ class NormalFormCalculator:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        terms, g, den = _primitive(p)
+        need = p.degree()
+        if need > self._basis.codec.top:
+            self._basis.widen(need)
+        codec = self._basis.codec
+        terms, g, den = _primitive(p, codec.pack)
         remainder, scale = _reduce_scaled(terms, self._basis)
         factor = Fraction(g, den * scale)
-        result = Poly(self.nvars, {m: v * factor for m, v in remainder.items()})
+        unpack = codec.unpack
+        result = Poly._trusted(self.nvars, {unpack(m): v * factor for m, v in remainder.items()})
         self._cache[key] = result
         return result
 

@@ -240,3 +240,81 @@ def test_generator_order_does_not_change_the_c3_basis(order_name):
     for _ in range(3):
         rng.shuffle(gens)
         assert groebner_basis(gens, order) == expected
+
+
+C4_BUDGET_STATS = {
+    # cone index in fan.proper_faces(): the counters of initial_ideal(ideal_c(4), w, 300)
+    0: {"pairs": 300, "zero_reductions": 105, "basis_size": 207},
+    480: {"pairs": 300, "zero_reductions": 112, "basis_size": 200},
+}
+
+
+def test_c4_budget_counters_pin_the_kernels_choices():
+    # at 13 variables (12 plus the homogenizing one) the packed monomials use
+    # every field; any change of pair order, reducer or pruning moves these
+    from utrop.fans import assemble_fan, interior_point
+    from utrop.symtrees import build_complex
+    from utrop.ualgebra.initial import initial_ideal
+
+    fan = assemble_fan(build_complex("as", 4), "c", check_intersections=False)
+    faces = fan.proper_faces()
+    ideal = ideal_c(4)
+    for index, expected in C4_BUDGET_STATS.items():
+        stats = {}
+        with pytest.raises(GroebnerBudgetError) as err:
+            initial_ideal(ideal, interior_point(fan.cones[faces[index]]), 300, stats)
+        assert stats == err.value.stats == expected
+
+
+def test_widening_mid_run_keeps_the_basis(monkeypatch):
+    # cubic inputs start with fields for degree 7; an S-pair lcm of degree 8
+    # makes the run repack its basis and pairs (left packed at degree 7, the
+    # x2^8 term below overflows its field and the basis comes out wrong);
+    # the expected basis is sympy's
+    from utrop.ualgebra import groebner
+
+    widened = []
+    widen = groebner._Basis.widen
+
+    def spy(self, need):
+        widened.append((self.codec.top, need))
+        return widen(self, need)
+
+    monkeypatch.setattr(groebner._Basis, "widen", spy)
+    order = weighted_order((0, -3, -3), 3)
+    gens = [
+        Poly(3, {(2, 1, 0): -1, (0, 0, 3): -1}),
+        Poly(3, {(3, 0, 0): 1, (0, 2, 1): -1, (0, 1, 1): 1}),
+    ]
+    expected = [
+        Poly(3, {(2, 1, 0): 1, (0, 0, 3): 1}),
+        Poly(3, {(3, 0, 0): 1, (0, 2, 1): -1, (0, 1, 1): 1}),
+        Poly(3, {(1, 0, 3): 1, (0, 3, 1): 1, (0, 2, 1): -1}),
+        Poly(3, {(1, 4, 1): 1, (0, 0, 6): -1, (1, 3, 1): -1}),
+        Poly(3, {(0, 7, 1): 1, (0, 0, 8): 1, (0, 6, 1): -2, (0, 5, 1): 1}),
+    ]
+    basis = groebner_basis(gens, order)
+    assert widened == [(7, 8)]
+    assert basis == expected
+    assert_is_reduced_groebner_basis(gens, basis, order)
+
+
+@pytest.mark.parametrize("order", [grevlex(2), weighted_order((3, -7), 2)])
+def test_degree_40000(order):
+    # far past a 15-bit field: x^40000 - 1 and x - y give y^40000 - 1
+    gens = [Poly(2, {(40000, 0): 1, (0, 0): -1}), Poly(2, {(1, 0): 1, (0, 1): -1})]
+    assert groebner_basis(gens, order) == [gens[1], Poly(2, {(0, 40000): 1, (0, 0): -1})]
+    # the univariate gcd: (x^40000 - 1, x^30000 - 1) = (x^10000 - 1)
+    pair = [Poly(1, {(40000,): 1, (0,): -1}), Poly(1, {(30000,): 1, (0,): -1})]
+    assert groebner_basis(pair, grevlex(1)) == [Poly(1, {(10000,): 1, (0,): -1})]
+
+
+def test_normal_form_past_the_basis_range():
+    # a basis of degree 1 packs up to degree 3; larger inputs widen it
+    order = grevlex(2)
+    basis = groebner_basis([Poly(2, {(1, 0): 1, (0, 1): -2})], order)
+    nf = NormalFormCalculator(basis, order)
+    for k in (3, 4, 100):
+        p = Poly(2, {(k, 0): 1, (0, 1): 1})
+        assert nf.reduce(p) == Poly(2, {(0, k): 2**k, (0, 1): 1})
+    assert nf.reduce(Poly(2, {(1, 1): 3})) == Poly(2, {(0, 2): 6})

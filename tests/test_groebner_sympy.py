@@ -1,5 +1,6 @@
 """The Groebner kernel against an independent implementation,
-``sympy.groebner``, at small sizes.
+``sympy.groebner``, at small sizes: random ideals in 2 or 3 variables, and
+in 5 to 8 variables, where the kernel's packed monomials have more fields.
 
 Under grevlex both sides must return the same reduced basis.  Under the
 degree-first order with negative weights that ``initial_ideal`` uses, sympy
@@ -64,9 +65,27 @@ def random_ideal(seed):
     return rng, nvars, [g for g in gens if g]
 
 
+def random_wide_ideal(seed):
+    """Three cubics in 5 to 8 variables: the kernel packs their monomials
+    into fields for degree 7, and some runs meet S-pair lcms of degree 8,
+    so the fields are filled to the top and then widened."""
+    rng = random.Random(seed)
+    nvars = rng.randint(5, 8)
+    gens = [random_poly(rng, nvars, 3, 4) for _ in range(3)]
+    return rng, nvars, [g for g in gens if g]
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_grevlex_reduced_basis_matches_sympy(seed):
-    _, nvars, gens = random_ideal(seed)
+    assert_grevlex_basis_matches_sympy(*random_ideal(seed)[1:])
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_grevlex_reduced_basis_matches_sympy_in_more_variables(seed):
+    assert_grevlex_basis_matches_sympy(*random_wide_ideal(seed)[1:])
+
+
+def assert_grevlex_basis_matches_sympy(nvars, gens):
     if not gens:
         return
     xs = sympy.symbols(f"x0:{nvars}")
@@ -101,7 +120,15 @@ def assert_same_ideal_under_weight(gens, weight):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_negative_weight_basis_agrees_with_sympy(seed):
-    rng, nvars, gens = random_ideal(seed)
+    assert_same_ideal_under_random_weight(*random_ideal(seed))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_negative_weight_basis_agrees_with_sympy_in_more_variables(seed):
+    assert_same_ideal_under_random_weight(*random_wide_ideal(seed))
+
+
+def assert_same_ideal_under_random_weight(rng, nvars, gens):
     if not gens:
         return
     weight = tuple(rng.randint(-3, 1) for _ in range(nvars))
