@@ -6,17 +6,19 @@ isomorphism is searched by backtracking over internal-vertex images, with
 no reference to the split representation that the implementation uses.
 """
 
+import hashlib
 import itertools
 
 import pytest
 
-from utrop.errors import InvalidArgumentError
+from utrop.errors import InternalConsistencyError, InvalidArgumentError
 from utrop.symtrees import (
     Diagonal,
     DihedralOrdering,
     PhyloTree,
     Subdivision,
     Symmetry,
+    build_complex,
     enumerate_orderings,
     enumerate_subdivisions,
     is_compatible,
@@ -237,3 +239,36 @@ def test_union_tree_equals_the_tree_of_its_splits():
         assert tree.canonical_key == direct.canonical_key
         assert tree.to_json() == direct.to_json()
         assert tree.adjacency == direct.adjacency
+
+
+# sha256 over every face tree of build_complex(family, n), in sorted-face
+# order, of repr((count, edges, sorted leaf map items)) of its adjacency,
+# recorded from the split-insertion reconstruction; it pins the numbering
+# of internal vertices that the complex JSON and the involution rely on
+ADJACENCY_DIGESTS = {
+    ("a", 6): "ef55fa9f42b46afda8957318bf53860cc984dccb4cd8cc77ae2043dc7f2fc2e8",
+    ("as", 4): "475fae94f89c3f5b78ba7934a561a94b9d8738eae685c69511191a0548a4bc1d",
+    ("cs", 4): "0adfe9d8e11c632a892022bba44b6ad9581e244bd08f2c34a6e52bb31f472e9d",
+}
+
+
+@pytest.mark.parametrize("family,n", sorted(ADJACENCY_DIGESTS))
+def test_face_tree_adjacency_golden_digest(family, n):
+    cx = build_complex(family, n)
+    h = hashlib.sha256()
+    for f in cx.sorted_faces():
+        count, edges, leaf_map = cx.face_tree(f).adjacency
+        h.update(repr((count, edges, sorted(leaf_map.items()))).encode())
+    assert h.hexdigest() == ADJACENCY_DIGESTS[family, n]
+
+
+def test_adjacency_rejects_crossing_splits():
+    # the bare constructor does not check compatibility, so the adjacency
+    # must refuse a split system that no tree has
+    labels = frozenset(range(1, 7))
+    crossing = PhyloTree(
+        labels,
+        frozenset({make_split({1, 2, 3}, {4, 5, 6}), make_split({2, 4}, {1, 3, 5, 6})}),
+    )
+    with pytest.raises(InternalConsistencyError):
+        crossing.adjacency
