@@ -456,14 +456,22 @@ class PhyloTree:
     def adjacency(self):
         """Deterministic explicit form: (internal_count, edges, leaf_map).
 
-        Internal vertices are numbered ``0..k``; leaves are represented by
-        their labels in ``leaf_map: label -> internal vertex``; ``edges``
-        lists internal edges as pairs together with their splits.
+        The tree is rooted at its least label, and each split's *cluster*
+        is its side without that label.  Internal vertex 0 holds the least
+        label, and vertex ``j`` lies below the ``j``-th split of
+        ``keyed_splits``.  A vertex's parent is the least cluster that
+        strictly contains its own, and a leaf hangs at the least cluster
+        that holds it.  ``leaf_map`` sends each label to its internal
+        vertex, and ``edges`` lists the internal edges in sorted order, each
+        as a ``(smaller, larger)`` vertex pair.  The complex JSON's vertex
+        ``edges`` and ``SymmetryInvolution.vertex_map`` use this numbering.
         """
-        return _reconstruct(self)
+        clusters, parent, leaf_map = _rooted(self)
+        edges = sorted((min(j, p), max(j, p)) for j, p in enumerate(parent) if j)
+        return (len(clusters), tuple(edges), leaf_map)
 
     def internal_vertex_count(self) -> int:
-        return self.adjacency[0]
+        return len(self.splits) + 1
 
     def is_negation_closed(self) -> bool:
         return all(negate_split(s) in self.splits for s in self.splits)
@@ -481,86 +489,24 @@ class PhyloTree:
         )
 
 
-def _reconstruct(tree: PhyloTree):
-    """Rebuild an adjacency structure from the split system.
+def _rooted(tree: PhyloTree):
+    """The tree rooted at its least label, read off its split clusters (see
+    ``PhyloTree.adjacency``): ``(clusters, parent, leaf_map)``, where
+    ``clusters[j]`` is the leaf set below vertex ``j`` (all labels for vertex
+    0) and ``parent[0]`` is None.  By Buneman's theorem the splits form a
+    tree iff their clusters are pairwise nested or disjoint; a crossing
+    pair raises."""
+    clusters = [tree.labels, *(frozenset(b) for (_, _, b), _ in tree.keyed_splits)]
+    for c, d in itertools.combinations(clusters[1:], 2):
+        if c & d and not (c <= d or d <= c):
+            raise InternalConsistencyError(f"crossing clusters {sorted(c)} and {sorted(d)}")
 
-    Standard sequential split insertion: start from the star tree and
-    refine one vertex per split; afterwards the induced splits are checked
-    against the input, which certifies the reconstruction.
-    """
-    labels = sorted(tree.labels)
-    # branches[v] = list of (other_end, leafset); leaves are ('leaf', label)
-    branches: dict[int, list] = {0: [(("leaf", x), frozenset([x])) for x in labels]}
-    nxt = 1
-    for (_, a, b), s in tree.keyed_splits:
-        side_a, side_b = frozenset(a), frozenset(b)
-        home = None
-        for v in sorted(branches):
-            if all(ls <= side_a or ls <= side_b for _, ls in branches[v]):
-                home = v
-                break
-        if home is None:
-            raise InternalConsistencyError(f"no insertion point for split {s}")
-        keep = [(e, ls) for e, ls in branches[home] if ls <= side_a]
-        move = [(e, ls) for e, ls in branches[home] if not (ls <= side_a)]
-        new = nxt
-        nxt += 1
-        branches[home] = keep + [(("node", new), frozenset())]
-        branches[new] = move + [(("node", home), frozenset())]
-        for e, _ in move:
-            if e[0] == "node":  # repoint the far endpoint at the new vertex
-                branches[e[1]] = [
-                    (("node", new) if other == ("node", home) else other, ls)
-                    for other, ls in branches[e[1]]
-                ]
-        _refresh_leafsets(branches, tree.labels)
-    # derive edges from the final structure and verify the induced splits
-    edge_list = sorted(
-        (min(v, e[1]), max(v, e[1]))
-        for v, bs in branches.items()
-        for e, _ in bs
-        if e[0] == "node" and v < e[1]
-    )
-    induced = set()
-    for u, v in edge_list:
-        side = _component_leaves(branches, u, v)
-        induced.add(make_split(side, tree.labels - side))
-    if induced != set(tree.splits):
-        raise InternalConsistencyError("split reconstruction mismatch")
-    leaf_map = {}
-    for v, bs in branches.items():
-        for e, _ in bs:
-            if e[0] == "leaf":
-                leaf_map[e[1]] = v
-    return (nxt, tuple(edge_list), leaf_map)
+    def least(holds):
+        return min((i for i, c in enumerate(clusters) if holds(c)), key=lambda i: len(clusters[i]))
 
-
-def _refresh_leafsets(branches, all_labels):
-    for v in branches:
-        fixed = []
-        for e, ls in branches[v]:
-            if e[0] == "leaf":
-                fixed.append((e, ls))
-            else:
-                fixed.append((e, _component_leaves(branches, e[1], v)))
-        branches[v] = fixed
-
-
-def _component_leaves(branches, start, banned) -> frozenset:
-    """Leaves reachable from internal vertex ``start`` without passing the
-    internal vertex ``banned``."""
-    seen, stack, leaves = {start}, [start], set()
-    while stack:
-        v = stack.pop()
-        for e, _ in branches[v]:
-            if e[0] == "leaf":
-                leaves.add(e[1])
-            else:
-                w = e[1]
-                if w != banned and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-    return frozenset(leaves)
+    parent = [None] + [least(lambda d: c < d) for c in clusters[1:]]
+    leaf_map = {x: least(lambda c: x in c) for x in sorted(tree.labels)}
+    return clusters, parent, leaf_map
 
 
 # ---------------------------------------------------------------------------
@@ -586,23 +532,12 @@ def _arc_diagonal(side, alpha: DihedralOrdering):
     """Diagonal cutting off exactly the edges labeled by ``side``, or None
     if those edge positions are not cyclically contiguous."""
     m = alpha.size
-    pos = sorted(alpha.labels.index(x) for x in side)
-    k = len(pos)
-    if k == m or k == 0:
+    pos = {alpha.labels.index(x) for x in side}
+    starts = [p for p in pos if (p - 1) % m not in pos]  # none if empty or full
+    if len(starts) != 1:
         return None
-    start = None
-    for i, p in enumerate(pos):
-        prev = (p - 1) % m
-        if prev not in set(pos):
-            if start is not None:
-                return None  # more than one run
-            start = i
-    run = [pos[(start + j) % k] for j in range(k)]
-    for j in range(1, k):
-        if run[j] != (run[0] + j) % m:
-            return None
-    first, last = run[0], (run[0] + k - 1) % m
-    return Diagonal.make((first - 1) % m, last, m)
+    first = starts[0]
+    return Diagonal.make((first - 1) % m, (first + len(pos) - 1) % m, m)
 
 
 def subdivision_from_tree(tree: PhyloTree, alpha: DihedralOrdering):
@@ -669,47 +604,27 @@ def symmetry_involution(tree: PhyloTree) -> SymmetryInvolution:
         raise NotAxiallySymmetricError("label set is not negation-closed")
     if not tree.is_negation_closed():
         raise NotAxiallySymmetricError("tree admits no leaf-negating involution")
-    count, edges, leaf_map = tree.adjacency
-    branches = _branch_partitions(tree)
-    sig = {v: frozenset(branches[v]) for v in range(count)}
-    neg_sig = {
-        v: frozenset(frozenset(-x for x in part) for part in sig[v]) for v in range(count)
-    }
-    mapping = []
-    for v in range(count):
-        cands = [w for w in range(count) if sig[w] == neg_sig[v]]
-        if len(cands) != 1:
-            raise InternalConsistencyError("involution image not unique")
-        mapping.append(cands[0])
-    vm = tuple(mapping)
-    for v in range(count):
-        if vm[vm[v]] != v:
-            raise InternalConsistencyError("computed map is not an involution")
+    sig = [frozenset(parts) for parts in _branch_partitions(tree)]
+    index = {parts: v for v, parts in enumerate(sig)}
+    try:
+        vm = tuple(index[frozenset(frozenset(-x for x in part) for part in parts)] for parts in sig)
+    except KeyError:
+        raise InternalConsistencyError("a vertex has no involution image") from None
+    if any(vm[w] != v for v, w in enumerate(vm)):
+        raise InternalConsistencyError("computed map is not an involution")
     return SymmetryInvolution(tree, vm)
 
 
-def _branch_partitions(tree: PhyloTree):
-    count, edges, leaf_map = tree.adjacency
-    adj = {v: [] for v in range(count)}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    parts = {v: [] for v in range(count)}
-    for v in range(count):
-        for lab, home in leaf_map.items():
-            if home == v:
-                parts[v].append(frozenset([lab]))
-        # temporary branch structure for component search
-    branch_struct = {
-        v: [(("node", w), None) for w in adj[v]]
-        + [(("leaf", lab), frozenset([lab])) for lab, h in leaf_map.items() if h == v]
-        for v in range(count)
-    }
-    _refresh_leafsets(branch_struct, tree.labels)
-    return {
-        v: [ls for _, ls in branch_struct[v]]
-        for v in range(count)
-    }
+def _branch_partitions(tree: PhyloTree) -> list[list[frozenset]]:
+    """The leaf partition around each internal vertex: its children's
+    clusters, its own leaves, and the complement of its own cluster."""
+    clusters, parent, leaf_map = _rooted(tree)
+    parts = [[tree.labels - c] if j else [] for j, c in enumerate(clusters)]
+    for j, p in enumerate(parent[1:], 1):
+        parts[p].append(clusters[j])
+    for x, v in leaf_map.items():
+        parts[v].append(frozenset([x]))
+    return parts
 
 
 def symmetric_contract(tree: PhyloTree, s: Split) -> PhyloTree:
