@@ -205,6 +205,17 @@ def test_cone_certifier_validates_pattern(certifiers_c3, ideal_c3):
 
 PUBLISHED_C3_PATTERNS = ((1, 1, 1, 1, -1, 1), (1, 1, -1, 1, 1, 1))
 
+# sha256 of the canonical JSON of the c3 sign-pattern census (64 patterns x
+# 34 cones).  The census holds verdicts and subfan matches but no witness or
+# stats, so a change to how a verdict is found must leave it in place.
+CENSUS_C3_HASH = "5fa584d80a545f3a029aa9cdad0ea9fcc64a422ed246e2fbe6163ae61a908111"
+
+
+def test_census_c3_is_pinned(census_c3):
+    from utrop.cli import _canonical_json, _sha256
+
+    assert _sha256(_canonical_json(census_c3)) == CENSUS_C3_HASH
+
 
 def test_initial_generators_are_the_reduced_grevlex_basis(certifiers_c3, ideal_c3):
     # the certifier twists these generators in place of a grevlex run of its
