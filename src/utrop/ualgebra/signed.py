@@ -15,11 +15,13 @@ polynomial with all-positive coefficients.  Certificates:
 
 Twisting commutes with taking initial ideals and maps reduced bases to
 reduced bases, so the Groebner data of a weight is reused across all sign
-patterns.  It is computed once per symmetry orbit of cones: a variable
-permutation g with g.I = I (:func:`~.ideals.ideal_symmetries`) gives
-in_{g.w}(I) = g.in_w(I), so a cone in the orbit of a representative takes
-the permuted initial ideal, and monomial-freeness, which g preserves,
-without a weighted or a saturation run of its own.
+patterns.  It is computed once per symmetry orbit of cones, at the orbit's
+least weight: a variable permutation g with g.I = I
+(:func:`~.ideals.ideal_symmetries`) gives in_{g.w}(I_tau) = g.in_w(I_sigma)
+with sigma[i] = tau[g[i]], so cone g.w under tau is decided by the
+representative w under sigma, and g carries the witness over: a positive
+point and an all-positive element are permuted, and the monomial witness
+(prod u)^k is symmetric.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .. import linalg
-from ..errors import GroebnerBudgetError, InvalidArgumentError
+from ..errors import GroebnerBudgetError
 from .groebner import DEFAULT_MAX_PAIRS, NormalFormCalculator, groebner_basis
 from .ideals import Ideal, ideal_symmetries, permute_poly, permute_weight
 from .initial import _check_tau, initial_ideal, is_monomial_free, twist_poly
@@ -265,21 +267,17 @@ class Certificate:
 
 
 class ConeCertifier:
-    """Per-weight certification engine, reusable across sign patterns.
+    """Per-weight certification engine, reusable across sign patterns and
+    across the cones of the weight's symmetry orbit.
 
-    A representative cone runs two Groebner bases, once for all patterns:
-    the weighted run inside :func:`initial_ideal`, which already yields the
-    reduced grevlex basis of the initial ideal J, and the saturation run of
-    :func:`is_monomial_free`, started from that basis.  A cone given
-    ``image_of=(rep, perm)``, with ``w`` the permuted weight of ``rep``
-    under a symmetry of the ideal, runs neither: since g.I = I, its J is
-    g.J_rep, whose reduced grevlex basis one grevlex run from the permuted
-    basis of J_rep gives, and J is monomial-free iff J_rep is.  A sign
-    twist maps the reduced basis onto the reduced basis of the twisted
-    initial ideal, so per-pattern work is only the positive-point /
-    positive-element search.  ``stats`` holds the counters of the weighted
-    run, or of the grevlex run next to ``image_of`` (the representative's
-    weight) and ``permutation``.
+    It runs two Groebner bases at ``w``, once for all patterns: the weighted
+    run inside :func:`initial_ideal`, which already yields the reduced
+    grevlex basis of the initial ideal J, and the saturation run of
+    :func:`is_monomial_free`, started from that basis.  A sign twist maps
+    the reduced basis onto the reduced basis of the twisted initial ideal,
+    so per-pattern work is only the positive-point / positive-element
+    search, and each pattern is decided once.  ``stats`` holds the
+    counters of the weighted run.
 
     :meth:`certify` climbs a fixed ladder and stops at the first rung that
     decides: a monomial in J, a sign-definite basis element, a positive
@@ -287,25 +285,14 @@ class ConeCertifier:
     all-positive element by LP at each degree cap of ``LP_CAPS`` in turn.
     """
 
-    def __init__(self, ideal: Ideal, w, max_pairs: int = DEFAULT_MAX_PAIRS, image_of=None):
+    def __init__(self, ideal: Ideal, w, max_pairs: int = DEFAULT_MAX_PAIRS):
         self.ideal = ideal
         self.w = tuple(w)
         self.stats: dict = {}
-        if image_of is None:
-            self.initial = initial_ideal(ideal, w, max_pairs, self.stats)
-            self.monomial_free = is_monomial_free(self.initial, max_pairs)
-            self._monomial_witness = None if self.monomial_free else self._find_monomial()
-            return
-        rep, perm = image_of
-        if permute_weight(rep.w, perm) != self.w:
-            raise InvalidArgumentError("w is not the permuted weight of the representative")
-        gens = [permute_poly(g, perm) for g in rep.initial.generators]
-        basis = groebner_basis(gens, grevlex(ideal.nvars), max_pairs, self.stats)
-        self.stats.update(image_of=list(rep.w), permutation=list(perm))
-        self.initial = Ideal(ideal.variables, tuple(basis), ideal.index_set)
-        self.monomial_free = rep.monomial_free
-        # the least power of the product of all variables is symmetric
-        self._monomial_witness = rep._monomial_witness
+        self.initial = initial_ideal(ideal, w, max_pairs, self.stats)
+        self.monomial_free = is_monomial_free(self.initial, max_pairs)
+        self._monomial_witness = None if self.monomial_free else self._find_monomial()
+        self._decided: dict = {}  # sign pattern -> (verdict, witness type, witness)
 
     def _find_monomial(self):
         """The least power (prod u)^k in J.  Saturation found a monomial in
@@ -320,16 +307,37 @@ class ConeCertifier:
             k, rem = k + 1, nf.reduce(step * rem)
         return Poly.monomial((k,) * n, n)
 
-    def certify(self, tau) -> Certificate:
+    def certify(self, tau, perm=None) -> Certificate:
+        """The certificate of the cone at ``w`` under ``tau``, or, given a
+        symmetry ``perm`` of the ideal, of the cone at ``permute_weight(w,
+        perm)``: that one is decided at ``w`` under the pulled-back pattern
+        ``tau[perm[i]]``, and its witness is pushed forward by ``perm``.
+        Its stats then also name ``image_of`` (``w``) and ``permutation``.
+        """
         n = self.ideal.nvars
         _check_tau(tau, n)
+        identity = tuple(range(n))
+        perm = identity if perm is None else tuple(perm)
+        pulled = tuple(tau[perm[i]] for i in identity)
+        if pulled not in self._decided:
+            self._decided[pulled] = self._decide(pulled)
+        verdict, kind, found = self._decided[pulled]
+        witness = {"type": kind}
+        if kind == "positive_point":
+            witness["point"] = [[v.numerator, v.denominator] for v in permute_weight(found, perm)]
+        elif kind is not None:
+            witness["element"] = permute_poly(found, perm).text(list(self.ideal.variables))
         stats = dict(self.stats)
+        if perm != identity:
+            stats.update(image_of=list(self.w), permutation=list(perm))
+        return Certificate(verdict, witness, stats)
+
+    def _decide(self, tau):
+        """The verdict at ``w`` under ``tau``, the witness type, and the
+        witness: a point, a polynomial, or None."""
+        n = self.ideal.nvars
         if not self.monomial_free:
-            witness = {
-                "type": "monomial_in_initial_ideal",
-                "element": self._monomial_witness.text(list(self.ideal.variables)),
-            }
-            return Certificate(Verdict.NON_MEMBER, witness, stats)
+            return Verdict.NON_MEMBER, "monomial_in_initial_ideal", self._monomial_witness
         twisted = [twist_poly(g, tau) for g in self.initial.generators]
         # cheap scan: a sign-definite basis element is (up to sign) an
         # all-positive element of the twisted initial ideal
@@ -339,60 +347,40 @@ class ConeCertifier:
             if point is not None:
                 vec = [point[i] for i in range(n)]
                 if all(v > 0 for v in vec) and not any(g.evaluate(vec) for g in twisted):
-                    witness = {
-                        "type": "positive_point",
-                        "point": [[v.numerator, v.denominator] for v in vec],
-                    }
-                    return Certificate(Verdict.MEMBER, witness, stats)
+                    return Verdict.MEMBER, "positive_point", vec
             nf = NormalFormCalculator(twisted, grevlex(n))
             for cap in LP_CAPS:
                 elt = all_positive_element_search(nf, n, cap)
                 if elt is not None:
                     break
         if elt is None:
-            return Certificate(Verdict.INCONCLUSIVE, {"type": None}, stats)
+            return Verdict.INCONCLUSIVE, None, None
         if elt.coefficient_signs() != {1}:
             elt = -elt  # a negative-definite basis element
-        witness = {"type": "all_positive_element", "element": elt.text(list(self.ideal.variables))}
-        return Certificate(Verdict.NON_MEMBER, witness, stats)
+        return Verdict.NON_MEMBER, "all_positive_element", elt
 
 
-def cone_orbits(ideal: Ideal, weights) -> list[list[tuple[int, tuple[int, ...]]]]:
+def cone_orbits(ideal: Ideal, weights) -> list[tuple[tuple, list[tuple[int, tuple[int, ...]]]]]:
     """The orbits of the cones at ``weights`` under the symmetries of
-    ``ideal``, as lists of ``(index, perm)`` in ascending index order.
+    ``ideal``, as pairs ``(rep, members)`` in the order of each orbit's
+    lowest index.
 
-    ``perm`` maps the orbit's first, lowest-index cone (its representative,
-    with the identity) onto the cone: it is the first permutation of
-    :func:`~.ideals.ideal_symmetries` whose permuted representative weight
-    (:func:`~.ideals.permute_weight`) is exactly that cone's weight.  A
-    symmetry maps each cone of a symmetric fan onto a cone, rays onto rays,
-    so interior points onto interior points.
+    ``rep`` is the orbit's least weight, ``min(permute_weight(w, g) for g
+    in group)`` (:func:`~.ideals.permute_weight`), so it depends on the
+    orbit alone, not on which of its cones ``weights`` holds.  ``members``
+    lists ``(index, perm)`` in ascending index order, with ``perm`` the
+    first permutation of :func:`~.ideals.ideal_symmetries` that maps
+    ``rep`` onto that cone's weight.  A symmetry maps each cone of a
+    symmetric fan onto a cone, rays onto rays, so interior points onto
+    interior points.
     """
     group = ideal_symmetries(ideal)
-    index_of = {tuple(w): i for i, w in enumerate(weights)}
-    placed, orbits = set(), []
+    orbits: dict = {}
     for i, w in enumerate(weights):
-        if i in placed:
-            continue
-        orbit = {}
-        for perm in group:
-            j = index_of.get(permute_weight(w, perm))
-            if j is not None and j not in orbit:
-                orbit[j] = perm
-        placed.update(orbit)
-        orbits.append(sorted(orbit.items()))
-    return orbits
-
-
-def orbit_certifiers(ideal: Ideal, w, perms, max_pairs: int = DEFAULT_MAX_PAIRS):
-    """The certifiers of one orbit of :func:`cone_orbits`: the
-    representative at ``w`` (``perms[0]``, the identity), then one cone per
-    further permutation, transported from the representative."""
-    rep = ConeCertifier(ideal, w, max_pairs)
-    return [rep] + [
-        ConeCertifier(ideal, permute_weight(rep.w, perm), max_pairs, image_of=(rep, perm))
-        for perm in perms[1:]
-    ]
+        rep = min(permute_weight(w, g) for g in group)
+        perm = next(g for g in group if permute_weight(rep, g) == tuple(w))
+        orbits.setdefault(rep, []).append((i, perm))
+    return list(orbits.items())
 
 
 def sign_key(tau) -> str:
@@ -400,15 +388,16 @@ def sign_key(tau) -> str:
     return ",".join("+" if t > 0 else "-" for t in tau)
 
 
-def _certify_orbit(ideal: Ideal, w, perms, taus, max_pairs: int):
-    """The records of one orbit of :func:`cone_orbits`, in the orbit's
-    order; a Groebner budget error anywhere in the orbit stands in for
-    every one of them."""
+def _certify_orbit(ideal: Ideal, rep, perms, taus, max_pairs: int):
+    """The records of the cones ``permute_weight(rep, perm)`` for ``perm``
+    in ``perms``, all certified by the one certifier at ``rep``; a Groebner
+    budget error stands in for every one of them."""
     try:
+        certifier = ConeCertifier(ideal, rep, max_pairs)
         return [
-            {"in_trop": c.monomial_free,
-             "signed": {sign_key(tau): c.certify(tau).to_json() for tau in taus}}
-            for c in orbit_certifiers(ideal, w, perms, max_pairs)
+            {"in_trop": certifier.monomial_free,
+             "signed": {sign_key(tau): certifier.certify(tau, perm).to_json() for tau in taus}}
+            for perm in perms
         ]
     except GroebnerBudgetError as exc:
         return [exc] * len(perms)
@@ -417,7 +406,10 @@ def _certify_orbit(ideal: Ideal, w, perms, taus, max_pairs: int):
 def certify_weights(ideal: Ideal, weights, taus, max_pairs: int = DEFAULT_MAX_PAIRS,
                     jobs: int = 1) -> list:
     """Certify the cones at ``weights`` under every sign pattern of
-    ``taus``, one symmetry orbit at a time (:func:`orbit_certifiers`).
+    ``taus``, one symmetry orbit at a time (:func:`cone_orbits`): the
+    orbit's least weight runs the Groebner bases and the searches, and
+    every cone's certificate is pushed forward from it.  A cone's record
+    is the same whichever other cones ``weights`` holds.
 
     Returns, per weight, ``{"in_trop": bool, "signed": {sign_key(tau):
     certificate JSON}}``, or the :class:`GroebnerBudgetError` that stopped
@@ -426,10 +418,7 @@ def certify_weights(ideal: Ideal, weights, taus, max_pairs: int = DEFAULT_MAX_PA
     records are the same.
     """
     orbits = cone_orbits(ideal, weights)
-    tasks = [
-        (ideal, weights[orbit[0][0]], [p for _, p in orbit], taus, max_pairs)
-        for orbit in orbits
-    ]
+    tasks = [(ideal, rep, [p for _, p in members], taus, max_pairs) for rep, members in orbits]
     workers = min(jobs, len(orbits))
     if workers > 1:
         import concurrent.futures  # only a pool needs these
@@ -442,8 +431,8 @@ def certify_weights(ideal: Ideal, weights, taus, max_pairs: int = DEFAULT_MAX_PA
     else:
         per_orbit = [_certify_orbit(*task) for task in tasks]
     records = [None] * len(weights)
-    for orbit, results in zip(orbits, per_orbit):
-        for (i, _), record in zip(orbit, results):
+    for (_, members), results in zip(orbits, per_orbit):
+        for (i, _), record in zip(members, results):
             records[i] = record
     return records
 

@@ -183,17 +183,20 @@ FAN_A7_OUTPUT_HASH = "8b7e4c97672f6e68f5317be6e22ea9927b0d84e769f1f2d1bbc4e197e0
 # output hashes of `utrop certify --kind c --n 3` with the two published
 # sign patterns and of `utrop certify --kind a --n 5`; any change to a
 # verdict, a witness or a cone's stats changes them.  The c3 hash was
-# recorded when cones started sharing Groebner work across symmetry orbits:
-# a member cone's stats describe its transport run (a grevlex run from the
-# permuted basis of its representative), with `image_of` and `permutation`.
-# The a5 report has no sign patterns, hence no stats, and kept its hash.
-CERTIFY_C3_OUTPUT_HASH = "4eb5626036dd664db0d92e0cab1c6e936f453e851f5adcd6366070d686c66b56"
+# recorded when each symmetry orbit came to be certified once, at its least
+# weight: every cone's witness is the representative's, pushed forward by
+# the permutation, and a member cone's stats are the representative's
+# counters with `image_of` and `permutation`.  The a5 report has no sign
+# patterns, hence no witnesses or stats, and kept its hash.
+CERTIFY_C3_OUTPUT_HASH = "12b74136051998871551e4c618bc5a7253c095b98e6bd41a603f38037c89e2e9"
 CERTIFY_A5_OUTPUT_HASH = "c21edf7ab0ee1b3c4de37b7dd47d08fa3b09d9def3dd4f96c1c7a5cc92032b7f"
 
 # sha256 of the same c3 report's canonical payload without the manifest and
-# without every cone's `signed[*].stats`, recorded when each cone still ran
-# its own weighted Groebner basis: the verdicts and witnesses must not move
-CERTIFY_C3_STATS_FREE_HASH = "8dc7d197b24131ae2460c3ef8e3d5080bc4a3a0ce34d5b4f8a403688f3ad5029"
+# without every cone's `signed[*].stats`: the verdicts and witnesses alone.
+# Recorded at the same change as the hash above, which moved no verdict and
+# 6 of the 68 witnesses, those of cone 7 under both patterns and of cones
+# 8, 13, 30 and 33 under one
+CERTIFY_C3_STATS_FREE_HASH = "6adf0d72950436d7807ba94741a9dc457c32c4d077f927b141bee89e1cc5353b"
 
 
 def stats_free_hash(doc):
@@ -336,15 +339,16 @@ def test_certify_orbit_error_propagates(tmp_path, monkeypatch, pool_sizes, fan_c
     from utrop.ualgebra import signed
 
     weights = [interior_point(fan_c3.cones[f]) for f in fan_c3.proper_faces()]
-    faulty = tuple(weights[1])  # cone 1 leads the second of the 11 orbits
-    original = signed.orbit_certifiers
+    # the least weight of cone 1's orbit, the second of the 11 orbits
+    faulty = next(rep for rep, members in signed.cone_orbits(ideal_c3, weights) if members[0][0] == 1)
 
-    def orbit_certifiers(ideal, w, *args):
-        if tuple(w) == faulty:
-            raise RuntimeError("injected fault")
-        return original(ideal, w, *args)
+    class FaultyCertifier(signed.ConeCertifier):
+        def __init__(self, ideal, w, *args):
+            if tuple(w) == faulty:
+                raise RuntimeError("injected fault")
+            super().__init__(ideal, w, *args)
 
-    monkeypatch.setattr(signed, "orbit_certifiers", orbit_certifiers)
+    monkeypatch.setattr(signed, "ConeCertifier", FaultyCertifier)
     # an unexpected error is neither a verdict nor a budget record
     with pytest.raises(RuntimeError, match="injected fault"):
         signed.certify_weights(ideal_c3, weights, [(1, 1, 1, 1, -1, 1)], jobs=jobs)
@@ -432,7 +436,7 @@ def test_certify_c3_parallel_matches_serial(tmp_path):
     assert run(tmp_path, *args, "--out", str(serial)) == EXIT_OK
     assert run(tmp_path, *args, "--jobs", "2", "--out", str(parallel)) == EXIT_OK
     assert strip_timing(load(serial)) == strip_timing(load(parallel))
-    # stats included: the workers transported the same members
+    # stats included: the workers pushed forward the same members
     members = [
         c for c in load(parallel)["cones"] if "image_of" in c["signed"]["+,+,+,+,-,+"]["stats"]
     ]

@@ -15,7 +15,7 @@ from utrop.fans import interior_point
 from utrop.symtrees import DihedralOrdering, Symmetry, build_sub
 from utrop.ualgebra import Verdict, ideal_a, initial_ideal, sign_twist
 from utrop.ualgebra.groebner import NormalFormCalculator, groebner_basis
-from utrop.ualgebra.ideals import Ideal
+from utrop.ualgebra.ideals import Ideal, permute_weight
 from utrop.ualgebra.initial import twist_poly
 from utrop.ualgebra.poly import Poly, grevlex
 from utrop.ualgebra.signed import (
@@ -23,8 +23,8 @@ from utrop.ualgebra.signed import (
     all_positive_element_search,
     certify_weights,
     cone_orbits,
-    orbit_certifiers,
     positive_point_search,
+    sign_key,
 )
 
 
@@ -154,14 +154,16 @@ def test_subfan_membership_matches_subcomplex(certifiers_c3, fan_c3):
     assert got == expected
 
 
-def test_verdicts_independent_of_search_seed(certifiers_c3, monkeypatch):
-    # witnesses may differ across seeds; verdicts must not
+def test_verdicts_independent_of_search_seed(certifiers_c3, ideal_c3, monkeypatch):
+    # witnesses may differ across seeds; verdicts must not.  A certifier
+    # decides each pattern once, so the second pass needs fresh ones.
     import utrop.ualgebra.signed as signed_mod
 
     blue = (1, 1, 1, 1, -1, 1)
     baseline = [c.certify(blue).verdict for _, _, c in certifiers_c3]
     monkeypatch.setattr(signed_mod, "SEARCH_SEED", 987654321)
-    assert [c.certify(blue).verdict for _, _, c in certifiers_c3] == baseline
+    again = [ConeCertifier(ideal_c3, w).certify(blue).verdict for _, w, _ in certifiers_c3]
+    assert again == baseline
 
 
 def test_sweep_flags_budget_exhaustion(fan_c3, ideal_c3):
@@ -265,19 +267,51 @@ def test_monomial_nonmember_names_the_least_power(terms, w):
     assert not nf.contains(Poly.monomial((6, 6), 2))
 
 
-def _orbit_certifiers_of(ideal, weights):
-    """Every cone's certifier, built per orbit, by cone index."""
-    out = {}
-    for orbit in cone_orbits(ideal, weights):
-        w = weights[orbit[0][0]]
-        certs = orbit_certifiers(ideal, w, [p for _, p in orbit])
-        out.update(zip((i for i, _ in orbit), certs))
-    return out
+def parse_witness(text, names):
+    """The polynomial that ``Poly.text(names)`` printed as ``text``."""
+    terms = {}
+    for part in text.replace(" - ", " + -").split(" + "):
+        c, expo = Fraction(1), [0] * len(names)
+        if part.startswith("-"):
+            c, part = -c, part[1:]
+        for factor in part.split("*"):
+            name, _, e = factor.partition("^")
+            if name in names:
+                expo[names.index(name)] += int(e or 1)
+            else:
+                c *= Fraction(factor)
+        terms[tuple(expo)] = c
+    poly = Poly(len(names), terms)
+    assert poly.text(names) == text
+    return poly
 
 
-def test_transported_initial_ideals_equal_the_direct_ones(certifiers_c3, ideal_c3):
-    # 34 c3 cones in 11 orbits, 25 a5 cones in 5: every member's reduced
-    # basis equals the one a weighted run of its own gives
+def assert_certificate_checks_out(ideal, w, tau, cert):
+    """``cert`` holds against the twisted initial ideal of the cone at
+    ``w``, computed directly: a point is a positive zero of it, an element
+    is all-positive with normal form 0."""
+    twisted_initial = initial_ideal(sign_twist(ideal, tau), w)
+    witness = cert["witness"]
+    if cert["verdict"] == Verdict.MEMBER.value:
+        point = [Fraction(n, d) for n, d in witness["point"]]
+        assert all(v > 0 for v in point)
+        assert not any(g.evaluate(point) for g in twisted_initial.generators)
+    elif cert["verdict"] == Verdict.NON_MEMBER.value:
+        elt = parse_witness(witness["element"], list(ideal.variables))
+        assert elt.coefficient_signs() == {1}
+        nf = NormalFormCalculator(twisted_initial.generators, grevlex(ideal.nvars))
+        assert not nf.reduce(elt)
+
+
+# a few a5 patterns: those of the orderings 1,2,3,4,5 and 1,3,5,2,4, then two
+# that no ordering realizes
+A5_PATTERNS = ((1, 1, 1, 1, 1), (-1, -1, -1, -1, -1), (1, -1, 1, -1, 1), (-1, 1, -1, -1, 1))
+
+
+def test_transported_certificates_check_out_against_each_cone(certifiers_c3, ideal_c3):
+    # every cone's certificate is pushed forward from its orbit's least
+    # weight; it must hold for the cone's own twisted initial ideal and give
+    # the verdict that a certifier of the cone's own gives
     from utrop.fans import assemble_fan
     from utrop.symtrees import build_complex
 
@@ -285,51 +319,66 @@ def test_transported_initial_ideals_equal_the_direct_ones(certifiers_c3, ideal_c
     ideal_a5 = ideal_a(5)
     weights_a5 = [interior_point(fan_a5.cones[f]) for f in fan_a5.proper_faces()]
     cases = [
-        (ideal_c3, [w for _, w, _ in certifiers_c3], [c for _, _, c in certifiers_c3], 11),
-        (ideal_a5, weights_a5, [ConeCertifier(ideal_a5, w) for w in weights_a5], 5),
+        (ideal_c3, [w for _, w, _ in certifiers_c3], [c for _, _, c in certifiers_c3],
+         PUBLISHED_C3_PATTERNS, 11),
+        (ideal_a5, weights_a5, [ConeCertifier(ideal_a5, w) for w in weights_a5], A5_PATTERNS, 5),
     ]
-    for ideal, weights, direct, orbit_count in cases:
+    for ideal, weights, direct, taus, orbit_count in cases:
         orbits = cone_orbits(ideal, weights)
         assert len(orbits) == orbit_count
-        assert sorted(i for orbit in orbits for i, _ in orbit) == list(range(len(weights)))
-        built = _orbit_certifiers_of(ideal, weights)
-        for i, (w, reference) in enumerate(zip(weights, direct)):
-            assert built[i].w == tuple(w)
-            assert built[i].initial.generators == reference.initial.generators
-            assert built[i].monomial_free == reference.monomial_free
-        for orbit in orbits:
-            rep = orbit[0][0]
-            assert built[rep].stats == direct[rep].stats  # a representative is unchanged
-            for i, perm in orbit[1:]:
-                assert built[i].stats["image_of"] == list(weights[rep])
-                assert built[i].stats["permutation"] == list(perm)
-                assert set(built[i].stats) == {
-                    "pairs", "zero_reductions", "basis_size", "image_of", "permutation"
-                }
+        assert sorted(i for _, members in orbits for i, _ in members) == list(range(len(weights)))
+        records = certify_weights(ideal, weights, taus)
+        for w, record, reference in zip(weights, records, direct):
+            assert record["in_trop"] == reference.monomial_free
+            for tau in taus:
+                cert = record["signed"][sign_key(tau)]
+                assert cert["verdict"] == reference.certify(tau).verdict.value
+                assert_certificate_checks_out(ideal, w, tau, cert)
+    member_counts = [
+        sum(r["signed"][sign_key(tau)]["verdict"] == Verdict.MEMBER.value for r in records)
+        for tau in A5_PATTERNS
+    ]
+    assert member_counts == [10, 10, 0, 0]
 
 
-def test_orbit_member_runs_one_grevlex_basis(fan_c3, ideal_c3, monkeypatch):
+def test_one_cone_alone_reproduces_its_record_in_the_full_run(certifiers_c3, ideal_c3):
+    # the representative is the orbit's least weight, whichever cones are
+    # asked for, so a cone certified alone gets the full run's record,
+    # witness and stats included
+    weights = [w for _, w, _ in certifiers_c3]
+    full = certify_weights(ideal_c3, weights, PUBLISHED_C3_PATTERNS)
+    for i, w in enumerate(weights):
+        assert certify_weights(ideal_c3, [w], PUBLISHED_C3_PATTERNS) == [full[i]]
+    # a member's stats are its representative's counters, with the
+    # representative's weight and the permutation that carries it over
+    for rep, members in cone_orbits(ideal_c3, weights):
+        counters = ConeCertifier(ideal_c3, rep).stats
+        for i, perm in members:
+            stats = full[i]["signed"][sign_key(PUBLISHED_C3_PATTERNS[0])]["stats"]
+            assert permute_weight(rep, perm) == tuple(weights[i])
+            if tuple(weights[i]) == rep:
+                assert stats == counters
+            else:
+                assert stats == {**counters, "image_of": list(rep), "permutation": list(perm)}
+
+
+def test_only_the_representatives_run_groebner_bases(fan_c3, ideal_c3, monkeypatch):
     import utrop.ualgebra.groebner as groebner_mod
     import utrop.ualgebra.initial as initial_mod
     import utrop.ualgebra.signed as signed_mod
 
-    weights = [interior_point(fan_c3.cones[f]) for f in fan_c3.proper_faces()]
-    orbit = next(o for o in cone_orbits(ideal_c3, weights) if len(o) > 1)
-    rep = ConeCertifier(ideal_c3, weights[orbit[0][0]])
-    orders = []
+    calls = []
 
-    def counting(gens, order, *args, **kwargs):
-        orders.append(order)
-        return groebner_basis(gens, order, *args, **kwargs)
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return groebner_basis(*args, **kwargs)
 
     for mod in (groebner_mod, initial_mod, signed_mod):
         monkeypatch.setattr(mod, "groebner_basis", counting)
-    i, perm = orbit[1]
-    member = ConeCertifier(ideal_c3, weights[i], image_of=(rep, perm))
-    assert orders == [grevlex(ideal_c3.nvars)]  # no weighted, no saturation run
-    assert member.monomial_free
-    with pytest.raises(InvalidArgumentError):
-        ConeCertifier(ideal_c3, weights[orbit[0][0]], image_of=(rep, perm))
+    weights = [interior_point(fan_c3.cones[f]) for f in fan_c3.proper_faces()]
+    records = certify_weights(ideal_c3, weights, [])
+    assert len(records) == 34 and all(r["in_trop"] for r in records)
+    assert len(calls) == 2 * 11  # a weighted and a saturation run per orbit
 
 
 def test_lp_ladder_reaches_degree_three_after_degree_two(monkeypatch):
