@@ -6,6 +6,7 @@ asserted in the acceptance suite; here the focus is on certificate
 soundness (witnesses verify) and on the engine's smaller moving parts.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -217,6 +218,27 @@ def test_census_c3_is_pinned(census_c3):
     from utrop.cli import _canonical_json, _sha256
 
     assert _sha256(_canonical_json(census_c3)) == CENSUS_C3_HASH
+
+
+# sha256 of the canonical JSON of the certify_weights records of every cone
+# under every sign pattern (64 for c3, 32 for a5), witnesses and stats
+# included, so it pins every positive point the search finds: a search that
+# varied from run to run would move it.
+ALL_PATTERNS_HASHES = {
+    ("c", 3): "0e07469dab2df06df4374c87c41157f85bee360440f87e464841957095ed220b",
+    ("a", 5): "e97de8cf9e83eab42e8c674426303cb9bffe09e0cd91333b7d676ba58ec9b3ef",
+}
+
+
+@pytest.mark.parametrize("kind,n", sorted(ALL_PATTERNS_HASHES))
+def test_every_sign_pattern_record_is_pinned(kind, n):
+    from utrop.cli import _candidate_fan, _canonical_json, _sha256, _the_ideal
+
+    ideal, fan = _the_ideal(kind, n), _candidate_fan(kind, n)
+    weights = [interior_point(fan.cones[f]) for f in fan.proper_faces()]
+    taus = list(itertools.product((1, -1), repeat=ideal.nvars))
+    records = certify_weights(ideal, weights, taus)
+    assert _sha256(_canonical_json(records)) == ALL_PATTERNS_HASHES[kind, n]
 
 
 def test_initial_generators_are_the_reduced_grevlex_basis(certifiers_c3, ideal_c3):
