@@ -30,6 +30,7 @@ EXIT_CERTIFICATION = 2
 EXIT_RESOURCE = 3
 
 DEFAULT_MAX_N = {"c": 3, "a": 5}  # certification budget; --max-n overrides
+PROBE_SEED = 7  # fixed, so every run draws the same --probes weights
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +265,7 @@ def cmd_certify(args) -> int:
 
     probe_records, probe_mismatch = [], 0
     if args.probes:
-        probe_random = random.Random(args.probe_seed)
+        probe_random = random.Random(PROBE_SEED)
         k = len(fan.index_set)
         for _ in range(args.probes):
             w = tuple(probe_random.randint(-3, 3) for _ in range(k))
@@ -301,7 +302,6 @@ def cmd_certify(args) -> int:
         "sign": args.sign or [],
         "cones": args.cones,
         "probes": args.probes,
-        "probe_seed": args.probe_seed,
     }
     write_json(payload, "certify", params, started, args.out)
     summary = (
@@ -378,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--cones", help="comma-separated cone indices to restrict to")
     p.add_argument("--probes", type=int, default=0, help="random probe weights")
-    p.add_argument("--probe-seed", type=int, default=7)
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes, at most one per cone orbit")
     p.add_argument("--max-pairs", type=int, default=DEFAULT_MAX_PAIRS)

@@ -239,6 +239,16 @@ class Subdivision:
 
     @staticmethod
     def make(ordering: DihedralOrdering, diagonals, symmetric: bool = False) -> "Subdivision":
+        """Check ``diagonals`` and wrap them; raises InvalidArgumentError.
+
+        A symmetric set must be closed under the ordering's symmetry.  For
+        an axial one that also rules out a diagonal d that crosses the axis
+        without being the axis or perpendicular to it: then d is not fixed
+        by the reflection r, its endpoints lie strictly on opposite sides of
+        the axis and are not swapped, so d and r(d) share no endpoint but
+        meet on the axis, and closure puts the crossing pair d, r(d) in the
+        set.
+        """
         ds = frozenset(diagonals)
         m = ordering.size
         for d in ds:
@@ -254,13 +264,6 @@ class Subdivision:
                     raise InvalidArgumentError("ordering is not axially symmetric")
                 if frozenset(_reflect_diagonal(d, c, m) for d in ds) != ds:
                     raise InvalidArgumentError("diagonal set not closed under the axis reflection")
-                axis = _axis_diagonal(c, m)
-                perps = set(_perpendicular_diagonals(c, m))
-                for d in ds:
-                    if d != axis and d not in perps and d.crosses(axis):
-                        raise InvalidArgumentError(
-                            f"{d} crosses the axis without being perpendicular to it"
-                        )
             elif ordering.symmetry is Symmetry.CENTRAL:
                 n = m // 2
                 if frozenset(_rotate_diagonal(d, n, m) for d in ds) != ds:

@@ -29,7 +29,6 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,7 +39,6 @@ from .ideals import Ideal, ideal_symmetries, permute_poly, permute_weight
 from .initial import _check_tau, initial_ideal, is_monomial_free, twist_poly
 from .poly import Poly, grevlex
 
-SEARCH_SEED = 20240801  # fixed: certification output must be deterministic
 NODE_BUDGET = 4000  # search nodes per positive-point search
 LP_CAPS = (2, 3)  # degree caps of the all-positive-element LPs, in order
 
@@ -118,38 +116,41 @@ def _forced_value(g: Poly):
 
 
 def positive_point_search(gens, nvars: int):
-    """Backtracking search for a strictly positive rational common zero.
+    """Depth-first search for a strictly positive rational common zero of
+    ``gens``, which must be a reduced grevlex basis up to a nonzero factor
+    on each element.
 
-    Each node canonicalizes the substituted system with a small Groebner
-    run (consistency and sign screening), applies forced single-variable
-    solutions, then branches one variable over a fixed value menu plus a
-    few random rationals from a generator seeded afresh with
-    ``SEARCH_SEED`` on each call.  At most ``NODE_BUDGET`` nodes are
-    visited.  Returns a full assignment dict or None.
+    A node applies forced single-variable solutions (:func:`_forced_value`)
+    to a fixpoint, then branches the most frequent variable of the shortest
+    element over ``_BRANCH_VALUES`` in order.  Each substituted system is
+    canonicalized by one small Groebner run, which screens consistency and
+    signs; the given basis is not.  :meth:`ConeCertifier._decide` passes
+    the sign twist of the reduced basis of J, and a twist maps each monomial
+    to plus or minus itself, so it keeps every leading monomial and the
+    order of the elements: a Groebner run would only make each element
+    monic.  The sign-definite test, the forced values and the branch choice
+    do not change when an element is scaled, and every child's run
+    normalizes its input.  At most ``NODE_BUDGET`` nodes are visited, and a
+    child past the budget starts no run.  Returns a full assignment dict or
+    None.
     """
     order = grevlex(nvars)
-    seeded = random.Random(SEARCH_SEED)
     budget = [NODE_BUDGET]
 
-    def canonicalize(system):
+    def substitute(system, var, val):
+        system = [g.substitute({var: val}) for g in system]
         try:
             return groebner_basis(system, order, max_pairs=2000)
         except GroebnerBudgetError:
             return [g for g in system if g]
 
     def hopeless(system) -> bool:
-        for g in system:
-            if g.is_constant() and g:
-                return True
-            if len(g.coefficient_signs()) == 1:
-                return True  # sign-definite: positive on the open orthant
-        return False
+        # a sign-definite element, a nonzero constant among them, is
+        # positive on the open orthant
+        return any(len(g.coefficient_signs()) == 1 for g in system)
 
     def search(system, assignment):
-        if budget[0] <= 0:
-            return None
         budget[0] -= 1
-        system = canonicalize([g for g in system if g])
         if hopeless(system):
             return None
         # forced single-variable solutions, to fixpoint
@@ -167,7 +168,7 @@ def positive_point_search(gens, nvars: int):
                 return None
             assignment = dict(assignment)
             assignment[var] = val
-            system = canonicalize([g.substitute({var: val}) for g in system if g])
+            system = substitute(system, var, val)
             if hopeless(system):
                 return None
         if not system:
@@ -185,17 +186,10 @@ def positive_point_search(gens, nvars: int):
                         occur[i] = occur.get(i, 0) + 1
         cands = [i for i in range(nvars) if any(m[i] for m in shortest.terms)]
         var = max(cands, key=lambda i: occur.get(i, 0))
-        values = list(_BRANCH_VALUES)
-        values += [
-            Fraction(seeded.randrange(1, 12), seeded.randrange(1, 12)) for _ in range(4)
-        ]
-        tried = set()
-        for val in values:
-            if val in tried:
-                continue
-            tried.add(val)
-            sub = [g.substitute({var: val}) for g in system]
-            hit = search(sub, {**assignment, var: val})
+        for val in _BRANCH_VALUES:
+            if budget[0] <= 0:
+                return None
+            hit = search(substitute(system, var, val), {**assignment, var: val})
             if hit is not None:
                 return hit
         return None
@@ -280,9 +274,12 @@ class ConeCertifier:
     counters of the weighted run.
 
     :meth:`certify` climbs a fixed ladder and stops at the first rung that
-    decides: a monomial in J, a sign-definite basis element, a positive
-    point (:func:`positive_point_search`, ``NODE_BUDGET`` nodes), then an
-    all-positive element by LP at each degree cap of ``LP_CAPS`` in turn.
+    decides: a monomial in J, a sign-definite element of the twisted basis,
+    a positive point, then an all-positive element by LP at each degree cap
+    of ``LP_CAPS`` in turn.  The point comes from the deterministic
+    depth-first :func:`positive_point_search` of at most ``NODE_BUDGET``
+    nodes, started from the twisted basis itself, and counts only if it is
+    positive and a zero of every element.
     """
 
     def __init__(self, ideal: Ideal, w, max_pairs: int = DEFAULT_MAX_PAIRS):

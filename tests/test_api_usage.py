@@ -1,6 +1,7 @@
-"""Every function, class and method under ``src/utrop`` has a user: its
-name occurs as a word somewhere in ``src/`` or ``tests/`` besides the line
-that defines it.  Dunder methods are exempt; Python calls them."""
+"""Every function, class and method under ``src/utrop``, and every name
+assigned at module level there, has a user: its name occurs as a word
+somewhere in ``src/`` or ``tests/`` besides the line that defines it.
+Dunder names are exempt; Python reads them."""
 
 import ast
 import collections
@@ -11,13 +12,27 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "utrop"
 
 
+def is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def definitions():
-    """``(path, line, name)`` of every non-dunder def and class in ``SRC``."""
+    """``(path, line, name)`` of every non-dunder def and class in ``SRC``,
+    and of every non-dunder name that a module-level assignment binds."""
     for path in sorted(SRC.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        module = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(module):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if not (node.name.startswith("__") and node.name.endswith("__")):
+                if not is_dunder(node.name):
                     yield path, node.lineno, node.name
+        for node in module.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    for name in ast.walk(target):
+                        stored = isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)
+                        if stored and not is_dunder(name.id):
+                            yield path, name.lineno, name.id
 
 
 def test_every_definition_is_used():

@@ -30,12 +30,12 @@ from utrop.ualgebra.signed import (
 
 
 def test_positive_point_search_solves_triangular_system():
-    # u2 = 1, u1*u3 = 2, u3 + u4 = 1
-    gens = [
+    # u2 = 1, u1*u3 = 2, u3 + u4 = 1; the search takes a reduced basis
+    gens = groebner_basis([
         Poly(4, {(0, 1, 0, 0): 1, (0, 0, 0, 0): -1}),
         Poly(4, {(1, 0, 1, 0): 1, (0, 0, 0, 0): -2}),
         Poly(4, {(0, 0, 1, 0): 1, (0, 0, 0, 1): 1, (0, 0, 0, 0): -1}),
-    ]
+    ], grevlex(4))
     point = positive_point_search(gens, 4)
     assert point is not None
     vec = [point[i] for i in range(4)]
@@ -50,10 +50,10 @@ def test_positive_point_search_detects_sign_definite():
 
 def test_positive_point_search_needs_matching_halves():
     # u1 = u2 and u1 + u2 = 1 forces u1 = u2 = 1/2
-    gens = [
+    gens = groebner_basis([
         Poly(2, {(1, 0): 1, (0, 1): -1}),
         Poly(2, {(1, 0): 1, (0, 1): 1, (0, 0): -1}),
-    ]
+    ], grevlex(2))
     point = positive_point_search(gens, 2)
     assert point == {0: Fraction(1, 2), 1: Fraction(1, 2)}
 
@@ -155,16 +155,59 @@ def test_subfan_membership_matches_subcomplex(certifiers_c3, fan_c3):
     assert got == expected
 
 
-def test_verdicts_independent_of_search_seed(certifiers_c3, ideal_c3, monkeypatch):
-    # witnesses may differ across seeds; verdicts must not.  A certifier
-    # decides each pattern once, so the second pass needs fresh ones.
+@pytest.fixture
+def search_runs(monkeypatch):
+    """The systems that the search's Groebner runs start from, in order."""
     import utrop.ualgebra.signed as signed_mod
 
-    blue = (1, 1, 1, 1, -1, 1)
-    baseline = [c.certify(blue).verdict for _, _, c in certifiers_c3]
-    monkeypatch.setattr(signed_mod, "SEARCH_SEED", 987654321)
-    again = [ConeCertifier(ideal_c3, w).certify(blue).verdict for _, w, _ in certifiers_c3]
-    assert again == baseline
+    runs = []
+
+    def recording(system, *args, **kwargs):
+        runs.append(list(system))
+        return groebner_basis(system, *args, **kwargs)
+
+    monkeypatch.setattr(signed_mod, "groebner_basis", recording)
+    return runs
+
+
+def test_search_runs_no_groebner_basis_before_substituting(search_runs, monkeypatch):
+    # the search is given a reduced basis, so its first Groebner run is on
+    # the first substituted system, and a hopeless root runs none
+    import utrop.ualgebra.signed as signed_mod
+
+    xy = Poly(2, {(1, 1): 1, (0, 0): -1})  # u1*u2 = 1: nothing forced, so u1 branches
+    assert positive_point_search([xy], 2) == {0: Fraction(1), 1: Fraction(1)}
+    assert search_runs[0] == [xy.substitute({0: Fraction(1)})]
+    search_runs.clear()
+    assert positive_point_search([Poly(2, {(1, 0): 1, (0, 1): 2})], 2) is None
+    assert search_runs == []
+    # the root spends a budget of one node, so no child starts a run
+    monkeypatch.setattr(signed_mod, "NODE_BUDGET", 1)
+    assert positive_point_search([xy], 2) is None
+    assert search_runs == []
+
+
+def test_search_groebner_runs_in_certify_c3(tmp_path, search_runs, monkeypatch):
+    # certify c 3 with both published patterns: the search's runs alone,
+    # not the certifiers' weighted and saturation runs
+    import utrop.ualgebra.signed as signed_mod
+    from utrop.cli import EXIT_OK, main
+
+    inside = [0]
+
+    def search(*args):
+        before = len(search_runs)
+        try:
+            return positive_point_search(*args)
+        finally:
+            inside[0] += len(search_runs) - before
+
+    monkeypatch.setattr(signed_mod, "positive_point_search", search)
+    argv = ["certify", "--kind", "c", "--n", "3", "--out", str(tmp_path / "c3.json")]
+    for tau in PUBLISHED_C3_PATTERNS:
+        argv.append(f"--sign={sign_key(tau)}")
+    assert main(argv) == EXIT_OK
+    assert inside[0] == len(search_runs) == 165
 
 
 def test_sweep_flags_budget_exhaustion(fan_c3, ideal_c3):

@@ -118,9 +118,14 @@ def test_vertex_naming_convention():
 def test_axial_subdivision_axis_crossing_rule():
     # diagonals crossing the axis non-perpendicularly never appear in the
     # enumerated axial subdivisions
-    alpha = enumerate_orderings(4, Symmetry.AXIAL)[0]
-    from utrop.symtrees import _axis_diagonal, _perpendicular_diagonals
+    from utrop.symtrees import (
+        _axis_diagonal,
+        _perpendicular_diagonals,
+        _reflect_diagonal,
+        all_diagonals,
+    )
 
+    alpha = enumerate_orderings(4, Symmetry.AXIAL)[0]
     c = alpha.axis_reflection()
     axis = _axis_diagonal(c, 8)
     perps = set(_perpendicular_diagonals(c, 8))
@@ -128,6 +133,24 @@ def test_axial_subdivision_axis_crossing_rule():
         for d in sub.diagonals:
             if d != axis and d not in perps:
                 assert not d.crosses(axis)
+    # Subdivision.make has no rule of its own for them: such a diagonal
+    # crosses its mirror image, so closure under the reflection and the
+    # non-crossing check reject it
+    cases = 0
+    for n in (3, 4, 5):
+        for alpha in enumerate_orderings(n, Symmetry.AXIAL):
+            m, c = alpha.size, alpha.axis_reflection()
+            axis = _axis_diagonal(c, m)
+            perps = set(_perpendicular_diagonals(c, m))
+            for d in all_diagonals(m):
+                if d == axis or d in perps or not d.crosses(axis):
+                    continue
+                mirror = _reflect_diagonal(d, c, m)
+                assert d.crosses(mirror)
+                with pytest.raises(InvalidArgumentError):
+                    Subdivision.make(alpha, {d, mirror}, True)
+                cases += 1
+    assert cases > 0
 
 
 def enumerate_subdivisions_reference(alpha, symmetric):
