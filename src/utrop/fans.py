@@ -341,9 +341,20 @@ def assemble_fan(complex: Complex, kind: str, check_intersections: bool = True) 
     for face in complex.faces:
         rays = tuple(vertex_cones[v].rays[0] for v in sorted(face, key=least_key.__getitem__))
         cones[face] = ConeZ(D, rays, complex.face_tree(face).canonical_key)
+    # a face's echelon form is that of its sorted vertices but the last (a
+    # face, as the complex is downward closed) plus one ray, so faces that
+    # share that prefix share its elimination
+    echelons = {(): ()}
     for face in complex.maximal_faces():  # raises if a facet is missing
-        if face and linalg.rank(cones[face].rays) != len(face):
-            raise InternalConsistencyError("cone generators are linearly dependent")
+        prefix = ()
+        for v in sorted(face):
+            vertices = (*prefix, v)
+            if vertices not in echelons:
+                extended = linalg.extend_echelon(echelons[prefix], vertex_cones[v].rays[0])
+                if extended is None:
+                    raise InternalConsistencyError("cone generators are linearly dependent")
+                echelons[vertices] = extended
+            prefix = vertices
 
     fan = Fan(kind, D, complex, cones, complex.facet_relation)
     if check_intersections:
@@ -368,17 +379,30 @@ def _check_pairwise_intersections(fan: Fan):
     ``G'`` needs no LP: uniqueness in ``F'`` alone gives the same
     conclusion.)
 
-    For one pair with ray matrices ``A`` and ``B`` the LP is ``lam, mu >=
-    0``, ``A^T lam = B^T mu``, with the sum of ``lam`` and ``mu`` over the
-    non-shared rays equal to 1.  The system is homogeneous apart from that
-    sum, so it is feasible iff some point of the intersection puts positive
-    weight on a non-shared ray, i.e. iff the cones overlap beyond their
-    common face.
+    Most pairs need no LP either.  If the rays of ``F'`` together with the
+    rays of ``G'`` that ``F'`` lacks are linearly independent, then a point
+    ``sum lam_a a = sum mu_b b`` of both cones gives ``sum lam_a a - sum
+    mu_b b = 0``, a relation among independent rays with coefficient
+    ``lam_a`` on each ray only ``F'`` has and ``-mu_b`` on each ray only
+    ``G'`` has; so all those weights are zero, and the point lies in the
+    cone of the shared rays.  The check extends an echelon form of ``F'``'s
+    rays by ``G'``'s other rays, one integer elimination per ray.
+
+    A pair that this does not settle gets an LP.  For ray matrices ``A`` and
+    ``B`` it is ``lam, mu >= 0``, ``A^T lam = B^T mu``, with the sum of
+    ``lam`` and ``mu`` over the non-shared rays equal to 1.  The system is
+    homogeneous apart from that sum, so it is feasible iff some point of the
+    intersection puts positive weight on a non-shared ray, i.e. iff the
+    cones overlap beyond their common face.
     """
     k = len(fan.index_set)
-    for fa, fb in itertools.combinations(fan.complex.maximal_faces(), 2):
+    maximal = fan.complex.maximal_faces()
+    echelons = {f: _extended((), fan.cones[f].rays) for f in maximal}
+    for fa, fb in itertools.combinations(maximal, 2):
         ra, rb = fan.cones[fa].rays, fan.cones[fb].rays
         shared = set(ra) & set(rb)
+        if _extended(echelons[fa], [r for r in rb if r not in shared]) is not None:
+            continue
         cols = [(r, 1) for r in ra] + [(r, -1) for r in rb]
         mat = [[sign * r[t] for r, sign in cols] for t in range(k)]
         mat.append([int(r not in shared) for r, _ in cols])
@@ -386,6 +410,16 @@ def _check_pairwise_intersections(fan: Fan):
             raise InternalConsistencyError(
                 f"cones of {sorted(fa)} and {sorted(fb)} overlap beyond their common face"
             )
+
+
+def _extended(echelon, rays):
+    """``echelon`` extended by each of ``rays`` in turn, or None once a ray
+    lies in the span of those before it (or ``echelon`` is None)."""
+    for ray in rays:
+        if echelon is None:
+            break
+        echelon = linalg.extend_echelon(echelon, ray)
+    return echelon
 
 
 # ---------------------------------------------------------------------------

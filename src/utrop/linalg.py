@@ -1,8 +1,9 @@
-"""Small exact linear algebra over the rationals: rank and nonnegative
-feasibility (phase-1 simplex with Bland's rule).
+"""Small exact linear algebra over the rationals: echelon forms and rank,
+and nonnegative feasibility (phase-1 simplex with Bland's rule).
 
-Inputs are lists of row lists of ``int`` or ``fractions.Fraction``.  Both
-kernels run on integer rows only: each input row is first multiplied by
+``rank`` and ``solve_nonneg`` take lists of row lists of ``int`` or
+``fractions.Fraction``; ``extend_echelon`` takes integer rows.  Every
+kernel runs on integer rows only: each input row is first multiplied by
 the common denominator of its entries (``solve_nonneg`` then negates, in
 integers, a row whose right-hand side is negative), and each row update is
 done fraction-free (Bareiss-style, ``p * row_i - f * row_r`` with the
@@ -38,22 +39,29 @@ def _eliminate(row: list[int], pivot_row: list[int], col: int) -> list[int]:
     return _reduced([p * a - f * b for a, b in zip(row, pivot_row)])
 
 
+def extend_echelon(echelon: tuple, row) -> tuple | None:
+    """``echelon`` with the integer ``row`` added, or None if ``row`` lies
+    in its span.
+
+    An echelon form is a tuple of ``(pivot column, row)`` pairs in which
+    each row is zero in the pivot columns of the rows before it.  ``row`` is
+    reduced against each pair in turn; a reduction touches no earlier pivot
+    column, so what is left is zero in every pivot column, and it is zero
+    iff ``row`` is in the span.  Otherwise its first nonzero column is a
+    new pivot.
+    """
+    for col, pivot_row in echelon:
+        if row[col]:
+            row = _eliminate(row, pivot_row, col)
+    col = next((c for c, x in enumerate(row) if x), None)
+    return None if col is None else (*echelon, (col, row))
+
+
 def rank(rows) -> int:
-    mat = [_integer_row(row) for row in rows]
-    r = 0
-    ncols = len(mat[0]) if mat else 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        for i in range(r + 1, len(mat)):
-            if mat[i][c]:
-                mat[i] = _eliminate(mat[i], mat[r], c)
-        r += 1
-        if r == len(mat):
-            break
-    return r
+    echelon = ()
+    for row in rows:
+        echelon = extend_echelon(echelon, _integer_row(row)) or echelon
+    return len(echelon)
 
 
 def solve_nonneg(mat, rhs):

@@ -366,6 +366,43 @@ def test_pairwise_check_agrees_with_reference(name, request):
         _check_pairwise_intersections(broken)
 
 
+@pytest.fixture
+def lp_results(monkeypatch):
+    """The results of every ``linalg.solve_nonneg`` call made while the
+    test runs, as found (True) or infeasible (False)."""
+    results = []
+    solve_nonneg = linalg.solve_nonneg
+
+    def spy(mat, rhs):
+        x = solve_nonneg(mat, rhs)
+        results.append(x is not None)
+        return x
+
+    monkeypatch.setattr(linalg, "solve_nonneg", spy)
+    return results
+
+
+def test_pairwise_check_proves_the_candidate_fans_without_an_lp(fan_c3, fan_a5, lp_results):
+    # every pair of maximal cones has linearly independent rays in union
+    fan_c4 = assemble_fan(build_complex("as", 4), "c", check_intersections=False)
+    assert len(fan_c4.complex.maximal_faces()) == 228  # 25 878 pairs
+    for fan in (fan_c3, fan_a5, fan_c4):
+        _check_pairwise_intersections(fan)
+    assert lp_results == []
+
+
+def test_pairwise_check_falls_back_to_an_lp_on_dependent_rays(lp_results):
+    # two opposite rays are linearly dependent, yet their cones meet only at
+    # the origin, so the check needs an LP and that LP must accept the pair
+    fan = assemble_fan(build_complex("a", 4), "a", check_intersections=False)
+    first, second = frozenset([0]), frozenset([1])
+    opposite = tuple(-x for x in fan.cones[first].rays[0])
+    cones = dict(fan.cones)
+    cones[second] = dataclasses.replace(cones[second], rays=(opposite,))
+    _check_pairwise_intersections(dataclasses.replace(fan, cones=cones))
+    assert lp_results == [False]
+
+
 def test_fan_a5_counts_and_intersections(theta5):
     fan = assemble_fan(theta5, "a")
     assert len(fan.rays()) == 10

@@ -12,7 +12,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from utrop.linalg import rank, solve_nonneg
+from utrop.linalg import extend_echelon, rank, solve_nonneg
 
 
 def _echelon_ref(rows):
@@ -206,3 +206,22 @@ def test_solve_nonneg_property(lp):
     assert rank(mat) == _rank_ref(mat)
     if got is not None:
         _check_solution(mat, rhs, got)
+
+
+@st.composite
+def _integer_matrices(draw):
+    n = draw(st.integers(1, 5))
+    row = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    return draw(st.lists(row, max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_integer_matrices())
+def test_extend_echelon_folds_to_the_rank(rows):
+    # small entries and few columns make rows in the span of earlier ones common
+    echelon = ()
+    for i, row in enumerate(rows):
+        extended = extend_echelon(echelon, row)
+        assert (extended is None) == (_rank_ref(rows[: i + 1]) == _rank_ref(rows[:i]))
+        echelon = extended or echelon
+    assert len(echelon) == _rank_ref(rows)
