@@ -251,6 +251,36 @@ def test_fan_a7_golden_digest(tmp_path):
     assert doc["manifest"]["output_hash"] == FAN_A7_OUTPUT_HASH
 
 
+# output hashes of `utrop fan --kind c --n 3` and `utrop fan --kind a --n 5`,
+# the fan-build benchmark's two checked commands, and of `utrop complex
+# --family as --n 5`, recorded before the complex and fan text came to be
+# joined from pieces encoded once
+FAN_C3_OUTPUT_HASH = "771833a3580e70456686f91ca737deb6e66867ee85af71cb718a4386dfafaecc"
+FAN_A5_OUTPUT_HASH = "6d116ea6481a4b26d941b3dea0e76933d2e00be413b7bab5079614863cb5e487"
+COMPLEX_AS5_OUTPUT_HASH = "eaba3a1ee598709de03011c0e11817096c07e21fc9e22280ae883b78f9c501f9"
+
+
+@pytest.mark.parametrize("kind,n,digest", [
+    ("c", "3", FAN_C3_OUTPUT_HASH),
+    ("a", "5", FAN_A5_OUTPUT_HASH),
+])
+def test_checked_fan_golden_digest(tmp_path, monkeypatch, kind, n, digest):
+    # both sizes run the pairwise-intersection check by default
+    checked = []
+    check = fans._check_pairwise_intersections
+    monkeypatch.setattr(fans, "_check_pairwise_intersections", lambda fan: checked.append(check(fan)))
+    out = tmp_path / "fan.json"
+    assert run(tmp_path, "fan", "--kind", kind, "--n", n, "--out", str(out)) == EXIT_OK
+    assert len(checked) == 1
+    assert load(out)["manifest"]["output_hash"] == digest
+
+
+def test_complex_as5_golden_digest(tmp_path):
+    out = tmp_path / "cx.json"
+    assert run(tmp_path, "complex", "--family", "as", "--n", "5", "--out", str(out)) == EXIT_OK
+    assert load(out)["manifest"]["output_hash"] == COMPLEX_AS5_OUTPUT_HASH
+
+
 @pytest.mark.parametrize(
     "argv",
     [
