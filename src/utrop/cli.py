@@ -12,7 +12,6 @@ import argparse
 import contextlib
 import gc
 import hashlib
-import json
 import random
 import sys
 import time
@@ -20,7 +19,9 @@ import time
 from . import __version__, linalg
 from .errors import GroebnerBudgetError, InvalidArgumentError
 from .fans import Fan, assemble_fan, index_set, interior_point
-from .symtrees import DihedralOrdering, Symmetry, build_complex, enumerate_orderings
+from .symtrees import (
+    DihedralOrdering, Symmetry, _canonical_json, build_complex, enumerate_orderings,
+)
 from .ualgebra import Ideal, Verdict, certify_trop, ideal_a, ideal_c
 from .ualgebra.cas import emit_cas_script
 from .ualgebra.groebner import DEFAULT_MAX_PAIRS
@@ -40,10 +41,6 @@ PROBE_SEED = 7  # fixed, so every run draws the same --probes weights
 # ---------------------------------------------------------------------------
 
 
-def _canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -59,15 +56,13 @@ def make_manifest(command: str, parameters: dict, payload_hash: str, started: fl
     }
 
 
-def write_json(payload: dict, command: str, parameters: dict, started: float, out):
-    """Write ``payload`` as compact canonical JSON with its manifest added
-    as the last member.
+def write_json(body: str, command: str, parameters: dict, started: float, out):
+    """Write ``body``, a payload's ``_canonical_json`` text, with its
+    manifest added as the last member.
 
-    The payload is serialized once.  That text is what ``output_hash``
-    hashes, and it stands in the output verbatim: the text before the last
-    ``,"manifest":``, plus ``}``.
+    ``output_hash`` hashes ``body``, and it stands in the output verbatim:
+    the text before the last ``,"manifest":``, plus ``}``.
     """
-    body = _canonical_json(payload)
     manifest = make_manifest(command, parameters, _sha256(body), started)
     text = body[:-1] + ',"manifest":' + _canonical_json(manifest) + "}\n"
     if out in (None, "-"):
@@ -121,7 +116,8 @@ def cmd_enumerate(args) -> int:
         "count": len(orderings),
         "orderings": [o.to_json() for o in orderings],
     }
-    write_json(payload, "enumerate", {"n": args.n, "symmetry": args.symmetry}, started, args.out)
+    params = {"n": args.n, "symmetry": args.symmetry}
+    write_json(_canonical_json(payload), "enumerate", params, started, args.out)
     return EXIT_OK
 
 
@@ -145,9 +141,8 @@ def cmd_complex(args) -> int:
     cx = build_complex(args.family, args.n)
     hi_as = _parse_ordering(args.highlight_as, Symmetry.AXIAL, cx.labels)
     hi_cs = _parse_ordering(args.highlight_cs, Symmetry.CENTRAL, cx.labels)
-    payload = cx.to_json()
     params = {"family": args.family, "n": args.n}
-    write_json(payload, "complex", params, started, args.out)
+    write_json(cx.json_text(), "complex", params, started, args.out)
     if args.dot:
         dot = cx.to_dot(f"{args.family}{args.n}", highlight_as=hi_as, highlight_cs=hi_cs)
         write_text(dot, "//", "complex", {**params, "dot": True}, started, args.dot)
@@ -174,9 +169,8 @@ def cmd_fan(args) -> int:
     # with no LP, in about 0.05 s; a7 has 446 040 pairs and takes about 7 s)
     small = args.n <= (3 if args.kind == "c" else 6)
     fan = assemble_fan(cx, args.kind, check_intersections=small and not args.skip_intersections)
-    payload = fan.to_json()
     params = {"kind": args.kind, "n": args.n}
-    write_json(payload, "fan", params, started, args.out)
+    write_json(fan.json_text(), "fan", params, started, args.out)
     if args.rays:
         write_text(fan.ray_matrix_text(), "#", "fan", {**params, "rays": True}, started, args.rays)
     sys.stderr.write(
@@ -323,7 +317,7 @@ def cmd_certify(args) -> int:
         "cones": args.cones,
         "probes": args.probes,
     }
-    write_json(payload, "certify", params, started, args.out)
+    write_json(_canonical_json(payload), "certify", params, started, args.out)
     summary = (
         f"certify {kind} n={n}: {payload['faces_in_trop']}/{payload['faces_total']} cones in "
         f"the tropicalization; inconclusive={inconclusive}; probe mismatches={probe_mismatch}\n"

@@ -10,8 +10,10 @@ ray per internal edge (type A) or per involution orbit of internal edges
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from math import gcd
 
 from . import linalg
@@ -20,6 +22,7 @@ from .symtrees import (
     Complex,
     PhyloTree,
     Split,
+    _canonical_json,
     negate_split,
     split_orbits,
 )
@@ -277,31 +280,28 @@ class Fan:
     def proper_faces(self):
         return [f for f in self.sorted_faces() if f]
 
+    def json_text(self) -> str:
+        """The fan as ``_canonical_json`` text, joined from pieces encoded
+        once: the complex's text and face lists, each distinct ray and each
+        tree key.  Every object's keys are written in sorted order."""
+        cx, faces = self.complex, self.complex._face_texts
+        rays = {r: _canonical_json(r) for r in {r for c in self.cones.values() for r in c.rays}}
+        cones = [
+            f'{{"face":{faces[f]},"rays":[{",".join([rays[r] for r in self.cones[f].rays])}],'
+            f'"tree_key":{encode_basestring_ascii(self.cones[f].tree_key.decode())}}}'
+            for f in cx._sorted_faces
+        ]
+        relation = [f"[{faces[child]},{faces[parent]}]" for child, parent in self.facet_relation]
+        return (
+            f'{{"complex":{cx.json_text()},"cones":[{",".join(cones)}],'
+            f'"facet_relation":[{",".join(relation)}],"family":{_canonical_json(self.kind)},'
+            f'"index_set":{_canonical_json(self.index_set.to_json())},"kind":"fan",'
+            f'"schema_version":{_canonical_json(SCHEMA_VERSION)}}}'
+        )
+
     def to_json(self) -> dict:
-        """The fan as JSON-able data.  The payload shares sublists between
-        its entries (one list per face and per ray, made once per call), so
-        it is meant for serialization: copy a part before changing it."""
-        cx = self.complex
-        face_lists = cx._face_lists()
-        ray_lists = {r: list(r) for cone in self.cones.values() for r in cone.rays}
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "fan",
-            "family": self.kind,
-            "index_set": self.index_set.to_json(),
-            "complex": cx._json(face_lists),
-            "cones": [
-                {
-                    "face": face_lists[f],
-                    "rays": [ray_lists[r] for r in self.cones[f].rays],
-                    "tree_key": self.cones[f].tree_key.decode(),
-                }
-                for f in cx._sorted_faces
-            ],
-            "facet_relation": [
-                [face_lists[child], face_lists[parent]] for child, parent in self.facet_relation
-            ],
-        }
+        """The fan as JSON-able data, parsed from ``json_text``."""
+        return json.loads(self.json_text())
 
     @staticmethod
     def from_json(obj) -> "Fan":

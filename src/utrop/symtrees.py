@@ -22,12 +22,17 @@ from __future__ import annotations
 
 import enum
 import itertools
+import json
 from dataclasses import dataclass, field
 from functools import cache, cached_property
+from json.encoder import encode_basestring_ascii
 
 from .errors import InvalidArgumentError, InternalConsistencyError, NotAxiallySymmetricError
 
 SCHEMA_VERSION = 1
+
+# the one dump setting of every artifact: compact, with sorted keys
+_canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 class Symmetry(enum.Enum):
@@ -836,44 +841,42 @@ class Complex:
 
     # -- exports ---------------------------------------------------------------
 
-    def to_json(self) -> dict:
-        """The complex as JSON-able data.  The payload shares sublists
-        between its entries (one list per face, per split and for the
-        labels), so it is meant for serialization: copy a part before
-        changing it."""
-        return self._json(self._face_lists())
+    def json_text(self) -> str:
+        """The complex as ``_canonical_json`` text, joined from pieces
+        encoded once: each face's vertex list, each vertex split's ``[side,
+        side]`` pair, the label list and each vertex entry.  A face's tree
+        has its vertices' splits, so the face trees list those pairs.  Every
+        object's keys are written in sorted order."""
+        # a split's key ends with its two sides
+        pairs = {s: _canonical_json(key[1:]) for v in self.vertices for key, s in v.keyed_splits}
+        labels = _canonical_json(sorted(self.labels))  # every tree's labels
 
-    def _face_lists(self) -> dict[frozenset[int], list[int]]:
-        """One new sorted vertex list per face, for one payload."""
-        return {f: list(t) for f, t in self._face_vertices.items()}
+        def tree_text(t):
+            splits = ",".join([pairs[s] for _, s in t.keyed_splits])
+            return f'{{"labels":{labels},"splits":[{splits}]}}'
 
-    def _json(self, face_lists: dict) -> dict:
-        """``to_json`` with the given face lists.  A face's tree has its
-        vertices' splits, so each split's ``[side, side]`` pair is made once
-        and the face trees list those pairs, with one shared label list."""
-        pairs = {s: [list(a), list(b)] for v in self.vertices for (_, a, b), s in v.keyed_splits}
-        face_labels = sorted(self.labels)  # every face tree's labels
-
-        def tree_json(tree, labels):
-            return {"labels": labels, "splits": [pairs[s] for _, s in tree.keyed_splits]}
-
+        vertices = [
+            f'{{"edges":{_canonical_json(v.adjacency[1])},'
+            f'"key":{encode_basestring_ascii(v.canonical_key.decode())},"tree":{tree_text(v)}}}'
+            for v in self.vertices
+        ]
         faces = self._sorted_faces
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "complex",
-            "family": self.family,
-            "n": self.n,
-            "vertices": [
-                {
-                    "key": v.canonical_key.decode(),
-                    "tree": tree_json(v, sorted(v.labels)),
-                    "edges": list(v.adjacency[1]),
-                }
-                for v in self.vertices
-            ],
-            "faces": [face_lists[f] for f in faces],
-            "face_trees": [tree_json(self.face_tree(f), face_labels) for f in faces],
-        }
+        return (
+            f'{{"face_trees":[{",".join([tree_text(self.face_tree(f)) for f in faces])}],'
+            f'"faces":[{",".join([self._face_texts[f] for f in faces])}],'
+            f'"family":{_canonical_json(self.family)},"kind":"complex",'
+            f'"n":{_canonical_json(self.n)},"schema_version":{_canonical_json(SCHEMA_VERSION)},'
+            f'"vertices":[{",".join(vertices)}]}}'
+        )
+
+    def to_json(self) -> dict:
+        """The complex as JSON-able data, parsed from ``json_text``."""
+        return json.loads(self.json_text())
+
+    @cached_property
+    def _face_texts(self) -> dict[frozenset[int], str]:
+        """Each face's sorted vertex list as JSON text."""
+        return {f: "[" + ",".join(map(str, t)) + "]" for f, t in self._face_vertices.items()}
 
     @staticmethod
     def from_json(obj) -> "Complex":

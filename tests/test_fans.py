@@ -521,8 +521,18 @@ def _scramble(obj):
         obj[None] = None
 
 
+@pytest.mark.parametrize("kind,n", [("a", 4), ("a", 5), ("a", 6), ("c", 3), ("c", 4)])
+def test_fan_json_text_is_canonical(kind, n):
+    # the writer joins pre-encoded pieces, the complex's text among them;
+    # the result must be what a canonical dump of the same data gives
+    cx = build_complex("a" if kind == "a" else "as", n)
+    text = assemble_fan(cx, kind, check_intersections=False).json_text()
+    same = text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":"))
+    assert same  # compared outside the assert: pytest's diff of long texts takes minutes
+
+
 def test_to_json_caches_nothing_mutable(fan_c3):
-    # the payloads share sublists within one call, never across calls
+    # each call parses a new payload, so changing one leaves the next alone
     for obj in (fan_c3, fan_c3.complex):
         text = json.dumps(obj.to_json(), sort_keys=True)
         _scramble(obj.to_json())
