@@ -25,6 +25,7 @@ from .symtrees import (
     _canonical_json,
     negate_split,
     split_orbits,
+    tree_key,
 )
 
 SCHEMA_VERSION = 1
@@ -206,9 +207,6 @@ class ConeZ:
     def dim(self) -> int:
         return len(self.rays)
 
-    def to_json(self) -> dict:
-        return {"tree_key": self.tree_key.decode(), "rays": [list(r) for r in self.rays]}
-
 
 def cone_rays(tree: PhyloTree, kind: str) -> ConeZ:
     """The tree's cone: primitive ray generators (content removed, direction
@@ -313,6 +311,8 @@ class Fan:
             cones[face] = ConeZ(D, tuple(tuple(r) for r in rec["rays"]), rec["tree_key"].encode())
         if len(cones) != len(obj["cones"]) or set(cones) != cx.faces:
             raise InvalidArgumentError("the cones' faces are not the complex's faces")
+        if any(c.tree_key != tree_key(cx.labels, cx.face_keyed_splits(f)) for f, c in cones.items()):
+            raise InvalidArgumentError("a cone's tree key is not its face's")
         rel = tuple((frozenset(c), frozenset(p)) for c, p in obj["facet_relation"])
         if rel != cx.facet_relation:
             raise InvalidArgumentError("the facet relation is not the complex's")
@@ -330,17 +330,18 @@ def assemble_fan(complex: Complex, kind: str, check_intersections: bool = True) 
     facets = a face minus one vertex, and (when requested) that pairwise
     cone intersections are common faces.  A face's tree has one split orbit
     per vertex, and a ray depends only on its orbit; ordering the rays by
-    each vertex's least split key is ``edge_image_matrix``'s unit order."""
+    each vertex's least split key is ``edge_image_matrix``'s unit order.  A
+    cone's tree key comes from its face's merged splits, not a face tree."""
     kind = kind.lower()
     vertex_cones = [cone_rays(v, kind) for v in complex.vertices]
     if any(c.dim != 1 for c in vertex_cones):
         raise InternalConsistencyError("a vertex's cone is not a ray")
     least_key = [v.keyed_splits[0][0] for v in complex.vertices]
-    D = cone_rays(complex.face_tree(frozenset()), kind).index_set
+    D = cone_rays(PhyloTree(complex.labels, frozenset()), kind).index_set  # the star's cone
     cones = {}
     for face in complex.faces:
         rays = tuple(vertex_cones[v].rays[0] for v in sorted(face, key=least_key.__getitem__))
-        cones[face] = ConeZ(D, rays, complex.face_tree(face).canonical_key)
+        cones[face] = ConeZ(D, rays, tree_key(complex.labels, complex.face_keyed_splits(face)))
     # a face's echelon form is that of its sorted vertices but the last (a
     # face, as the complex is downward closed) plus one ray, so faces that
     # share that prefix share its elimination

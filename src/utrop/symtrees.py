@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
 from json.encoder import encode_basestring_ascii
 
@@ -405,6 +405,11 @@ def splits_compatible(s: Split, t: Split) -> bool:
     return not (a1 & a2) or not (a1 & b2) or not (b1 & a2) or not (b1 & b2)
 
 
+def tree_key(labels, keyed_splits) -> bytes:
+    """The canonical key of the tree on ``labels`` with ``keyed_splits``."""
+    return repr((tuple(sorted(labels)), tuple(k for k, _ in keyed_splits))).encode()
+
+
 @dataclass(frozen=True)
 class PhyloTree:
     """A leaf-labeled tree without degree-2 vertices, identified by its
@@ -434,17 +439,6 @@ class PhyloTree:
     def star(labels) -> "PhyloTree":
         return PhyloTree.make(labels, ())
 
-    @staticmethod
-    def union(labels, parts) -> "PhyloTree":
-        """The tree on ``labels`` of the union of ``parts``' splits.  When the
-        parts' split systems are disjoint, its ``keyed_splits`` are merged
-        from theirs, so each split's key is computed once and shared."""
-        tree = PhyloTree(labels, frozenset().union(*(t.splits for t in parts)))
-        keyed = sorted(itertools.chain.from_iterable(t.keyed_splits for t in parts))
-        if len(keyed) == len(tree.splits):
-            tree.__dict__["keyed_splits"] = tuple(keyed)  # what the cached_property stores
-        return tree
-
     @cached_property
     def keyed_splits(self) -> tuple:
         """``(split_key(s), s)`` for every split, sorted by key: the tree's
@@ -454,8 +448,7 @@ class PhyloTree:
 
     @cached_property
     def canonical_key(self) -> bytes:
-        labs = tuple(sorted(self.labels))
-        return repr((labs, tuple(k for k, _ in self.keyed_splits))).encode()
+        return tree_key(self.labels, self.keyed_splits)
 
     def sorted_splits(self) -> list[Split]:
         return [s for _, s in self.keyed_splits]
@@ -668,25 +661,27 @@ def symmetric_contractions(tree: PhyloTree) -> list[PhyloTree]:
 
 @dataclass(frozen=True)
 class Complex:
-    """A simplicial complex whose vertices are canonical minimal trees and
-    whose faces are sets of vertex indices.  A face carries the tree of its
-    vertices' splits, made on first use.  The empty face is materialized."""
+    """A simplicial complex whose vertices are canonical minimal trees, no
+    two sharing a split, and whose faces are sets of vertex indices.  A
+    face's tree, of its vertices' splits, is derived and never stored.  The
+    empty face is materialized."""
 
     family: str  # 'a' | 'as' | 'cs'
     n: int
     vertices: tuple[PhyloTree, ...]
     faces: frozenset[frozenset[int]]
     labels: frozenset[int]  # every tree's leaf labels
-    _face_tree: dict = field(init=False, default_factory=dict, compare=False, hash=False, repr=False)
 
     # -- basic queries -------------------------------------------------------
 
     def face_tree(self, face: frozenset[int]) -> PhyloTree:
-        if face not in self._face_tree:
-            if face not in self.faces:
-                raise InvalidArgumentError(f"{sorted(face)} is not a face")
-            self._face_tree[face] = PhyloTree.union(self.labels, [self.vertices[v] for v in face])
-        return self._face_tree[face]
+        if face not in self.faces:
+            raise InvalidArgumentError(f"{sorted(face)} is not a face")
+        return PhyloTree(self.labels, frozenset().union(*(self.vertices[v].splits for v in face)))
+
+    def face_keyed_splits(self, face) -> list:
+        """The face tree's ``keyed_splits``: the merge of its vertices'."""
+        return sorted(itertools.chain.from_iterable(self.vertices[v].keyed_splits for v in face))
 
     def compatible_vertices(self, alpha: DihedralOrdering) -> frozenset[int]:
         """The vertices whose trees are compatible with ``alpha``.  A face's
@@ -845,24 +840,25 @@ class Complex:
         """The complex as ``_canonical_json`` text, joined from pieces
         encoded once: each face's vertex list, each vertex split's ``[side,
         side]`` pair, the label list and each vertex entry.  A face's tree
-        has its vertices' splits, so the face trees list those pairs.  Every
-        object's keys are written in sorted order."""
+        lists those pairs in ``face_keyed_splits`` order.  Every object's
+        keys are written in sorted order."""
         # a split's key ends with its two sides
         pairs = {s: _canonical_json(key[1:]) for v in self.vertices for key, s in v.keyed_splits}
         labels = _canonical_json(sorted(self.labels))  # every tree's labels
 
-        def tree_text(t):
-            splits = ",".join([pairs[s] for _, s in t.keyed_splits])
+        def tree_text(keyed_splits):
+            splits = ",".join([pairs[s] for _, s in keyed_splits])
             return f'{{"labels":{labels},"splits":[{splits}]}}'
 
         vertices = [
             f'{{"edges":{_canonical_json(v.adjacency[1])},'
-            f'"key":{encode_basestring_ascii(v.canonical_key.decode())},"tree":{tree_text(v)}}}'
+            f'"key":{encode_basestring_ascii(v.canonical_key.decode())},'
+            f'"tree":{tree_text(v.keyed_splits)}}}'
             for v in self.vertices
         ]
         faces = self._sorted_faces
         return (
-            f'{{"face_trees":[{",".join([tree_text(self.face_tree(f)) for f in faces])}],'
+            f'{{"face_trees":[{",".join([tree_text(self.face_keyed_splits(f)) for f in faces])}],'
             f'"faces":[{",".join([self._face_texts[f] for f in faces])}],'
             f'"family":{_canonical_json(self.family)},"kind":"complex",'
             f'"n":{_canonical_json(self.n)},"schema_version":{_canonical_json(SCHEMA_VERSION)},'
@@ -880,9 +876,12 @@ class Complex:
 
     @staticmethod
     def from_json(obj) -> "Complex":
-        """Read a complex back, deriving each face's tree from its vertices;
-        the stored face trees must equal the derived ones."""
+        """Read a complex back, deriving each face's tree from its vertices,
+        which may share no split; the stored face trees must match."""
         vertices = tuple(PhyloTree.from_json(v["tree"]) for v in obj["vertices"])
+        splits = [s for v in vertices for s in v.splits]
+        if len(set(splits)) != len(splits):
+            raise InvalidArgumentError("two vertex trees share a split")
         faces = [frozenset(f) for f in obj["faces"]]
         stored = [PhyloTree.from_json(t) for t in obj["face_trees"]]
         if len(stored) != len(faces):

@@ -281,6 +281,23 @@ def test_complex_as5_golden_digest(tmp_path):
     assert load(out)["manifest"]["output_hash"] == COMPLEX_AS5_OUTPUT_HASH
 
 
+@pytest.mark.parametrize("argv,digest", [
+    (["fan", "--kind", "c", "--n", "3"], FAN_C3_OUTPUT_HASH),
+    (["complex", "--family", "as", "--n", "5"], COMPLEX_AS5_OUTPUT_HASH),
+    (["certify", "--kind", "a", "--n", "5"], CERTIFY_A5_OUTPUT_HASH),
+])
+def test_writers_make_no_face_tree(tmp_path, monkeypatch, argv, digest):
+    # a face's key and JSON tree come from its vertices' sorted splits, so
+    # the complex, fan and certify commands never build a face's tree
+    def no_face_tree(self, face):
+        raise AssertionError("a face tree was built")
+
+    monkeypatch.setattr(Complex, "face_tree", no_face_tree)
+    out = tmp_path / "out.json"
+    assert run(tmp_path, *argv, "--out", str(out)) == EXIT_OK
+    assert load(out)["manifest"]["output_hash"] == digest
+
+
 @pytest.mark.parametrize(
     "argv",
     [

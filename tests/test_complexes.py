@@ -253,9 +253,9 @@ def ordering_union(family, n):
     ``build_complex`` nor ``build_sub``: the union over every ordering of
     the family of its complex.  An ordering's vertices are the trees of its
     units (coarsest subdivisions), a face is the set of its subdivision's
-    units, each diagonal lying in exactly one unit, and the face keeps the
-    subdivision's tree.  Vertices are identified by canonical key and sorted
-    by it."""
+    units, each diagonal lying in exactly one unit.  Vertices are identified
+    by canonical key and sorted by it.  Returns the complex and each face's
+    subdivision tree."""
     symmetry = {"a": Symmetry.NONE, "as": Symmetry.AXIAL, "cs": Symmetry.CENTRAL}[family]
     symmetric = symmetry is not Symmetry.NONE
     orderings = enumerate_orderings(n, symmetry)
@@ -274,16 +274,19 @@ def ordering_union(family, n):
     face_tree = {frozenset(map(index.__getitem__, f)): tree for f, tree in face_tree.items()}
     vertices = tuple(by_key[k] for k in index)
     labels = frozenset(orderings[0].labels)  # the a-complex of n = 3 has no vertex
-    union = Complex(family, n, vertices, frozenset(face_tree), labels)
-    union._face_tree.update(face_tree)  # the subdivisions' trees, not the vertex unions
-    return union
+    return Complex(family, n, vertices, frozenset(face_tree), labels), face_tree
 
 
-def assert_same_complex(built, union):
+def assert_same_complex(built, reference):
+    union, face_tree = reference
     assert built.vertices == union.vertices  # same trees in the same order
     assert built.faces == union.faces
-    assert all(built.face_tree(f) == union.face_tree(f) for f in union.faces)
-    assert built.to_json() == union.to_json()
+    # the face trees derived from the vertices are the subdivisions' trees
+    assert all(built.face_tree(f) == tree for f, tree in face_tree.items())
+    data = built.to_json()
+    stored = {frozenset(f): t for f, t in zip(data["faces"], data["face_trees"])}
+    assert all(stored[f] == tree.to_json() for f, tree in face_tree.items())
+    assert data == union.to_json()
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -446,15 +449,23 @@ def test_complex_from_json_rejects_malformed_input(theta_as3):
             Complex.from_json({**good, **change})
 
 
-def test_replaced_complex_has_its_own_face_tree_cache():
+def test_replaced_complex_derives_face_trees_from_its_own_vertices():
     # dataclasses.replace builds a new complex; its face trees come from its
-    # own vertices, and the trees it makes stay out of the original's cache
+    # own vertices, and the original's stay those of its vertices
     a = build_complex("a", 5)
-    a.face_tree(frozenset([0]))
     b = dataclasses.replace(a, vertices=tuple(reversed(a.vertices)))
     assert b.vertices[0] != a.vertices[0]
     assert b.face_tree(frozenset([0])) == b.vertices[0]
-    edge = next(f for f in b.faces if len(f) == 2)
-    b.face_tree(edge)
-    assert set(a._face_tree) == {frozenset([0])}
     assert a.face_tree(frozenset([0])) == a.vertices[0]
+
+
+def test_complex_from_json_rejects_vertices_that_share_a_split(theta_as3):
+    # a face's sorted splits are merged from its vertices', which is exact
+    # only if no two vertices share a split; here one vertex takes on the
+    # split {3, -3} of another, and the face trees are written to match
+    i = theta_as3.vertex_index(VERTEX_TREES[7])
+    vertices = list(theta_as3.vertices)
+    vertices[i] = t3({1, -1}, {3, -3})
+    bad = dataclasses.replace(theta_as3, vertices=tuple(vertices))
+    with pytest.raises(InvalidArgumentError, match="share a split"):
+        Complex.from_json(bad.to_json())

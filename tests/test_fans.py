@@ -547,6 +547,15 @@ def test_fan_from_json_rejects_a_foreign_facet_relation(fan_c3):
             Fan.from_json({**good, "facet_relation": bad})
 
 
+def test_fan_from_json_rejects_a_swapped_tree_key(fan_c3):
+    good = fan_c3.to_json()
+    cones = json.loads(json.dumps(good["cones"]))
+    i, j = [k for k, cone in enumerate(cones) if len(cone["face"]) == 1][:2]
+    cones[i]["tree_key"], cones[j]["tree_key"] = cones[j]["tree_key"], cones[i]["tree_key"]
+    with pytest.raises(InvalidArgumentError, match="tree key"):
+        Fan.from_json({**good, "cones": cones})
+
+
 def test_fan_from_json_rejects_cones_off_the_complex(fan_c3):
     good = fan_c3.to_json()
     cones = good["cones"]

@@ -24,6 +24,7 @@ from utrop.symtrees import (
     is_compatible,
     make_split,
     tree_from_subdivision,
+    tree_key,
 )
 
 
@@ -222,23 +223,21 @@ def test_json_round_trip():
     assert PhyloTree.from_json(t.to_json()).canonical_key == t.canonical_key
 
 
-def test_union_tree_equals_the_tree_of_its_splits():
-    # the union takes its sorted split keys from its parts when their split
-    # systems are disjoint, and sorts its own otherwise; either way every
-    # view of the tree is the one built from the splits directly
-    labels = range(1, 8)
-    s12, s123, s67 = (make_split(a, set(labels) - a) for a in ({1, 2}, {1, 2, 3}, {6, 7}))
-    one = PhyloTree.make(labels, [s123])
-    two = PhyloTree.make(labels, [s12, s67])
-    overlapping = PhyloTree.make(labels, [s12])
-    for parts in ([one, two], [two, one], [one, two, overlapping], [PhyloTree.star(labels)]):
-        tree = PhyloTree.union(frozenset(labels), parts)
-        direct = PhyloTree.make(labels, set().union(*(p.splits for p in parts)))
-        assert tree == direct
-        assert tree.keyed_splits == direct.keyed_splits
-        assert tree.canonical_key == direct.canonical_key
-        assert tree.to_json() == direct.to_json()
-        assert tree.adjacency == direct.adjacency
+@pytest.mark.parametrize("family,n", [("a", 5), ("as", 4), ("cs", 4)])
+def test_face_data_equals_the_tree_of_its_splits(family, n):
+    # a face's merged splits, its key, its JSON tree and its face tree are
+    # each those of the tree built and checked from the face's splits
+    cx = build_complex(family, n)
+    data = cx.to_json()
+    for vertices, stored in zip(data["faces"], data["face_trees"]):
+        face = frozenset(vertices)
+        direct = PhyloTree.make(cx.labels, set().union(*(cx.vertices[v].splits for v in face)))
+        merged = cx.face_keyed_splits(face)
+        assert merged == list(direct.keyed_splits)
+        assert tree_key(cx.labels, merged) == direct.canonical_key
+        assert stored == direct.to_json()
+        assert cx.face_tree(face) == direct
+        assert cx.face_tree(face).canonical_key == direct.canonical_key
 
 
 # sha256 over every face tree of build_complex(family, n), in sorted-face
