@@ -12,13 +12,14 @@ import argparse
 import contextlib
 import gc
 import hashlib
+import itertools
 import random
 import sys
 import time
 
 from . import __version__, linalg
 from .errors import GroebnerBudgetError, InvalidArgumentError
-from .fans import Fan, assemble_fan, index_set, interior_point
+from .fans import Fan, assemble_fan, index_set
 from .symtrees import (
     DihedralOrdering, Symmetry, _canonical_json, build_complex, enumerate_orderings,
 )
@@ -41,8 +42,29 @@ PROBE_SEED = 7  # fixed, so every run draws the same --probes weights
 # ---------------------------------------------------------------------------
 
 
+SLICE = 1 << 20  # characters hashed or written at a time
+
+
+def _slices(text: str, end: int):
+    """``text[:end]`` in pieces of at most ``SLICE`` characters, so that a
+    large text is never encoded or copied whole."""
+    return (text[start:min(start + SLICE, end)] for start in range(0, end, SLICE))
+
+
 def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
+    digest = hashlib.sha256()
+    for piece in _slices(text, len(text)):
+        digest.update(piece.encode())
+    return digest.hexdigest()
+
+
+def _write(pieces, out):
+    """Write the text ``pieces`` in turn to the file ``out``, or to stdout."""
+    if out in (None, "-"):
+        sys.stdout.writelines(pieces)
+    else:
+        with open(out, "w") as fh:
+            fh.writelines(pieces)
 
 
 def make_manifest(command: str, parameters: dict, payload_hash: str, started: float) -> dict:
@@ -61,25 +83,17 @@ def write_json(body: str, command: str, parameters: dict, started: float, out):
     manifest added as the last member.
 
     ``output_hash`` hashes ``body``, and it stands in the output verbatim:
-    the text before the last ``,"manifest":``, plus ``}``.
+    the text before the last ``,"manifest":``, plus ``}``.  The body is
+    hashed and written in slices, never encoded or copied whole.
     """
     manifest = make_manifest(command, parameters, _sha256(body), started)
-    text = body[:-1] + ',"manifest":' + _canonical_json(manifest) + "}\n"
-    if out in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
+    tail = ',"manifest":' + _canonical_json(manifest) + "}\n"
+    _write(itertools.chain(_slices(body, len(body) - 1), [tail]), out)
 
 
 def write_text(text: str, comment: str, command: str, parameters: dict, started: float, out):
     manifest = make_manifest(command, parameters, _sha256(text), started)
-    stamped = text + f"{comment} manifest: {_canonical_json(manifest)}\n"
-    if out in (None, "-"):
-        sys.stdout.write(stamped)
-    else:
-        with open(out, "w") as fh:
-            fh.write(stamped)
+    _write([text, f"{comment} manifest: {_canonical_json(manifest)}\n"], out)
 
 
 @contextlib.contextmanager
@@ -226,7 +240,7 @@ def _support_contains(fan: Fan, w) -> bool:
     Every cone lies in a maximal one, so only those are tried."""
     k = len(fan.index_set)
     for face in fan.complex.maximal_faces():
-        rays = fan.cones[face].rays
+        rays = fan.cones[face]
         if not rays:
             if all(x == 0 for x in w):
                 return True
@@ -260,7 +274,7 @@ def cmd_certify(args) -> int:
         wanted = _parse_cones(args.cones, len(faces))
         faces = [f for i, f in enumerate(faces) if i in wanted]
 
-    weights = [interior_point(fan.cones[f]) for f in faces]
+    weights = [fan.interior_point(f) for f in faces]
     results = certify_weights(ideal, weights, taus, args.max_pairs, jobs=args.jobs)
     exhausted = [r for r in results if isinstance(r, GroebnerBudgetError)]
     if exhausted:
@@ -333,7 +347,7 @@ def cmd_emit_cas(args) -> int:
     ideal = _the_ideal(args.kind, args.n)
     fan = _candidate_fan(args.kind, args.n)
     weights = [
-        (f"cone {i} (face {sorted(f)})", list(interior_point(fan.cones[f])), True)
+        (f"cone {i} (face {sorted(f)})", list(fan.interior_point(f)), True)
         for i, f in enumerate(fan.proper_faces())
     ]
     title = f"tropical certification cross-check: kind {args.kind}, n={args.n}"

@@ -50,9 +50,6 @@ class IndexSetD:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def index(self, pair) -> int:
-        return self.pairs.index(tuple(pair))
-
     def to_json(self) -> dict:
         return {"kind": self.kind, "n": self.n, "pairs": [list(p) for p in self.pairs]}
 
@@ -195,27 +192,13 @@ def _primitive(row):
     return tuple(x // g for x in row)
 
 
-@dataclass(frozen=True)
-class ConeZ:
-    """A simplicial rational cone via primitive integer ray generators."""
-
-    index_set: IndexSetD
-    rays: tuple[tuple[int, ...], ...]
-    tree_key: bytes
-
-    @property
-    def dim(self) -> int:
-        return len(self.rays)
-
-
-def cone_rays(tree: PhyloTree, kind: str) -> ConeZ:
+def cone_rays(tree: PhyloTree, kind: str) -> tuple[tuple[int, ...], ...]:
     """The tree's cone: primitive ray generators (content removed, direction
     kept), one per edge/orbit, checked linearly independent."""
-    units, rows, D = edge_image_matrix(tree, kind)
-    rays = tuple(_primitive(r) for r in rows)
+    rays = tuple(_primitive(r) for r in edge_image_matrix(tree, kind)[1])
     if rays and linalg.rank(rays) != len(rays):
         raise InternalConsistencyError("cone generators are linearly dependent")
-    return ConeZ(D, rays, tree.canonical_key)
+    return rays
 
 
 def quotient_map_q(w, n: int):
@@ -242,14 +225,6 @@ def quotient_map_q(w, n: int):
     return tuple(out)
 
 
-def interior_point(cone: ConeZ) -> tuple[int, ...]:
-    """The sum of the cone's ray generators, a point of the relative
-    interior of a simplicial cone, as a tuple with one integer per
-    coordinate of the cone's index set; the zero-dimensional cone gives
-    the zero vector."""
-    return tuple(sum(r[t] for r in cone.rays) for t in range(len(cone.index_set)))
-
-
 # ---------------------------------------------------------------------------
 # fans
 # ---------------------------------------------------------------------------
@@ -257,39 +232,45 @@ def interior_point(cone: ConeZ) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Fan:
-    """Cones of every face of a tree complex, with the facet relation."""
+    """The cone of every face of a tree complex: the face's primitive rays,
+    one per vertex.  Everything else a fan writes (tree keys, the facet
+    relation) is derived from the complex."""
 
     kind: str
     index_set: IndexSetD
     complex: Complex = field(compare=False, repr=False)
-    cones: dict = field(compare=False, repr=False)  # face -> ConeZ
-    facet_relation: tuple = ()
+    cones: dict = field(compare=False, repr=False)  # face -> its rays
 
     def sorted_faces(self):
         return self.complex.sorted_faces()
 
     def rays(self):
         """Primitive generators of the 1-dimensional cones, in vertex order."""
-        out = []
-        for i in range(len(self.complex.vertices)):
-            out.append(self.cones[frozenset([i])].rays[0])
-        return out
+        return [self.cones[frozenset([i])][0] for i in range(len(self.complex.vertices))]
 
     def proper_faces(self):
         return [f for f in self.sorted_faces() if f]
 
+    def interior_point(self, face) -> tuple[int, ...]:
+        """The sum of the face's rays, a point of the relative interior of
+        its simplicial cone, with one integer per coordinate of the index
+        set; the empty face gives the zero vector."""
+        rays = self.cones[face]
+        return tuple(sum(r[t] for r in rays) for t in range(len(self.index_set)))
+
     def json_text(self) -> str:
         """The fan as ``_canonical_json`` text, joined from pieces encoded
-        once: the complex's text and face lists, each distinct ray and each
-        tree key.  Every object's keys are written in sorted order."""
+        once: the complex's text and face lists, and each distinct ray.
+        A cone's tree key is written from its face's merged splits.  Every
+        object's keys are written in sorted order."""
         cx, faces = self.complex, self.complex._face_texts
-        rays = {r: _canonical_json(r) for r in {r for c in self.cones.values() for r in c.rays}}
+        rays = {r: _canonical_json(r) for r in {r for c in self.cones.values() for r in c}}
         cones = [
-            f'{{"face":{faces[f]},"rays":[{",".join([rays[r] for r in self.cones[f].rays])}],'
-            f'"tree_key":{encode_basestring_ascii(self.cones[f].tree_key.decode())}}}'
+            f'{{"face":{faces[f]},"rays":[{",".join([rays[r] for r in self.cones[f]])}],"tree_key":'
+            f'{encode_basestring_ascii(tree_key(cx.labels, cx.face_keyed_splits(f)).decode())}}}'
             for f in cx._sorted_faces
         ]
-        relation = [f"[{faces[child]},{faces[parent]}]" for child, parent in self.facet_relation]
+        relation = [f"[{faces[child]},{faces[parent]}]" for child, parent in cx.facet_relation]
         return (
             f'{{"complex":{cx.json_text()},"cones":[{",".join(cones)}],'
             f'"facet_relation":[{",".join(relation)}],"family":{_canonical_json(self.kind)},'
@@ -303,25 +284,33 @@ class Fan:
 
     @staticmethod
     def from_json(obj) -> "Fan":
+        """Rebuild the fan from its complex and family, and require every
+        other section of ``obj`` to be the rebuilt fan's."""
         cx = Complex.from_json(obj["complex"])
-        D = IndexSetD.from_json(obj["index_set"])
-        cones = {}
-        for rec in obj["cones"]:
-            face = frozenset(rec["face"])
-            cones[face] = ConeZ(D, tuple(tuple(r) for r in rec["rays"]), rec["tree_key"].encode())
-        if len(cones) != len(obj["cones"]) or set(cones) != cx.faces:
-            raise InvalidArgumentError("the cones' faces are not the complex's faces")
-        if any(c.tree_key != tree_key(cx.labels, cx.face_keyed_splits(f)) for f, c in cones.items()):
-            raise InvalidArgumentError("a cone's tree key is not its face's")
-        rel = tuple((frozenset(c), frozenset(p)) for c, p in obj["facet_relation"])
-        if rel != cx.facet_relation:
-            raise InvalidArgumentError("the facet relation is not the complex's")
-        return Fan(obj["family"], D, cx, cones, cx.facet_relation)
+        fan = assemble_fan(cx, obj["family"], check_intersections=False)
+        got, want = _sections(obj), _sections(fan.to_json())
+        for message in want:
+            if got[message] != want[message]:
+                raise InvalidArgumentError(message)
+        return fan
 
     def ray_matrix_text(self) -> str:
         """Plain matrix of all rays, one per line, for external polyhedral
         tools."""
         return "\n".join(" ".join(str(x) for x in r) for r in self.rays()) + "\n"
+
+
+def _sections(doc) -> dict:
+    """The derived sections of a fan's JSON, keyed by the message that
+    names a mismatch."""
+    cones = doc["cones"]
+    return {
+        "the index set is not the family's": doc["index_set"],
+        "the cones' faces are not the complex's faces": [c["face"] for c in cones],
+        "a cone's tree key is not its face's": [c["tree_key"] for c in cones],
+        "a cone's rays are not its vertices' rays": [c["rays"] for c in cones],
+        "the facet relation is not the complex's": doc["facet_relation"],
+    }
 
 
 def assemble_fan(complex: Complex, kind: str, check_intersections: bool = True) -> Fan:
@@ -330,18 +319,17 @@ def assemble_fan(complex: Complex, kind: str, check_intersections: bool = True) 
     facets = a face minus one vertex, and (when requested) that pairwise
     cone intersections are common faces.  A face's tree has one split orbit
     per vertex, and a ray depends only on its orbit; ordering the rays by
-    each vertex's least split key is ``edge_image_matrix``'s unit order.  A
-    cone's tree key comes from its face's merged splits, not a face tree."""
+    each vertex's least split key is ``edge_image_matrix``'s unit order."""
     kind = kind.lower()
     vertex_cones = [cone_rays(v, kind) for v in complex.vertices]
-    if any(c.dim != 1 for c in vertex_cones):
+    if any(len(rays) != 1 for rays in vertex_cones):
         raise InternalConsistencyError("a vertex's cone is not a ray")
     least_key = [v.keyed_splits[0][0] for v in complex.vertices]
-    D = cone_rays(PhyloTree(complex.labels, frozenset()), kind).index_set  # the star's cone
-    cones = {}
-    for face in complex.faces:
-        rays = tuple(vertex_cones[v].rays[0] for v in sorted(face, key=least_key.__getitem__))
-        cones[face] = ConeZ(D, rays, tree_key(complex.labels, complex.face_keyed_splits(face)))
+    D = edge_image_matrix(PhyloTree(complex.labels, frozenset()), kind)[2]  # the star's
+    cones = {
+        face: tuple(vertex_cones[v][0] for v in sorted(face, key=least_key.__getitem__))
+        for face in complex.faces
+    }
     # a face's echelon form is that of its sorted vertices but the last (a
     # face, as the complex is downward closed) plus one ray, so faces that
     # share that prefix share its elimination
@@ -351,13 +339,13 @@ def assemble_fan(complex: Complex, kind: str, check_intersections: bool = True) 
         for v in sorted(face):
             vertices = (*prefix, v)
             if vertices not in echelons:
-                extended = linalg.extend_echelon(echelons[prefix], vertex_cones[v].rays[0])
+                extended = linalg.extend_echelon(echelons[prefix], vertex_cones[v][0])
                 if extended is None:
                     raise InternalConsistencyError("cone generators are linearly dependent")
                 echelons[vertices] = extended
             prefix = vertices
 
-    fan = Fan(kind, D, complex, cones, complex.facet_relation)
+    fan = Fan(kind, D, complex, cones)
     if check_intersections:
         _check_pairwise_intersections(fan)
     return fan
@@ -398,9 +386,9 @@ def _check_pairwise_intersections(fan: Fan):
     """
     k = len(fan.index_set)
     maximal = fan.complex.maximal_faces()
-    echelons = {f: _extended((), fan.cones[f].rays) for f in maximal}
+    echelons = {f: _extended((), fan.cones[f]) for f in maximal}
     for fa, fb in itertools.combinations(maximal, 2):
-        ra, rb = fan.cones[fa].rays, fan.cones[fb].rays
+        ra, rb = fan.cones[fa], fan.cones[fb]
         shared = set(ra) & set(rb)
         if _extended(echelons[fa], [r for r in rb if r not in shared]) is not None:
             continue

@@ -44,10 +44,6 @@ class Poly:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero(nvars: int) -> "Poly":
-        return Poly(nvars)
-
-    @staticmethod
     def const(c, nvars: int) -> "Poly":
         return Poly(nvars, {(0,) * nvars: Fraction(c)})
 

@@ -451,11 +451,10 @@ def search_sign_patterns_c(n: int, fan, ideal: Ideal, max_pairs: int = DEFAULT_M
     orbit that exhausted the Groebner budget are listed in
     ``skipped_faces``.
     """
-    from ..fans import interior_point
     from ..symtrees import Symmetry, enumerate_orderings
 
     faces = fan.proper_faces()
-    weights = [interior_point(fan.cones[f]) for f in faces]
+    weights = [fan.interior_point(f) for f in faces]
     taus = list(itertools.product((1, -1), repeat=ideal.nvars))
     certified, skipped = [], []
     for f, record in zip(faces, certify_weights(ideal, weights, taus, max_pairs)):

@@ -4,7 +4,7 @@ without changing what is tested."""
 
 import pytest
 
-from utrop.fans import assemble_fan, interior_point
+from utrop.fans import assemble_fan
 from utrop.symtrees import build_complex
 from utrop.ualgebra import ideal_c
 from utrop.ualgebra.signed import ConeCertifier
@@ -40,7 +40,7 @@ def certifiers_c3(fan_c3, ideal_c3):
     """One certification engine per proper face of the candidate fan."""
     out = []
     for face in fan_c3.proper_faces():
-        w = interior_point(fan_c3.cones[face])
+        w = fan_c3.interior_point(face)
         out.append((face, w, ConeCertifier(ideal_c3, w)))
     return out
 

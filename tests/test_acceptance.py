@@ -10,7 +10,7 @@ import random
 import time
 from fractions import Fraction
 
-from utrop.fans import assemble_fan, interior_point
+from utrop.fans import assemble_fan
 from utrop.symtrees import (
     DihedralOrdering,
     PhyloTree,
@@ -133,7 +133,8 @@ def test_criterion_05_ray_table():
     t0 = time.time()
     fan_c3 = assemble_fan(build_complex("as", 3), "c", check_intersections=False)
     ok = fan_c3.index_set.pairs == ((1, -1), (2, -2), (3, -3), (1, 3), (1, -2), (2, -3))
-    got = {cone.tree_key: cone.rays for f, cone in fan_c3.cones.items() if len(f) == 1}
+    vertices = fan_c3.complex.vertices
+    got = {vertices[min(f)].canonical_key: rays for f, rays in fan_c3.cones.items() if len(f) == 1}
     ok &= len(got) == 13
     for tree, expected in TABLE_RAYS:
         ok &= got.get(tree.canonical_key) == (expected,)
@@ -151,7 +152,7 @@ def test_criterion_06_unsigned_certification():
     ok &= sum(1 for f in faces if len(f) == 1) == 13
     ok &= sum(1 for f in faces if len(f) == 2) == 21
     for f in faces:
-        w = interior_point(fan.cones[f])
+        w = fan.interior_point(f)
         ok &= certify_trop(ideal, w)
     report(6, ok, "all 13 rays and 21 two-dimensional cones have monomial-free initial ideals", t0, 300)
 
@@ -164,7 +165,7 @@ def test_criterion_07_signed_subfans():
     fan = assemble_fan(build_complex("as", 3), "c", check_intersections=False)
     pack = []
     for f in fan.proper_faces():
-        w = interior_point(fan.cones[f])
+        w = fan.interior_point(f)
         pack.append((f, ConeCertifier(ideal, w)))
     cases = [
         ((1, 1, 1, 1, -1, 1), DihedralOrdering.make([1, -2, 3, -1, 2, -3], Symmetry.CENTRAL), 12),
@@ -192,7 +193,7 @@ def test_criterion_08_type_a_sanity(theta5):
     fan4 = assemble_fan(build_complex("a", 4), "a")
     ok = len(fan4.rays()) == 3 and all(len(f) <= 1 for f in fan4.cones)
     for f in fan4.proper_faces():
-        ok &= certify_trop(I4, interior_point(fan4.cones[f]))
+        ok &= certify_trop(I4, fan4.interior_point(f))
     # off-fan probes must be rejected
     for probe in [(-1, -2), (1, 2), (2, 1), (-3, -1)]:
         ok &= not certify_trop(I4, probe)
@@ -200,13 +201,13 @@ def test_criterion_08_type_a_sanity(theta5):
     faces5 = fan5.proper_faces()
     ok &= len(faces5) == 25
     for f in faces5:
-        ok &= certify_trop(I5, interior_point(fan5.cones[f]))
+        ok &= certify_trop(I5, fan5.interior_point(f))
     # positive part at n=4: exactly the two coordinate rays and the origin
     from utrop.ualgebra import ConeCertifier
 
     verdicts = {}
     for f in fan4.proper_faces():
-        w = interior_point(fan4.cones[f])
+        w = fan4.interior_point(f)
         verdicts[w] = ConeCertifier(I4, w).certify((1, 1)).verdict
     ok &= verdicts[(0, 1)] is Verdict.MEMBER
     ok &= verdicts[(1, 0)] is Verdict.MEMBER

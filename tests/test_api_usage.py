@@ -1,12 +1,14 @@
 """Every function, class and method under ``src/utrop``, and every name
-assigned at module level there, has a user: its name occurs as a word
-somewhere in ``src/`` or ``tests/`` besides the line that defines it.
-Dunder names are exempt; Python reads them.
+assigned at module level there, has a user somewhere in ``src/`` or
+``tests/`` besides the line that defines it.  Dunder names are exempt;
+Python reads them.
 
-The test checks names, not the methods of each class: a method is counted
-as used when any other line holds its name, so an unused method that shares
-its name with a used one (an unused ``to_json`` beside ``Fan.to_json``)
-passes unseen."""
+A function, class or module-level name is used when another line holds
+its name as a word.  A method is used only when another line holds its
+name after a dot (``x.name``): a common word such as ``zero`` in a comment
+or a local variable does not count.  The test checks names, not the
+methods of each class, so an unused method that shares its name with a
+used one (an unused ``to_json`` beside ``Fan.to_json``) passes unseen."""
 
 import ast
 import collections
@@ -21,15 +23,26 @@ def is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
+def words(text: str) -> set:
+    """The words on a line, and each word that follows a dot, with its dot."""
+    return set(re.findall(r"\w+", text)) | set(re.findall(r"\.\w+", text))
+
+
 def definitions():
-    """``(path, line, name)`` of every non-dunder def and class in ``SRC``,
-    and of every non-dunder name that a module-level assignment binds."""
+    """``(path, line, word)`` of every non-dunder def and class in ``SRC``,
+    and of every non-dunder name that a module-level assignment binds.  A
+    method's word is its name with a leading dot."""
     for path in sorted(SRC.rglob("*.py")):
         module = ast.parse(path.read_text(), str(path))
+        methods = {
+            id(node)
+            for cls in ast.walk(module) if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+        }
         for node in ast.walk(module):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 if not is_dunder(node.name):
-                    yield path, node.lineno, node.name
+                    yield path, node.lineno, "." * (id(node) in methods) + node.name
         for node in module.body:
             if isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
@@ -41,15 +54,16 @@ def definitions():
 
 
 def test_every_definition_is_used():
-    # lines_with[word]: how many lines of src/ and tests/ hold the word; a
-    # definition's own line is one of them
+    # lines_with[word]: how many lines of src/ and tests/ hold the word
     lines_with = collections.Counter()
+    lines = {}
     for path in sorted(SRC.rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py")):
-        for text in path.read_text().splitlines():
-            lines_with.update(set(re.findall(r"\w+", text)))
+        lines[path] = path.read_text().splitlines()
+        for text in lines[path]:
+            lines_with.update(words(text))
     unused = [
-        f"{path.relative_to(ROOT)}:{lineno} {name}"
-        for path, lineno, name in definitions()
-        if lines_with[name] < 2
+        f"{path.relative_to(ROOT)}:{lineno} {word.lstrip('.')}"
+        for path, lineno, word in definitions()
+        if lines_with[word] - (word in words(lines[path][lineno - 1])) < 1
     ]
     assert not unused, "defined but never referenced: " + ", ".join(unused)

@@ -49,14 +49,14 @@ def test_tracer_patches_existing_names_and_restores_them():
 
 def test_certify_runs_every_groebner_role_through_the_traced_entry_point(tmp_path):
     from utrop import cli
-    from utrop.fans import assemble_fan, interior_point
+    from utrop.fans import assemble_fan
     from utrop.symtrees import build_complex
     from utrop.ualgebra import ideal_c
     from utrop.ualgebra.signed import cone_orbits
 
     spans = load_spans()
     fan = assemble_fan(build_complex("as", 3), "c", check_intersections=False)
-    weights = [interior_point(fan.cones[f]) for f in fan.proper_faces()]
+    weights = [fan.interior_point(f) for f in fan.proper_faces()]
     members = next(m for _, m in cone_orbits(ideal_c(3), weights) if len(m) > 1)
     cones = f"{members[0][0]},{members[1][0]}"  # two cones of one orbit
     argv = ["certify", "--kind", "c", "--n", "3", "--sign=+,+,+,+,-,+", "--cones", cones,

@@ -322,6 +322,20 @@ def test_artifact_is_canonical_payload_then_manifest(tmp_path, monkeypatch, caps
     assert capsys.readouterr().out == text
 
 
+def test_artifact_does_not_depend_on_the_slice_size(tmp_path, monkeypatch, capsys):
+    # bodies are hashed and written in slices of cli.SLICE characters; sizes
+    # that divide neither the body nor the body less its last "}" must give
+    # the same bytes as one slice
+    monkeypatch.setattr(cli, "time", SimpleNamespace(time=lambda: 0.0))
+    texts = []
+    for size in (10 ** 6, 7, 1):
+        monkeypatch.setattr(cli, "SLICE", size)
+        assert run(tmp_path, "fan", "--kind", "a", "--n", "5", "--out", "-") == EXIT_OK
+        texts.append(capsys.readouterr().out)
+    assert len(texts[0]) > 10 ** 3
+    assert texts[1] == texts[0] and texts[2] == texts[0]
+
+
 def test_certify_a4_signed_and_probes(tmp_path):
     out = tmp_path / "cert.json"
     code = run(
@@ -382,10 +396,9 @@ def test_certify_pool_never_outnumbers_the_orbits(tmp_path, pool_sizes):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_certify_orbit_error_propagates(tmp_path, monkeypatch, pool_sizes, fan_c3, ideal_c3, jobs):
-    from utrop.fans import interior_point
     from utrop.ualgebra import signed
 
-    weights = [interior_point(fan_c3.cones[f]) for f in fan_c3.proper_faces()]
+    weights = [fan_c3.interior_point(f) for f in fan_c3.proper_faces()]
     # the least weight of cone 1's orbit, the second of the 11 orbits
     faulty = next(rep for rep, members in signed.cone_orbits(ideal_c3, weights) if members[0][0] == 1)
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from utrop.fans import assemble_fan, interior_point
+from utrop.fans import assemble_fan
 from utrop.symtrees import build_complex
 from utrop.ualgebra import Ideal, NormalFormCalculator, groebner_basis, grevlex, ideal_a, initial_ideal
 from utrop.ualgebra.groebner import reduced_basis
@@ -54,7 +54,7 @@ def test_c3_and_a5_coefficients_are_fractions(fan_c3, ideal_c3):
                        (assemble_fan(build_complex("a", 5), "a", check_intersections=False), ideal_a(5))):
         faces = fan.proper_faces()
         for f in (faces[0], faces[-1]):
-            check_ideal(ideal, interior_point(fan.cones[f]))
+            check_ideal(ideal, fan.interior_point(f))
 
 
 _coefficients = st.one_of(st.integers(-4, 4), st.fractions(min_value=-3, max_value=3, max_denominator=6))

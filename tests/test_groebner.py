@@ -252,7 +252,7 @@ C4_BUDGET_STATS = {
 def test_c4_budget_counters_pin_the_kernels_choices():
     # at 13 variables (12 plus the homogenizing one) the packed monomials use
     # every field; any change of pair order, reducer or pruning moves these
-    from utrop.fans import assemble_fan, interior_point
+    from utrop.fans import assemble_fan
     from utrop.symtrees import build_complex
     from utrop.ualgebra.initial import initial_ideal
 
@@ -262,7 +262,7 @@ def test_c4_budget_counters_pin_the_kernels_choices():
     for index, expected in C4_BUDGET_STATS.items():
         stats = {}
         with pytest.raises(GroebnerBudgetError) as err:
-            initial_ideal(ideal, interior_point(fan.cones[faces[index]]), 300, stats)
+            initial_ideal(ideal, fan.interior_point(faces[index]), 300, stats)
         assert stats == err.value.stats == expected
 
 

@@ -12,7 +12,6 @@ from fractions import Fraction
 import pytest
 
 from utrop.errors import GroebnerBudgetError, InvalidArgumentError
-from utrop.fans import interior_point
 from utrop.symtrees import DihedralOrdering, Symmetry, build_sub
 from utrop.ualgebra import Verdict, ideal_a, initial_ideal, sign_twist
 from utrop.ualgebra.groebner import NormalFormCalculator, groebner_basis
@@ -105,7 +104,7 @@ def test_every_realized_pattern_matches_its_ordering_n4():
 
     ideal = ideal_a(4)
     theta4 = build_complex("a", 4)
-    rays = {v: cone_rays(v, "a").rays[0] for v in theta4.vertices}
+    rays = {v: cone_rays(v, "a")[0] for v in theta4.vertices}
     for alpha in enumerate_orderings(4):
         tau = sign_pattern_a(alpha)
         for tree, ray in rays.items():
@@ -223,7 +222,7 @@ def test_sweep_flags_budget_exhaustion(fan_c3, ideal_c3):
     assert rep["matches_conjecture"] is False
     # the shared driver marks every cone with the error and its counters,
     # in process and in a pool alike
-    weights = [interior_point(fan_c3.cones[f]) for f in fan_c3.proper_faces()]
+    weights = [fan_c3.interior_point(f) for f in fan_c3.proper_faces()]
     for jobs in (1, 2):
         records = certify_weights(ideal_c3, weights, PUBLISHED_C3_PATTERNS, max_pairs=1, jobs=jobs)
         assert len(records) == 34
@@ -278,7 +277,7 @@ def test_every_sign_pattern_record_is_pinned(kind, n):
     from utrop.cli import _candidate_fan, _canonical_json, _sha256, _the_ideal
 
     ideal, fan = _the_ideal(kind, n), _candidate_fan(kind, n)
-    weights = [interior_point(fan.cones[f]) for f in fan.proper_faces()]
+    weights = [fan.interior_point(f) for f in fan.proper_faces()]
     taus = list(itertools.product((1, -1), repeat=ideal.nvars))
     records = certify_weights(ideal, weights, taus)
     assert _sha256(_canonical_json(records)) == ALL_PATTERNS_HASHES[kind, n]
@@ -313,7 +312,7 @@ def test_cone_certifier_runs_two_groebner_bases(fan_c3, ideal_c3, monkeypatch):
     for mod in (groebner_mod, initial_mod, signed_mod):
         monkeypatch.setattr(mod, "groebner_basis", counting)
     face = fan_c3.proper_faces()[0]
-    signed_mod.ConeCertifier(ideal_c3, interior_point(fan_c3.cones[face]))
+    signed_mod.ConeCertifier(ideal_c3, fan_c3.interior_point(face))
     assert len(calls) == 2  # the weighted run, then the saturation run
 
 
@@ -382,7 +381,7 @@ def test_transported_certificates_check_out_against_each_cone(certifiers_c3, ide
 
     fan_a5 = assemble_fan(build_complex("a", 5), "a", check_intersections=False)
     ideal_a5 = ideal_a(5)
-    weights_a5 = [interior_point(fan_a5.cones[f]) for f in fan_a5.proper_faces()]
+    weights_a5 = [fan_a5.interior_point(f) for f in fan_a5.proper_faces()]
     cases = [
         (ideal_c3, [w for _, w, _ in certifiers_c3], [c for _, _, c in certifiers_c3],
          PUBLISHED_C3_PATTERNS, 11),
@@ -440,7 +439,7 @@ def test_only_the_representatives_run_groebner_bases(fan_c3, ideal_c3, monkeypat
 
     for mod in (groebner_mod, initial_mod, signed_mod):
         monkeypatch.setattr(mod, "groebner_basis", counting)
-    weights = [interior_point(fan_c3.cones[f]) for f in fan_c3.proper_faces()]
+    weights = [fan_c3.interior_point(f) for f in fan_c3.proper_faces()]
     records = certify_weights(ideal_c3, weights, [])
     assert len(records) == 34 and all(r["in_trop"] for r in records)
     assert len(calls) == 2 * 11  # a weighted and a saturation run per orbit
