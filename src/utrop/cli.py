@@ -180,7 +180,7 @@ def cmd_fan(args) -> int:
     # the pairwise-intersection check is quadratic in the number of maximal
     # cones; run it by default only up to the sizes where it takes well under
     # a second (the a6 check settles its 5460 pairs by integer elimination,
-    # with no LP, in about 0.05 s; a7 has 446 040 pairs and takes about 7 s)
+    # with no LP, in about 0.05 s; a7 has 446 040 pairs and takes about 10 s)
     small = args.n <= (3 if args.kind == "c" else 6)
     fan = assemble_fan(cx, args.kind, check_intersections=small and not args.skip_intersections)
     params = {"kind": args.kind, "n": args.n}

@@ -260,14 +260,16 @@ class Fan:
 
     def json_text(self) -> str:
         """The fan as ``_canonical_json`` text, joined from pieces encoded
-        once: the complex's text and face lists, and each distinct ray.
-        A cone's tree key is written from its face's merged splits.  Every
-        object's keys are written in sorted order."""
+        once: the complex's text and face lists, each distinct ray, and each
+        split key's ``repr`` by rank, which a cone's tree key joins at its
+        face's ranks.  Every object's keys are written in sorted order."""
         cx, faces = self.complex, self.complex._face_texts
         rays = {r: _canonical_json(r) for r in {r for c in self.cones.values() for r in c}}
+        keys = [repr(key) for key in cx._ranked_splits[0]]
+        labels = repr(tuple(sorted(cx.labels)))
         cones = [
             f'{{"face":{faces[f]},"rays":[{",".join([rays[r] for r in self.cones[f]])}],"tree_key":'
-            f'{encode_basestring_ascii(tree_key(cx.labels, cx.face_keyed_splits(f)).decode())}}}'
+            f'{encode_basestring_ascii(tree_key(labels, [keys[r] for r in cx._face_ranks(f)]))}}}'
             for f in cx._sorted_faces
         ]
         relation = [f"[{faces[child]},{faces[parent]}]" for child, parent in cx.facet_relation]
@@ -319,15 +321,15 @@ def assemble_fan(complex: Complex, kind: str, check_intersections: bool = True) 
     facets = a face minus one vertex, and (when requested) that pairwise
     cone intersections are common faces.  A face's tree has one split orbit
     per vertex, and a ray depends only on its orbit; ordering the rays by
-    each vertex's least split key is ``edge_image_matrix``'s unit order."""
+    each vertex's least split rank is ``edge_image_matrix``'s unit order."""
     kind = kind.lower()
     vertex_cones = [cone_rays(v, kind) for v in complex.vertices]
     if any(len(rays) != 1 for rays in vertex_cones):
         raise InternalConsistencyError("a vertex's cone is not a ray")
-    least_key = [v.keyed_splits[0][0] for v in complex.vertices]
+    least_rank = [ranks[0] for ranks in complex._ranked_splits[1]]
     D = edge_image_matrix(PhyloTree(complex.labels, frozenset()), kind)[2]  # the star's
     cones = {
-        face: tuple(vertex_cones[v][0] for v in sorted(face, key=least_key.__getitem__))
+        face: tuple(vertex_cones[v][0] for v in sorted(face, key=least_rank.__getitem__))
         for face in complex.faces
     }
     # a face's echelon form is that of its sorted vertices but the last (a

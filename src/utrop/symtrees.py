@@ -405,9 +405,9 @@ def splits_compatible(s: Split, t: Split) -> bool:
     return not (a1 & a2) or not (a1 & b2) or not (b1 & a2) or not (b1 & b2)
 
 
-def tree_key(labels, keyed_splits) -> bytes:
-    """The canonical key of the tree on ``labels`` with ``keyed_splits``."""
-    return repr((tuple(sorted(labels)), tuple(k for k, _ in keyed_splits))).encode()
+def tree_key(labels_text: str, key_texts: list) -> str:
+    """``repr((labels, keys))`` from the reprs of the sorted labels and of each key."""
+    return f"({labels_text}, ({', '.join(key_texts)}{',' * (len(key_texts) == 1)}))"
 
 
 @dataclass(frozen=True)
@@ -448,7 +448,8 @@ class PhyloTree:
 
     @cached_property
     def canonical_key(self) -> bytes:
-        return tree_key(self.labels, self.keyed_splits)
+        keys = [repr(key) for key, _ in self.keyed_splits]
+        return tree_key(repr(tuple(sorted(self.labels))), keys).encode()
 
     def sorted_splits(self) -> list[Split]:
         return [s for _, s in self.keyed_splits]
@@ -679,9 +680,20 @@ class Complex:
             raise InvalidArgumentError(f"{sorted(face)} is not a face")
         return PhyloTree(self.labels, frozenset().union(*(self.vertices[v].splits for v in face)))
 
-    def face_keyed_splits(self, face) -> list:
-        """The face tree's ``keyed_splits``: the merge of its vertices'."""
-        return sorted(itertools.chain.from_iterable(self.vertices[v].keyed_splits for v in face))
+    @cached_property
+    def _ranked_splits(self) -> tuple[list, list[list[int]]]:
+        """Every vertex split's key, sorted once, and each vertex's ranks
+        (indices) in that list, ascending.  Raises if two vertices share a
+        split, as a face's splits would then not be its ranks' splits."""
+        keys = sorted(key for tree in self.vertices for key, _ in tree.keyed_splits)
+        rank = {key: r for r, key in enumerate(keys)}
+        if len(rank) < len(keys):
+            raise InternalConsistencyError("two vertices share a split")
+        return keys, [[rank[key] for key, _ in tree.keyed_splits] for tree in self.vertices]
+
+    def _face_ranks(self, face) -> list[int]:
+        """The ranks of the face tree's splits, ascending: in key order."""
+        return sorted([r for v in face for r in self._ranked_splits[1][v]])
 
     def compatible_vertices(self, alpha: DihedralOrdering) -> frozenset[int]:
         """The vertices whose trees are compatible with ``alpha``.  A face's
@@ -774,29 +786,24 @@ class Complex:
             return False
         return True
 
-    def is_flag(self) -> bool:
-        """Every set of pairwise-adjacent vertices is a face."""
-        adj = {v: set() for v in range(len(self.vertices))}
-        for f in self.faces:
-            if len(f) == 2:
-                a, b = sorted(f)
-                adj[a].add(b)
-                adj[b].add(a)
-        return all(clique in self.faces for clique in _cliques(adj))
-
-    def degree_sequence(self) -> list[int]:
-        deg = [0] * len(self.vertices)
-        for a, b in self.edges():
-            deg[a] += 1
-            deg[b] += 1
-        return deg
-
-    def girth(self) -> int:
-        """Length of a shortest cycle of the 1-skeleton (0 if forest)."""
+    def _neighbours(self) -> dict[int, set[int]]:
+        """Each vertex's neighbours in the 1-skeleton, in vertex order."""
         adj = {v: set() for v in range(len(self.vertices))}
         for a, b in self.edges():
             adj[a].add(b)
             adj[b].add(a)
+        return adj
+
+    def is_flag(self) -> bool:
+        """Every set of pairwise-adjacent vertices is a face."""
+        return all(clique in self.faces for clique in _cliques(self._neighbours()))
+
+    def degree_sequence(self) -> list[int]:
+        return [len(neighbours) for neighbours in self._neighbours().values()]
+
+    def girth(self) -> int:
+        """Length of a shortest cycle of the 1-skeleton (0 if forest)."""
+        adj = self._neighbours()
         best = 0
         for src in adj:
             dist = {src: 0}
@@ -838,27 +845,26 @@ class Complex:
 
     def json_text(self) -> str:
         """The complex as ``_canonical_json`` text, joined from pieces
-        encoded once: each face's vertex list, each vertex split's ``[side,
-        side]`` pair, the label list and each vertex entry.  A face's tree
-        lists those pairs in ``face_keyed_splits`` order.  Every object's
-        keys are written in sorted order."""
-        # a split's key ends with its two sides
-        pairs = {s: _canonical_json(key[1:]) for v in self.vertices for key, s in v.keyed_splits}
+        encoded once: each face's vertex list, each split's ``[side,side]``
+        text by rank (``_ranked_splits``), the label list and each vertex
+        entry.  A face tree is the texts at its ``_face_ranks``.  Every
+        object's keys are written in sorted order."""
+        keys, vertex_ranks = self._ranked_splits
+        pairs = [_canonical_json(key[1:]) for key in keys]  # a key ends with its two sides
         labels = _canonical_json(sorted(self.labels))  # every tree's labels
 
-        def tree_text(keyed_splits):
-            splits = ",".join([pairs[s] for _, s in keyed_splits])
-            return f'{{"labels":{labels},"splits":[{splits}]}}'
+        def tree_text(ranks):
+            return f'{{"labels":{labels},"splits":[{",".join([pairs[r] for r in ranks])}]}}'
 
         vertices = [
             f'{{"edges":{_canonical_json(v.adjacency[1])},'
             f'"key":{encode_basestring_ascii(v.canonical_key.decode())},'
-            f'"tree":{tree_text(v.keyed_splits)}}}'
-            for v in self.vertices
+            f'"tree":{tree_text(ranks)}}}'
+            for v, ranks in zip(self.vertices, vertex_ranks)
         ]
         faces = self._sorted_faces
         return (
-            f'{{"face_trees":[{",".join([tree_text(self.face_keyed_splits(f)) for f in faces])}],'
+            f'{{"face_trees":[{",".join([tree_text(self._face_ranks(f)) for f in faces])}],'
             f'"faces":[{",".join([self._face_texts[f] for f in faces])}],'
             f'"family":{_canonical_json(self.family)},"kind":"complex",'
             f'"n":{_canonical_json(self.n)},"schema_version":{_canonical_json(SCHEMA_VERSION)},'

@@ -8,15 +8,23 @@ its name as a word.  A method is used only when another line holds its
 name after a dot (``x.name``): a common word such as ``zero`` in a comment
 or a local variable does not count.  The test checks names, not the
 methods of each class, so an unused method that shares its name with a
-used one (an unused ``to_json`` beside ``Fan.to_json``) passes unseen."""
+used one (an unused ``to_json`` beside ``Fan.to_json``) passes unseen.
+For that reason a method may not be named like a public method of a
+builtin type (``index``, ``get``, ``add``, ...), whose calls would hide
+it, unless ``BUILTIN_NAMED`` lists it."""
 
 import ast
+import builtins
 import collections
 import pathlib
 import re
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "utrop"
+
+
+# (class, method) pairs allowed to share a builtin type's method name
+BUILTIN_NAMED = {("_Basis", "add")}
 
 
 def is_dunder(name: str) -> bool:
@@ -67,3 +75,22 @@ def test_every_definition_is_used():
         if lines_with[word] - (word in words(lines[path][lineno - 1])) < 1
     ]
     assert not unused, "defined but never referenced: " + ", ".join(unused)
+
+
+def test_no_method_is_named_like_a_builtin_method():
+    builtin_names = {
+        name
+        for cls in vars(builtins).values() if isinstance(cls, type)
+        for name in dir(cls) if not name.startswith("_") and callable(getattr(cls, name))
+    }
+    named = {
+        (cls.name, node.name): f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for cls in ast.walk(ast.parse(path.read_text(), str(path))) if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in builtin_names
+    }
+    assert set(named) >= BUILTIN_NAMED, "allowed but gone: " + repr(BUILTIN_NAMED - set(named))
+    clashes = [f"{where} {cls}.{name}" for (cls, name), where in named.items()
+               if (cls, name) not in BUILTIN_NAMED]
+    assert not clashes, "methods named like a builtin type's: " + ", ".join(clashes)

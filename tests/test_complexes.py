@@ -15,7 +15,8 @@ import json
 
 import pytest
 
-from utrop.errors import InvalidArgumentError
+from utrop.errors import InternalConsistencyError, InvalidArgumentError
+from utrop.fans import assemble_fan
 from utrop.symtrees import (
     Complex,
     DihedralOrdering,
@@ -460,12 +461,28 @@ def test_replaced_complex_derives_face_trees_from_its_own_vertices():
 
 
 def test_complex_from_json_rejects_vertices_that_share_a_split(theta_as3):
-    # a face's sorted splits are merged from its vertices', which is exact
-    # only if no two vertices share a split; here one vertex takes on the
-    # split {3, -3} of another, and the face trees are written to match
+    # a face's sorted splits are its vertices' splits in rank order, which
+    # is exact only if no two vertices share a split; here one vertex takes
+    # on the split {3, -3} of another, and the face trees are written to
+    # match (by hand, as the writer refuses such a complex)
     i = theta_as3.vertex_index(VERTEX_TREES[7])
     vertices = list(theta_as3.vertices)
     vertices[i] = t3({1, -1}, {3, -3})
     bad = dataclasses.replace(theta_as3, vertices=tuple(vertices))
+    doc = theta_as3.to_json()
+    doc["vertices"] = [{"tree": v.to_json()} for v in bad.vertices]
+    doc["face_trees"] = [bad.face_tree(frozenset(f)).to_json() for f in doc["faces"]]
     with pytest.raises(InvalidArgumentError, match="share a split"):
-        Complex.from_json(bad.to_json())
+        Complex.from_json(doc)
+
+
+def test_split_table_rejects_vertices_that_share_a_split(theta_as3):
+    # a complex built by hand meets no reader's check; writing it or
+    # building its fan must raise, not order its face trees wrongly; here
+    # vertex 0 is replaced by a copy of vertex 1, so both are still rays
+    vertices = theta_as3.vertices
+    bad = dataclasses.replace(theta_as3, vertices=(vertices[1], *vertices[1:]))
+    with pytest.raises(InternalConsistencyError, match="share a split"):
+        bad.json_text()
+    with pytest.raises(InternalConsistencyError, match="share a split"):
+        assemble_fan(bad, "c", check_intersections=False)

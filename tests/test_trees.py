@@ -12,6 +12,7 @@ import itertools
 import pytest
 
 from utrop.errors import InternalConsistencyError, InvalidArgumentError
+from utrop.fans import assemble_fan
 from utrop.symtrees import (
     Diagonal,
     DihedralOrdering,
@@ -225,19 +226,41 @@ def test_json_round_trip():
 
 @pytest.mark.parametrize("family,n", [("a", 5), ("as", 4), ("cs", 4)])
 def test_face_data_equals_the_tree_of_its_splits(family, n):
-    # a face's merged splits, its key, its JSON tree and its face tree are
+    # a face's splits by rank, its JSON tree, its face tree and, where the
+    # complex is a fan's (`fan a 5`, `fan c 4`), its cone's tree key are
     # each those of the tree built and checked from the face's splits
     cx = build_complex(family, n)
     data = cx.to_json()
-    for vertices, stored in zip(data["faces"], data["face_trees"]):
+    kind = {"a": "a", "as": "c"}.get(family)
+    cones = assemble_fan(cx, kind, check_intersections=False).to_json()["cones"] if kind else []
+    assert len(cones) == (len(data["faces"]) if kind else 0)
+    for k, (vertices, stored) in enumerate(zip(data["faces"], data["face_trees"])):
         face = frozenset(vertices)
         direct = PhyloTree.make(cx.labels, set().union(*(cx.vertices[v].splits for v in face)))
-        merged = cx.face_keyed_splits(face)
-        assert merged == list(direct.keyed_splits)
-        assert tree_key(cx.labels, merged) == direct.canonical_key
+        assert [cx._ranked_splits[0][r] for r in cx._face_ranks(face)] == [
+            key for key, _ in direct.keyed_splits
+        ]
         assert stored == direct.to_json()
         assert cx.face_tree(face) == direct
         assert cx.face_tree(face).canonical_key == direct.canonical_key
+        if kind:
+            assert cones[k]["face"] == vertices
+            assert cones[k]["tree_key"] == direct.canonical_key.decode()
+
+
+@pytest.mark.parametrize(
+    "labels,keys",
+    [
+        ((1, 2, 3), ()),
+        ((1, 2, 3, 4), ((2, (1, 2), (3, 4)),)),
+        ((1, 2, 3, 4, 5), ((2, (1, 2), (3, 4, 5)), (2, (1, 2, 3), (4, 5)))),
+        ((-2, -1, 1, 2), ((2, (-2, -1), (1, 2)),)),
+        ((-3, -2, -1, 1, 2, 3), ((2, (-3, -2, -1, 1), (2, 3)), (3, (-3, -2, 1), (-1, 2, 3)))),
+    ],
+)
+def test_tree_key_is_the_repr_of_labels_and_keys(labels, keys):
+    # one split gives the tuple's trailing-comma form, ((..), (key,))
+    assert tree_key(repr(labels), [repr(k) for k in keys]) == repr((labels, keys))
 
 
 # sha256 over every face tree of build_complex(family, n), in sorted-face
