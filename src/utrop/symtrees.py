@@ -240,13 +240,12 @@ class Subdivision:
 
     ordering: DihedralOrdering
     diagonals: frozenset[Diagonal]
-    symmetric: bool = False
 
     @staticmethod
-    def make(ordering: DihedralOrdering, diagonals, symmetric: bool = False) -> "Subdivision":
+    def make(ordering: DihedralOrdering, diagonals) -> "Subdivision":
         """Check ``diagonals`` and wrap them; raises InvalidArgumentError.
 
-        A symmetric set must be closed under the ordering's symmetry.  For
+        The set must be closed under the ordering's symmetry, if any.  For
         an axial one that also rules out a diagonal d that crosses the axis
         without being the axis or perpendicular to it: then d is not fixed
         by the reflection r, its endpoints lie strictly on opposite sides of
@@ -262,20 +261,17 @@ class Subdivision:
         for d, e in itertools.combinations(sorted(ds), 2):
             if d.crosses(e):
                 raise InvalidArgumentError(f"diagonals {d} and {e} cross")
-        if symmetric:
-            if ordering.symmetry is Symmetry.AXIAL:
-                c = ordering.axis_reflection()
-                if c is None:
-                    raise InvalidArgumentError("ordering is not axially symmetric")
-                if frozenset(_reflect_diagonal(d, c, m) for d in ds) != ds:
-                    raise InvalidArgumentError("diagonal set not closed under the axis reflection")
-            elif ordering.symmetry is Symmetry.CENTRAL:
-                n = m // 2
-                if frozenset(_rotate_diagonal(d, n, m) for d in ds) != ds:
-                    raise InvalidArgumentError("diagonal set not closed under the central symmetry")
-            else:
-                raise InvalidArgumentError("symmetric subdivision over a plain ordering")
-        return Subdivision(ordering, ds, symmetric)
+        if ordering.symmetry is Symmetry.AXIAL:
+            c = ordering.axis_reflection()
+            if c is None:
+                raise InvalidArgumentError("ordering is not axially symmetric")
+            if frozenset(_reflect_diagonal(d, c, m) for d in ds) != ds:
+                raise InvalidArgumentError("diagonal set not closed under the axis reflection")
+        elif ordering.symmetry is Symmetry.CENTRAL:
+            n = m // 2
+            if frozenset(_rotate_diagonal(d, n, m) for d in ds) != ds:
+                raise InvalidArgumentError("diagonal set not closed under the central symmetry")
+        return Subdivision(ordering, ds)
 
     @property
     def is_trivial(self) -> bool:
@@ -298,22 +294,17 @@ def _perpendicular_diagonals(c: int, m: int) -> list[Diagonal]:
     return out
 
 
-def _shape(alpha: DihedralOrdering, symmetric: bool):
+def _shape(alpha: DihedralOrdering):
     """What ``alpha``'s units depend on: the polygon's size, its symmetry
-    (none for plain subdivisions) and, if axial, the axis constant."""
-    if not symmetric:
-        return alpha.size, Symmetry.NONE, None
-    if alpha.symmetry is Symmetry.AXIAL:
-        return alpha.size, Symmetry.AXIAL, alpha.axis_reflection()
-    if alpha.symmetry is Symmetry.CENTRAL:
-        return alpha.size, Symmetry.CENTRAL, None
-    raise InvalidArgumentError("ordering carries no symmetry flag")
+    and, if axial, the axis constant."""
+    c = alpha.axis_reflection() if alpha.symmetry is Symmetry.AXIAL else None
+    return alpha.size, alpha.symmetry, c
 
 
-def _units(alpha: DihedralOrdering, symmetric: bool) -> tuple[frozenset[Diagonal], ...]:
+def _units(alpha: DihedralOrdering) -> tuple[frozenset[Diagonal], ...]:
     """Minimal nonempty (symmetry-closed) non-crossing diagonal sets: single
     diagonals, or symmetry orbits of diagonals."""
-    return _shape_units(*_shape(alpha, symmetric))
+    return _shape_units(*_shape(alpha))
 
 
 @cache  # one entry per polygon shape; the tuples are shared, so immutable
@@ -344,10 +335,10 @@ def _shape_units(m: int, symmetry: Symmetry, c) -> tuple[frozenset[Diagonal], ..
     return tuple(units)
 
 
-def enumerate_coarsest(alpha: DihedralOrdering, symmetric: bool = False) -> list[Subdivision]:
-    """The coarsest nontrivial (symmetric) subdivisions: one diagonal in the
-    plain case, one symmetry unit otherwise."""
-    return [Subdivision.make(alpha, u, symmetric) for u in _units(alpha, symmetric)]
+def enumerate_coarsest(alpha: DihedralOrdering) -> list[Subdivision]:
+    """The coarsest nontrivial subdivisions: one diagonal in the plain case,
+    one symmetry unit otherwise."""
+    return [Subdivision.make(alpha, u) for u in _units(alpha)]
 
 
 @cache
@@ -365,11 +356,11 @@ def _shape_unit_cliques(m: int, symmetry: Symmetry, c):
     return units, tuple(_cliques(apart))
 
 
-def enumerate_subdivisions(alpha: DihedralOrdering, symmetric: bool = False) -> list[Subdivision]:
-    """Every (symmetric) subdivision, the trivial one included."""
-    units, cliques = _shape_unit_cliques(*_shape(alpha, symmetric))
+def enumerate_subdivisions(alpha: DihedralOrdering) -> list[Subdivision]:
+    """Every subdivision of ``alpha``, the trivial one included."""
+    units, cliques = _shape_unit_cliques(*_shape(alpha))
     return [
-        Subdivision(alpha, frozenset().union(*(units[i] for i in clique)), symmetric)
+        Subdivision(alpha, frozenset().union(*(units[i] for i in clique)))
         for clique in cliques
     ]
 
@@ -466,7 +457,7 @@ class PhyloTree:
         that holds it.  ``leaf_map`` sends each label to its internal
         vertex, and ``edges`` lists the internal edges in sorted order, each
         as a ``(smaller, larger)`` vertex pair.  The complex JSON's vertex
-        ``edges`` and ``SymmetryInvolution.vertex_map`` use this numbering.
+        ``edges`` and ``symmetry_involution`` use this numbering.
         """
         clusters, parent, leaf_map = _rooted(self)
         edges = sorted((min(j, p), max(j, p)) for j, p in enumerate(parent) if j)
@@ -556,7 +547,7 @@ def subdivision_from_tree(tree: PhyloTree, alpha: DihedralOrdering):
         if d is None:
             return None
         diagonals.append(d)
-    return Subdivision.make(alpha, diagonals, alpha.symmetry is not Symmetry.NONE)
+    return Subdivision.make(alpha, diagonals)
 
 
 def is_compatible(tree: PhyloTree, alpha: DihedralOrdering) -> bool:
@@ -570,23 +561,6 @@ def is_compatible(tree: PhyloTree, alpha: DihedralOrdering) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SymmetryInvolution:
-    """The unique tree automorphism swapping the leaves labeled ``i`` and
-    ``-i``, given on internal vertices of the reconstructed adjacency."""
-
-    tree: PhyloTree
-    vertex_map: tuple[int, ...]
-
-    def edge_image(self, s: Split) -> Split:
-        return negate_split(s)
-
-    @property
-    def k(self) -> int:
-        """Number of involution orbits of internal edges."""
-        return orbit_count(self.tree)
-
-
 def orbit_count(tree: PhyloTree) -> int:
     """Number of negation-orbits of internal edges: |E| - |{e : e moved}|/2."""
     if not tree.is_negation_closed():
@@ -595,8 +569,9 @@ def orbit_count(tree: PhyloTree) -> int:
     return len(tree.splits) - moved // 2
 
 
-def symmetry_involution(tree: PhyloTree) -> SymmetryInvolution:
-    """Compute the involution explicitly on the reconstructed adjacency.
+def symmetry_involution(tree: PhyloTree) -> tuple[int, ...]:
+    """The automorphism swapping the leaves ``i`` and ``-i``, as a map of the
+    internal vertices of ``tree.adjacency``; it sends a split to its negation.
 
     Internal vertices are matched through their branch decompositions: the
     image of ``v`` is the unique vertex whose around-vertex leaf partition
@@ -614,7 +589,7 @@ def symmetry_involution(tree: PhyloTree) -> SymmetryInvolution:
         raise InternalConsistencyError("a vertex has no involution image") from None
     if any(vm[w] != v for v, w in enumerate(vm)):
         raise InternalConsistencyError("computed map is not an involution")
-    return SymmetryInvolution(tree, vm)
+    return vm
 
 
 def _branch_partitions(tree: PhyloTree) -> list[list[frozenset]]:
@@ -715,14 +690,14 @@ class Complex:
         return frozenset(v for v, tree in enumerate(self.vertices) if is_compatible(tree, alpha))
 
     @cached_property
-    def _face_vertices(self) -> dict[frozenset[int], tuple[int, ...]]:
-        """Each face's vertices in increasing order."""
-        return {f: tuple(sorted(f)) for f in self.faces}
+    def _faces_by_vertices(self) -> dict[tuple[int, ...], frozenset[int]]:
+        """Each face by its vertices in increasing order, in lexicographic
+        order of those tuples; sorted once per complex."""
+        return dict(sorted((tuple(sorted(f)), f) for f in self.faces))
 
     @cached_property
     def _sorted_faces(self) -> tuple[frozenset[int], ...]:
-        by_size = sorted(self._face_vertices.items(), key=lambda ft: (len(ft[1]), ft[1]))
-        return tuple(f for f, _ in by_size)
+        return tuple(sorted(self._faces_by_vertices.values(), key=len))
 
     def sorted_faces(self) -> list[frozenset[int]]:
         """Faces by size, then by their sorted vertices; sorted once per
@@ -730,7 +705,7 @@ class Complex:
         return list(self._sorted_faces)
 
     def edges(self) -> list[tuple[int, int]]:
-        return sorted(tuple(sorted(f)) for f in self.faces if len(f) == 2)
+        return [t for t in self._faces_by_vertices if len(t) == 2]
 
     @property
     def dimension(self) -> int:
@@ -744,10 +719,9 @@ class Complex:
         order of their sorted vertices, and each face's facets by dropping
         its largest vertex first (dropping a later vertex leaves the
         smaller tuple).  Raises if a facet is not a face."""
-        by_vertices = {t: f for f, t in self._face_vertices.items()}
+        by_vertices = self._faces_by_vertices
         relation = []
-        for t in sorted(by_vertices):
-            face = by_vertices[t]
+        for t, face in by_vertices.items():
             for i in reversed(range(len(t))):
                 facet = by_vertices.get(t[:i] + t[i + 1:])
                 if facet is None:
@@ -878,16 +852,21 @@ class Complex:
     @cached_property
     def _face_texts(self) -> dict[frozenset[int], str]:
         """Each face's sorted vertex list as JSON text."""
-        return {f: "[" + ",".join(map(str, t)) + "]" for f, t in self._face_vertices.items()}
+        return {f: "[" + ",".join(map(str, t)) + "]" for t, f in self._faces_by_vertices.items()}
 
     @staticmethod
     def from_json(obj) -> "Complex":
         """Read a complex back, deriving each face's tree from its vertices,
-        which may share no split; the stored face trees must match."""
+        which may share no split; the stored face trees and each vertex's
+        key and edges must match."""
         vertices = tuple(PhyloTree.from_json(v["tree"]) for v in obj["vertices"])
         splits = [s for v in vertices for s in v.splits]
         if len(set(splits)) != len(splits):
             raise InvalidArgumentError("two vertex trees share a split")
+        for i, (v, tree) in enumerate(zip(obj["vertices"], vertices)):
+            edges = list(map(list, tree.adjacency[1]))  # JSON has lists, not tuples
+            if v["key"] != tree.canonical_key.decode() or v["edges"] != edges:
+                raise InvalidArgumentError(f"vertex {i} stores a key or edges not of its tree")
         faces = [frozenset(f) for f in obj["faces"]]
         stored = [PhyloTree.from_json(t) for t in obj["face_trees"]]
         if len(stored) != len(faces):
@@ -1186,7 +1165,7 @@ def csp_to_asp(tree: PhyloTree):
         if d.a in side_vertices and d.b in side_vertices:
             d = Diagonal.make(flip_vertex(d.a), flip_vertex(d.b), m)
         new_diagonals.add(Diagonal.make(to_canonical_vertex(d.a), to_canonical_vertex(d.b), m))
-    result = Subdivision.make(beta, new_diagonals, symmetric=True)
+    result = Subdivision.make(beta, new_diagonals)
     if tree_from_subdivision(result).canonical_key != tree.canonical_key:
         raise InternalConsistencyError("flip changed the tree")
     return beta, result

@@ -20,7 +20,7 @@ integer forms inside :mod:`.groebner`.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from operator import mul
 
 from ..errors import DegenerateIdealError, InvalidArgumentError
@@ -33,9 +33,7 @@ def _integer_weight(w, nvars: int):
     if len(w) != nvars:
         raise InvalidArgumentError("weight length != number of variables")
     fracs = [Fraction(x) for x in w]
-    den = 1
-    for f in fracs:
-        den = den * f.denominator // gcd(den, f.denominator)
+    den = lcm(*(f.denominator for f in fracs))
     return tuple(int(f * den) for f in fracs)
 
 

@@ -48,9 +48,9 @@ class Poly:
         return Poly(nvars, {(0,) * nvars: Fraction(c)})
 
     @staticmethod
-    def var(i: int, nvars: int, power: int = 1) -> "Poly":
+    def var(i: int, nvars: int) -> "Poly":
         m = [0] * nvars
-        m[i] = power
+        m[i] = 1
         return Poly(nvars, {tuple(m): Fraction(1)})
 
     @staticmethod
@@ -164,13 +164,12 @@ class Poly:
 
     # -- display ---------------------------------------------------------------
 
-    def text(self, names=None, order=None) -> str:
+    def text(self, names=None) -> str:
         if not self.terms:
             return "0"
         names = names or [f"x{i}" for i in range(self.nvars)]
-        key = order.key if order is not None else grevlex(self.nvars).key
         parts = []
-        for m in sorted(self.terms, key=key, reverse=True):
+        for m in sorted(self.terms, key=grevlex(self.nvars).key, reverse=True):
             c = self.terms[m]
             factors = [
                 names[i] if e == 1 else f"{names[i]}^{e}"

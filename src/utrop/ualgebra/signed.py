@@ -34,6 +34,7 @@ from fractions import Fraction
 
 from .. import linalg
 from ..errors import GroebnerBudgetError
+from ..symtrees import Symmetry, enumerate_orderings
 from .groebner import DEFAULT_MAX_PAIRS, NormalFormCalculator, groebner_basis
 from .ideals import Ideal, ideal_symmetries, permute_poly, permute_weight
 from .initial import _check_tau, initial_ideal, is_monomial_free, twist_poly
@@ -451,8 +452,6 @@ def search_sign_patterns_c(n: int, fan, ideal: Ideal, max_pairs: int = DEFAULT_M
     orbit that exhausted the Groebner budget are listed in
     ``skipped_faces``.
     """
-    from ..symtrees import Symmetry, enumerate_orderings
-
     faces = fan.proper_faces()
     weights = [fan.interior_point(f) for f in faces]
     taus = list(itertools.product((1, -1), repeat=ideal.nvars))

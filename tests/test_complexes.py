@@ -258,16 +258,15 @@ def ordering_union(family, n):
     by canonical key and sorted by it.  Returns the complex and each face's
     subdivision tree."""
     symmetry = {"a": Symmetry.NONE, "as": Symmetry.AXIAL, "cs": Symmetry.CENTRAL}[family]
-    symmetric = symmetry is not Symmetry.NONE
     orderings = enumerate_orderings(n, symmetry)
     by_key, face_tree = {}, {}
     for alpha in orderings:
         unit_key = {}
-        for unit in enumerate_coarsest(alpha, symmetric):
+        for unit in enumerate_coarsest(alpha):
             tree = tree_from_subdivision(unit)
             by_key.setdefault(tree.canonical_key, tree)
             unit_key.update(dict.fromkeys(unit.diagonals, tree.canonical_key))
-        for sub in enumerate_subdivisions(alpha, symmetric):
+        for sub in enumerate_subdivisions(alpha):
             face = frozenset(map(unit_key.__getitem__, sub.diagonals))
             if face not in face_tree:
                 face_tree[face] = tree_from_subdivision(sub)
@@ -396,14 +395,14 @@ def test_face_trees_are_subdivision_trees(family, n):
         by_diagonals = {
             subdivision_from_tree(union.face_tree(f), alpha).diagonals: f for f in faces
         }
-        units = [u.diagonals for u in enumerate_coarsest(alpha, symmetry is not Symmetry.NONE)]
-        subs = enumerate_subdivisions(alpha, symmetry is not Symmetry.NONE)
+        units = [u.diagonals for u in enumerate_coarsest(alpha)]
+        subs = enumerate_subdivisions(alpha)
         assert len(by_diagonals) == len(faces) == len(subs)
         for sub in subs:
             tree = tree_from_subdivision(sub)
             assert union.face_tree(by_diagonals[sub.diagonals]) == tree
             face = frozenset(
-                index[tree_from_subdivision(Subdivision(alpha, u, sub.symmetric)).canonical_key]
+                index[tree_from_subdivision(Subdivision(alpha, u)).canonical_key]
                 for u in units
                 if u <= sub.diagonals
             )
@@ -435,6 +434,10 @@ def test_complex_from_json_rejects_malformed_input(theta_as3):
     dropped = json.loads(json.dumps(good))
     k = good["faces"].index([edge[0]])
     del dropped["faces"][k], dropped["face_trees"][k]
+    bad_key = json.loads(json.dumps(good["vertices"]))
+    bad_key[0]["key"] = "nonsense"
+    bad_edges = json.loads(json.dumps(good["vertices"]))
+    bad_edges[0]["edges"] = []
     cases = [
         ({"faces": good["faces"] + [[0, 99]], "face_trees": good["face_trees"] + [good["face_trees"][0]]},
          "outside 0..12"),
@@ -444,6 +447,8 @@ def test_complex_from_json_rejects_malformed_input(theta_as3):
         ({"faces": good["faces"] + [edge], "face_trees": good["face_trees"] + [good["face_trees"][0]]},
          "listed twice"),
         ({"faces": good["faces"][1:], "face_trees": good["face_trees"][1:]}, "empty face"),
+        ({"vertices": bad_key}, "vertex 0 stores a key or edges not of its tree"),
+        ({"vertices": bad_edges}, "vertex 0 stores a key or edges not of its tree"),
     ]
     for change, message in cases:
         with pytest.raises(InvalidArgumentError, match=message):

@@ -560,6 +560,14 @@ def test_fan_from_json_rejects_a_swapped_tree_key(fan_c3):
         Fan.from_json({**good, "cones": cones})
 
 
+def test_fan_from_json_rejects_a_swapped_vertex_key(fan_c3):
+    good = fan_c3.to_json()
+    vertices = json.loads(json.dumps(good["complex"]["vertices"]))
+    vertices[0]["key"], vertices[1]["key"] = vertices[1]["key"], vertices[0]["key"]
+    with pytest.raises(InvalidArgumentError, match="stores a key or edges"):
+        Fan.from_json({**good, "complex": {**good["complex"], "vertices": vertices}})
+
+
 @pytest.mark.parametrize("kind,n", [("a", 4), ("a", 5), ("a", 6), ("c", 3)])
 def test_fan_from_json_accepts_what_assemble_fan_writes(kind, n):
     fan = assemble_fan(build_complex("a" if kind == "a" else "as", n), kind)

@@ -6,7 +6,6 @@ from utrop.errors import InvalidArgumentError, NotAxiallySymmetricError
 from utrop.symtrees import (
     PhyloTree,
     make_split,
-    negate_split,
     orbit_count,
     symmetric_contract,
     symmetric_contractions,
@@ -22,11 +21,10 @@ def t3(*sides):
 
 def test_two_vertex_tree_swaps_internal_vertices():
     tree = t3({1, -2, -3})  # the split tree over the diagonal pairing 1 and -1
-    iota = symmetry_involution(tree)
-    assert iota.k == 1
+    v = symmetry_involution(tree)
+    assert orbit_count(tree) == 1
     count, edges, leaf_map = tree.adjacency
     assert count == 2
-    v = iota.vertex_map
     assert v[0] == 1 and v[1] == 0  # the two cells are exchanged
     for lab in N3:
         assert v[leaf_map[lab]] == leaf_map[-lab]
@@ -44,11 +42,13 @@ def test_edge_trees_have_two_orbits():
 
 def test_three_vertex_tree_fixes_middle():
     tree = t3({2, 3}, {-2, -3})
-    iota = symmetry_involution(tree)
-    assert iota.k == 1
-    # involution maps each split edge to its negation
-    s = make_split({2, 3}, {1, -1, -2, -3})
-    assert iota.edge_image(s) == negate_split(s)
+    v = symmetry_involution(tree)
+    assert orbit_count(tree) == 1
+    count, edges, leaf_map = tree.adjacency
+    middle, outer, mirror = leaf_map[1], leaf_map[2], leaf_map[-2]
+    assert count == 3 and len({middle, outer, mirror}) == 3 and leaf_map[-1] == middle
+    assert v[middle] == middle
+    assert v[outer] == mirror and v[mirror] == outer
 
 
 def test_involution_absent():

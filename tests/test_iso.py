@@ -57,7 +57,7 @@ def test_csp_vertices_embed_into_axial_complex(theta_cs3, theta_as3):
     for v in theta_cs3.vertices:
         beta, sub = csp_to_asp(v)
         assert beta.symmetry is Symmetry.AXIAL
-        assert sub.symmetric
+        assert sub.ordering.symmetry is Symmetry.AXIAL
         assert tree_from_subdivision(sub).canonical_key == v.canonical_key
         assert theta_as3.vertex_index(v) >= 0
 

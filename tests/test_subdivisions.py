@@ -29,13 +29,13 @@ def test_coarsest_plain_counts(n):
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_coarsest_axial_counts(n):
     alpha = enumerate_orderings(n, Symmetry.AXIAL)[0]
-    assert len(enumerate_coarsest(alpha, True)) == (n + 2) * (n - 1) // 2
+    assert len(enumerate_coarsest(alpha)) == (n + 2) * (n - 1) // 2
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_coarsest_central_counts(n):
     alpha = enumerate_orderings(n, Symmetry.CENTRAL)[0]
-    assert len(enumerate_coarsest(alpha, True)) == n * (n - 1)
+    assert len(enumerate_coarsest(alpha)) == n * (n - 1)
 
 
 @pytest.mark.parametrize("m", [4, 5, 6, 7])
@@ -49,33 +49,26 @@ def test_axial_subdivisions_count_like_a_smaller_polygon(n):
     # axially symmetric subdivisions of the 2n-gon biject with subdivisions
     # of an (n+2)-gon
     alpha = enumerate_orderings(n, Symmetry.AXIAL)[0]
-    assert len(enumerate_subdivisions(alpha, True)) == SUBDIVISION_TOTALS[n + 2]
+    assert len(enumerate_subdivisions(alpha)) == SUBDIVISION_TOTALS[n + 2]
 
 
 def test_central_subdivision_count_n3():
     alpha = enumerate_orderings(3, Symmetry.CENTRAL)[0]
     # empty + 6 units + 6 compatible unit pairs
-    assert len(enumerate_subdivisions(alpha, True)) == 13
+    assert len(enumerate_subdivisions(alpha)) == 13
 
 
 def test_symmetric_closure_is_validated():
     alpha = DihedralOrdering.make([1, 2, 3, -1, -2, -3], Symmetry.CENTRAL)
     lone = Diagonal.make(0, 2, 6)  # not closed under the half-turn
     with pytest.raises(InvalidArgumentError):
-        Subdivision.make(alpha, [lone], symmetric=True)
-    Subdivision.make(alpha, [lone])  # fine as a plain subdivision
+        Subdivision.make(alpha, [lone])
 
 
 def test_crossing_diagonals_rejected():
     alpha = DihedralOrdering.make(range(1, 7))
     with pytest.raises(InvalidArgumentError):
         Subdivision.make(alpha, [Diagonal.make(0, 3, 6), Diagonal.make(1, 4, 6)])
-
-
-def test_symmetric_flag_requires_symmetric_ordering():
-    alpha = DihedralOrdering.make(range(1, 6))
-    with pytest.raises(InvalidArgumentError):
-        enumerate_subdivisions(alpha, symmetric=True)
 
 
 @pytest.mark.parametrize(
@@ -89,7 +82,7 @@ def test_round_trip_all_subdivisions(n, symmetry):
     else:
         orderings = enumerate_orderings(n, symmetry)[:4]
     for alpha in orderings:
-        for sub in enumerate_subdivisions(alpha, symmetry is not Symmetry.NONE):
+        for sub in enumerate_subdivisions(alpha):
             assert is_compatible(tree_from_subdivision(sub), alpha)
 
 
@@ -129,7 +122,7 @@ def test_axial_subdivision_axis_crossing_rule():
     c = alpha.axis_reflection()
     axis = _axis_diagonal(c, 8)
     perps = set(_perpendicular_diagonals(c, 8))
-    for sub in enumerate_subdivisions(alpha, True):
+    for sub in enumerate_subdivisions(alpha):
         for d in sub.diagonals:
             if d != axis and d not in perps:
                 assert not d.crosses(axis)
@@ -148,16 +141,16 @@ def test_axial_subdivision_axis_crossing_rule():
                 mirror = _reflect_diagonal(d, c, m)
                 assert d.crosses(mirror)
                 with pytest.raises(InvalidArgumentError):
-                    Subdivision.make(alpha, {d, mirror}, True)
+                    Subdivision.make(alpha, {d, mirror})
                 cases += 1
     assert cases > 0
 
 
-def enumerate_subdivisions_reference(alpha, symmetric):
+def enumerate_subdivisions_reference(alpha):
     """Backtracking over units, keeping the chosen set pairwise
     non-crossing: each chosen list is extended by the later units that
     cross none of its members."""
-    units = _units(alpha, symmetric)
+    units = _units(alpha)
     compat = [
         {j for j in range(i + 1, len(units)) if all(not d.crosses(e) for d in units[i] for e in units[j])}
         for i in range(len(units))
@@ -165,7 +158,7 @@ def enumerate_subdivisions_reference(alpha, symmetric):
     out = []
 
     def extend(chosen, allowed):
-        out.append(Subdivision(alpha, frozenset(d for i in chosen for d in units[i]), symmetric))
+        out.append(Subdivision(alpha, frozenset(d for i in chosen for d in units[i])))
         for pos, j in enumerate(allowed):
             extend(chosen + [j], [k for k in allowed[pos + 1 :] if k in compat[j]])
 
@@ -179,7 +172,6 @@ def enumerate_subdivisions_reference(alpha, symmetric):
      (3, Symmetry.AXIAL), (4, Symmetry.AXIAL), (3, Symmetry.CENTRAL), (4, Symmetry.CENTRAL)],
 )
 def test_subdivisions_match_backtracking_in_order(n, symmetry):
-    symmetric = symmetry is not Symmetry.NONE
     orderings = enumerate_orderings(n, symmetry)
     for alpha in orderings[:: max(1, len(orderings) // 6)]:
-        assert enumerate_subdivisions(alpha, symmetric) == enumerate_subdivisions_reference(alpha, symmetric)
+        assert enumerate_subdivisions(alpha) == enumerate_subdivisions_reference(alpha)

@@ -117,7 +117,7 @@ def test_eight_gon_axial_subdivision():
         Diagonal.make(4, 6, 8),
         Diagonal.make(0, 2, 8),  # mirror of the previous
     ]
-    sub = Subdivision.make(alpha, diags, symmetric=True)
+    sub = Subdivision.make(alpha, diags)
     t = tree_from_subdivision(sub)
     assert len(t.splits) == 5
     assert t.internal_vertex_count() == 6
