@@ -23,6 +23,7 @@ from .symtrees import (
     PhyloTree,
     Split,
     _canonical_json,
+    _naming_missing_fields,
     negate_split,
     split_orbits,
     tree_key,
@@ -34,9 +35,7 @@ SCHEMA_VERSION = 1
 def successor(i: int, n: int) -> int:
     """Cyclic successor of a signed label in the standard central ordering:
     sgn(i)(|i|+1) for |i| < n, and (+-n) -> (-+1)."""
-    if abs(i) < n:
-        return (1 if i > 0 else -1) * (abs(i) + 1)
-    return -1 if i > 0 else 1
+    return _successors("c", n)[i]
 
 
 @dataclass(frozen=True)
@@ -78,30 +77,33 @@ def index_set(kind: str, n: int) -> IndexSetD:
             raise InvalidArgumentError("need n >= 2")
         longest = [(i, -i) for i in range(1, n + 1)]
         others = []
-        labels = list(range(1, n + 1)) + list(range(-1, -n - 1, -1))
+        labels, suc = standard_labels("c", n), _successors("c", n)
         for i in range(1, n + 1):
-            js = [
-                j
-                for j in labels
-                if j != i and i < abs(j) and successor(i, n) != j and successor(j, n) != i
-            ]
+            js = [j for j in labels if j != i and i < abs(j) and suc[i] != j and suc[j] != i]
             others.extend((i, j) for j in sorted(js, reverse=True))
         return IndexSetD("c", n, tuple(longest + others))
     raise InvalidArgumentError(f"unknown kind {kind!r}")
 
 
 def standard_labels(kind: str, n: int) -> tuple[int, ...]:
+    """The standard polygon's edge labels in order: ``1..n`` for type A,
+    ``1..n, -1..-n`` for type C."""
     if kind == "a":
         return tuple(range(1, n + 1))
     return tuple(range(1, n + 1)) + tuple(range(-1, -n - 1, -1))
 
 
+def _successors(kind: str, n: int) -> dict[int, int]:
+    """Each label's cyclic successor in ``standard_labels(kind, n)``."""
+    labels = standard_labels(kind, n)
+    return dict(zip(labels, labels[1:] + labels[:1]))
+
+
 def vertex_position(label: int, kind: str, n: int) -> int:
     """0-based polygon vertex position of the vertex named by ``label``
-    (the vertex between the edges carrying ``label`` and its successor)."""
-    if kind == "a":
-        return label - 1
-    return label - 1 if label > 0 else n + abs(label) - 1
+    (the vertex between the edges carrying ``label`` and its successor):
+    the position of ``label`` in ``standard_labels``."""
+    return standard_labels(kind, n).index(label)
 
 
 # ---------------------------------------------------------------------------
@@ -149,9 +151,7 @@ def edge_image_matrix(tree: PhyloTree, kind: str):
         n = len(tree.labels)
         if tree.labels != frozenset(range(1, n + 1)):
             raise InvalidArgumentError("type 'a' trees must be labeled 1..n")
-        D = index_set("a", n)
         units = [frozenset([s]) for s in tree.sorted_splits()]
-        suc = {i: i % n + 1 for i in range(1, n + 1)}
     elif kind == "c":
         if len(tree.labels) % 2:
             raise InvalidArgumentError("type 'c' trees need an even label set")
@@ -160,11 +160,11 @@ def edge_image_matrix(tree: PhyloTree, kind: str):
             raise InvalidArgumentError("type 'c' trees must be labeled -n..-1,1..n")
         if not tree.is_negation_closed():
             raise NotAxiallySymmetricError("type 'c' cones need a negation-closed tree")
-        D = index_set("c", n)
         units = split_orbits(tree)
-        suc = {i: successor(i, n) for i in standard_labels("c", n)}
     else:
         raise InvalidArgumentError(f"unknown kind {kind!r}")
+    D = index_set(kind, n)
+    suc = _successors(kind, n)
 
     # The entry of pair (i, j) counts, over the unit's splits, those that
     # separate i from j and suc i from suc j, minus those that separate i
@@ -285,6 +285,7 @@ class Fan:
         return json.loads(self.json_text())
 
     @staticmethod
+    @_naming_missing_fields
     def from_json(obj) -> "Fan":
         """Rebuild the fan from its complex and family, and require every
         other section of ``obj`` to be the rebuilt fan's."""

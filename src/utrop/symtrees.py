@@ -24,7 +24,7 @@ import enum
 import itertools
 import json
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, wraps
 from json.encoder import encode_basestring_ascii
 
 from .errors import InvalidArgumentError, InternalConsistencyError, NotAxiallySymmetricError
@@ -33,6 +33,21 @@ SCHEMA_VERSION = 1
 
 # the one dump setting of every artifact: compact, with sorted keys
 _canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _naming_missing_fields(read):
+    """The document reader ``read``, raising InvalidArgumentError that names
+    the missing field where ``read`` meets a KeyError: a reader looks up by
+    key only the document's fields and keys it built itself."""
+
+    @wraps(read)
+    def reader(obj):
+        try:
+            return read(obj)
+        except KeyError as exc:
+            raise InvalidArgumentError(f"missing field {exc.args[0]!r}") from None
+
+    return reader
 
 
 class Symmetry(enum.Enum):
@@ -100,38 +115,30 @@ class DihedralOrdering:
         if len(set(seq)) != len(seq) or 0 in seq:
             raise InvalidArgumentError("labels must be distinct nonzero integers")
         alpha = DihedralOrdering(canonical_cycle(seq), symmetry)
-        if symmetry is Symmetry.AXIAL and alpha.axis_reflection() is None:
-            raise InvalidArgumentError(f"{seq} is not axially symmetric")
-        if symmetry is Symmetry.CENTRAL and not alpha._is_central():
-            raise InvalidArgumentError(f"{seq} is not centrally symmetric")
+        _vertex_map(alpha)  # raises if the labels admit no such symmetry
         return alpha
 
-    # -- symmetry recovery --------------------------------------------------
-
-    def axis_reflection(self):
-        """Constant ``c`` of the reflection ``edge p -> edge (c - p) % m``
-        that negates every label, or None.  The axis runs through the two
-        vertices fixed by the reflection; ``c`` is even-offset so that
-        ``c - 1`` is even exactly when fixed vertices exist."""
-        m = self.size
-        lab = self.labels
-        if m % 2:
+    def symmetry_map(self):
+        """The images of the vertex positions under the ordering's symmetry,
+        or None if the labels admit none: the identity for NONE, the
+        half-turn ``k -> (k + m/2) % m`` for CENTRAL, and for AXIAL the
+        reflection ``k -> (c - 1 - k) % m`` that sends edge 0 to edge ``c``,
+        the edge labeled ``-labels[0]``.  A symmetry negates labels: edge
+        ``p``, between vertices ``p - 1`` and ``p``, goes to the edge
+        between their images, which must carry ``-labels[p]``.  So no edge
+        is fixed, and a reflection that passes fixes two vertices."""
+        m, lab = self.size, self.labels
+        if self.symmetry is Symmetry.NONE:
+            return tuple(range(m))
+        if self.symmetry is Symmetry.CENTRAL:
+            g = tuple((k + m // 2) % m for k in range(m))
+        elif -lab[0] in lab:
+            c = lab.index(-lab[0])
+            g = tuple((c - 1 - k) % m for k in range(m))
+        else:
             return None
-        for c in range(m):
-            if all(lab[(c - p) % m] == -lab[p] for p in range(m)):
-                # label-negating reflections through edges cannot exist
-                # (a fixed edge would need label == -label)
-                if (c - 1) % 2 == 0:
-                    return c
-        return None
-
-    def _is_central(self) -> bool:
-        m = self.size
-        if m % 2:
-            return False
-        n = m // 2
-        lab = self.labels
-        return all(lab[(p + n) % m] == -lab[p] for p in range(m))
+        image = (g[p] if g[p] == (g[p - 1] + 1) % m else g[p - 1] for p in range(m))
+        return g if all(lab[e] == -x for e, x in zip(image, lab)) else None
 
     def vertex_after_label(self, label: int) -> int:
         """Vertex position following the edge carrying ``label`` in the
@@ -224,14 +231,17 @@ def all_diagonals(m: int) -> list[Diagonal]:
     ]
 
 
-def _reflect_diagonal(d: Diagonal, c: int, m: int) -> Diagonal:
-    """Image of ``d`` under the reflection with edge map p -> (c-p) % m
-    (vertex map k -> (c-1-k) % m)."""
-    return Diagonal.make((c - 1 - d.a) % m, (c - 1 - d.b) % m, m)
+def _image(d: Diagonal, vmap) -> Diagonal:
+    """Image of ``d`` under the vertex map ``vmap`` (a tuple of images)."""
+    return Diagonal.make(vmap[d.a], vmap[d.b], len(vmap))
 
 
-def _rotate_diagonal(d: Diagonal, k: int, m: int) -> Diagonal:
-    return Diagonal.make((d.a + k) % m, (d.b + k) % m, m)
+def _vertex_map(alpha: DihedralOrdering) -> tuple[int, ...]:
+    """``alpha.symmetry_map()``; raises if the labels admit none."""
+    g = alpha.symmetry_map()
+    if g is None:
+        raise InvalidArgumentError(f"{alpha.labels} is not {alpha.symmetry.value}ly symmetric")
+    return g
 
 
 @dataclass(frozen=True)
@@ -245,13 +255,13 @@ class Subdivision:
     def make(ordering: DihedralOrdering, diagonals) -> "Subdivision":
         """Check ``diagonals`` and wrap them; raises InvalidArgumentError.
 
-        The set must be closed under the ordering's symmetry, if any.  For
-        an axial one that also rules out a diagonal d that crosses the axis
-        without being the axis or perpendicular to it: then d is not fixed
-        by the reflection r, its endpoints lie strictly on opposite sides of
-        the axis and are not swapped, so d and r(d) share no endpoint but
-        meet on the axis, and closure puts the crossing pair d, r(d) in the
-        set.
+        The set must be non-crossing and closed under the ordering's vertex
+        map ``g`` (``symmetry_map``, the identity for a plain ordering), and
+        the ordering must have that map.  So no diagonal ``d`` crosses its
+        own image: for an axial ordering that rules out a diagonal crossing
+        the axis without being the axis or perpendicular to it, whose
+        endpoints lie strictly on opposite sides of the axis and are not
+        swapped, so that ``d`` and ``g(d)`` meet on the axis.
         """
         ds = frozenset(diagonals)
         m = ordering.size
@@ -261,16 +271,9 @@ class Subdivision:
         for d, e in itertools.combinations(sorted(ds), 2):
             if d.crosses(e):
                 raise InvalidArgumentError(f"diagonals {d} and {e} cross")
-        if ordering.symmetry is Symmetry.AXIAL:
-            c = ordering.axis_reflection()
-            if c is None:
-                raise InvalidArgumentError("ordering is not axially symmetric")
-            if frozenset(_reflect_diagonal(d, c, m) for d in ds) != ds:
-                raise InvalidArgumentError("diagonal set not closed under the axis reflection")
-        elif ordering.symmetry is Symmetry.CENTRAL:
-            n = m // 2
-            if frozenset(_rotate_diagonal(d, n, m) for d in ds) != ds:
-                raise InvalidArgumentError("diagonal set not closed under the central symmetry")
+        g = _vertex_map(ordering)
+        if frozenset(_image(d, g) for d in ds) != ds:
+            raise InvalidArgumentError("diagonal set not closed under the ordering's symmetry")
         return Subdivision(ordering, ds)
 
     @property
@@ -278,61 +281,21 @@ class Subdivision:
         return not self.diagonals
 
 
-def _axis_diagonal(c: int, m: int) -> Diagonal:
-    k = ((c - 1) // 2) % m
-    return Diagonal.make(k, k + m // 2, m)
-
-
-def _perpendicular_diagonals(c: int, m: int) -> list[Diagonal]:
-    """Diagonals joining pairs of vertices swapped by the axis reflection."""
-    k = ((c - 1) // 2) % m
-    out = []
-    for j in range(1, m // 2):
-        a, b = (k + j) % m, (k - j) % m
-        if (b - a) % m not in (0, 1, m - 1):
-            out.append(Diagonal.make(a, b, m))
-    return out
-
-
-def _shape(alpha: DihedralOrdering):
-    """What ``alpha``'s units depend on: the polygon's size, its symmetry
-    and, if axial, the axis constant."""
-    c = alpha.axis_reflection() if alpha.symmetry is Symmetry.AXIAL else None
-    return alpha.size, alpha.symmetry, c
-
-
 def _units(alpha: DihedralOrdering) -> tuple[frozenset[Diagonal], ...]:
-    """Minimal nonempty (symmetry-closed) non-crossing diagonal sets: single
-    diagonals, or symmetry orbits of diagonals."""
-    return _shape_units(*_shape(alpha))
+    """Minimal nonempty symmetry-closed non-crossing diagonal sets
+    (``_map_units`` of ``alpha``'s vertex map)."""
+    return _map_units(_vertex_map(alpha))
 
 
-@cache  # one entry per polygon shape; the tuples are shared, so immutable
-def _shape_units(m: int, symmetry: Symmetry, c) -> tuple[frozenset[Diagonal], ...]:
-    if symmetry is Symmetry.NONE:
-        return tuple(frozenset([d]) for d in all_diagonals(m))
-    if symmetry is Symmetry.AXIAL:
-        units = [frozenset([_axis_diagonal(c, m)])]
-        units += [frozenset([d]) for d in _perpendicular_diagonals(c, m)]
-        seen = set()
-        for d in all_diagonals(m):
-            e = _reflect_diagonal(d, c, m)
-            if e != d and not d.crosses(e):
-                unit = frozenset([d, e])
-                if unit not in seen:
-                    seen.add(unit)
-                    units.append(unit)
-        return tuple(units)
-    n = m // 2
-    units, seen = [], set()
-    for d in all_diagonals(m):
-        e = _rotate_diagonal(d, n, m)
-        unit = frozenset([d, e])
-        if unit not in seen:
-            seen.add(unit)
-            if all(not x.crosses(y) for x, y in itertools.combinations(unit, 2)):
-                units.append(unit)
-    return tuple(units)
+@cache  # one entry per vertex map; the tuples are shared, so immutable
+def _map_units(g: tuple[int, ...]) -> tuple[frozenset[Diagonal], ...]:
+    """The orbits ``{d, g(d)}`` of the involution ``g`` whose members do not
+    cross, in ``all_diagonals`` order of their first member: ``{d}`` when
+    ``g`` fixes ``d``.  For the identity that is every diagonal; for an
+    axial reflection the axis, the perpendiculars and the mirror pairs; for
+    the half-turn the pairs and the long diagonals."""
+    orbits = dict.fromkeys(frozenset({d, _image(d, g)}) for d in all_diagonals(len(g)))
+    return tuple(u for u in orbits if not min(u).crosses(max(u)))
 
 
 def enumerate_coarsest(alpha: DihedralOrdering) -> list[Subdivision]:
@@ -342,13 +305,13 @@ def enumerate_coarsest(alpha: DihedralOrdering) -> list[Subdivision]:
 
 
 @cache
-def _shape_unit_cliques(m: int, symmetry: Symmetry, c):
-    """A shape's units and the cliques of the graph joining units that
+def _unit_cliques(g: tuple[int, ...]):
+    """A vertex map's units and the cliques of the graph joining units that
     cross nowhere, as sets of unit indices in ``_cliques`` order.  A set of
     units is a subdivision iff its units pairwise cross nowhere, so the
     cliques are the subdivisions, each exactly once.  Both depend only on
-    the polygon's shape (``_shape``), so each shape computes them once."""
-    units = _shape_units(m, symmetry, c)
+    the map, so each map computes them once."""
+    units = _map_units(g)
     apart = {
         i: {j for j, v in enumerate(units) if all(not d.crosses(e) for d in u for e in v)} - {i}
         for i, u in enumerate(units)
@@ -358,7 +321,7 @@ def _shape_unit_cliques(m: int, symmetry: Symmetry, c):
 
 def enumerate_subdivisions(alpha: DihedralOrdering) -> list[Subdivision]:
     """Every subdivision of ``alpha``, the trivial one included."""
-    units, cliques = _shape_unit_cliques(*_shape(alpha))
+    units, cliques = _unit_cliques(_vertex_map(alpha))
     return [
         Subdivision(alpha, frozenset().union(*(units[i] for i in clique)))
         for clique in cliques
@@ -855,6 +818,7 @@ class Complex:
         return {f: "[" + ",".join(map(str, t)) + "]" for t, f in self._faces_by_vertices.items()}
 
     @staticmethod
+    @_naming_missing_fields
     def from_json(obj) -> "Complex":
         """Read a complex back, deriving each face's tree from its vertices,
         which may share no split; the stored face trees and each vertex's
@@ -1053,16 +1017,13 @@ def delta_as_iso(alpha: DihedralOrdering):
         raise InvalidArgumentError("ordering must be axially symmetric")
     m = alpha.size
     n = m // 2
-    c = alpha.axis_reflection()
-    k = ((c - 1) // 2) % m  # axis endpoints: vertices k and k+n
-    axis = _axis_diagonal(c, m)
+    g = _vertex_map(alpha)
+    axis = Diagonal(*(v for v in range(m) if g[v] == v))  # through the two fixed vertices
+    k = axis.a  # axis endpoints: vertices k and k+n
 
     # the chosen half keeps edges k+1 .. k+n, relabeled 1..n in Q;
     # P-vertex -> Q-vertex: vertices k..k+n (mod m) map to n+2, 1, 2, .., n
-    pv_to_qv = {}
-    pv_to_qv[k % m] = n + 2
-    for j in range(1, n + 1):
-        pv_to_qv[(k + j) % m] = j
+    pv_to_qv = {k: n + 2} | {(k + j) % m: j for j in range(1, n + 1)}
     apex = n + 1
 
     q_ordering = DihedralOrdering.make(range(1, n + 3))
@@ -1071,14 +1032,14 @@ def delta_as_iso(alpha: DihedralOrdering):
     def q_diag(va: int, vb: int) -> Diagonal:
         return Diagonal.make((va - 1) % (n + 2), (vb - 1) % (n + 2), n + 2)
 
-    perps = set(_perpendicular_diagonals(c, m))
+    fixed = {d for d in all_diagonals(m) if _image(d, g) == d}  # the axis and its perpendiculars
 
     def transfer(sub: Subdivision) -> frozenset[Diagonal]:
         out = set()
         for d in sub.diagonals:
             if d == axis:
                 out.add(q_diag(n, n + 2))
-            elif d in perps:
+            elif d in fixed:
                 end = d.a if d.a in pv_to_qv and pv_to_qv[d.a] <= n else d.b
                 if not (end in pv_to_qv and pv_to_qv[end] <= n):
                     raise InternalConsistencyError("perpendicular diagonal misses the kept half")
@@ -1141,10 +1102,7 @@ def csp_to_asp(tree: PhyloTree):
     # flip side: edges q+1 .. q+n (all on one side of l); reflection in the
     # perpendicular bisector of l: edges p -> c0 - p, vertices v -> c0-1-v
     c0 = (2 * q + n + 1) % m
-
-    def flip_vertex(v: int) -> int:
-        return (c0 - 1 - v) % m
-
+    mirror = tuple((c0 - 1 - v) % m for v in range(m))
     side_edges = {(q + j) % m for j in range(1, n + 1)}
     side_vertices = {(q + j) % m for j in range(0, n + 1)}
     beta_raw = list(alpha.labels)
@@ -1152,19 +1110,14 @@ def csp_to_asp(tree: PhyloTree):
         beta_raw[p] = alpha.labels[(c0 - p) % m]
     canon, flip, shift = canonical_cycle_with_transform(beta_raw)
     beta = DihedralOrdering.make(canon, Symmetry.AXIAL)
-
-    def to_canonical_vertex(v: int) -> int:
-        # new edge p carries old edge (shift - p) % m if flip else (p + shift) % m;
-        # vertex v (between edges v, v+1) maps accordingly
-        if flip:
-            return (shift - 1 - v) % m
-        return (v - shift) % m
-
+    # new edge p carries old edge (shift - p) % m if flip else (p + shift) % m;
+    # vertex v (between edges v, v+1) maps accordingly
+    to_canonical = tuple((shift - 1 - v if flip else v - shift) % m for v in range(m))
     new_diagonals = set()
     for d in sub.diagonals:
         if d.a in side_vertices and d.b in side_vertices:
-            d = Diagonal.make(flip_vertex(d.a), flip_vertex(d.b), m)
-        new_diagonals.add(Diagonal.make(to_canonical_vertex(d.a), to_canonical_vertex(d.b), m))
+            d = _image(d, mirror)
+        new_diagonals.add(_image(d, to_canonical))
     result = Subdivision.make(beta, new_diagonals)
     if tree_from_subdivision(result).canonical_key != tree.canonical_key:
         raise InternalConsistencyError("flip changed the tree")

@@ -455,6 +455,23 @@ def test_complex_from_json_rejects_malformed_input(theta_as3):
             Complex.from_json({**good, **change})
 
 
+def test_complex_from_json_names_a_missing_field(theta_as3):
+    good = theta_as3.to_json()
+    docs = [({k: v for k, v in good.items() if k != field}, field)
+            for field in ("face_trees", "faces", "family", "n", "vertices")]
+    for field in ("key", "edges", "tree"):
+        doc = json.loads(json.dumps(good))
+        del doc["vertices"][0][field]
+        docs.append((doc, field))
+    for field in ("labels", "splits"):
+        doc = json.loads(json.dumps(good))
+        del doc["vertices"][0]["tree"][field], doc["face_trees"][0][field]
+        docs.append((doc, field))
+    for doc, field in docs:
+        with pytest.raises(InvalidArgumentError, match=f"missing field '{field}'"):
+            Complex.from_json(doc)
+
+
 def test_replaced_complex_derives_face_trees_from_its_own_vertices():
     # dataclasses.replace builds a new complex; its face trees come from its
     # own vertices, and the original's stay those of its vertices

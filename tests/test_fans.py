@@ -593,6 +593,22 @@ def test_fan_from_json_rejects_cones_off_the_complex(fan_c3):
             Fan.from_json({**good, "cones": bad})
 
 
+def test_fan_from_json_names_a_missing_field(fan_c3):
+    good = fan_c3.to_json()
+    docs = [({k: v for k, v in good.items() if k != field}, field)
+            for field in ("complex", "cones", "facet_relation", "family", "index_set")]
+    for field in ("face", "rays", "tree_key"):
+        doc = json.loads(json.dumps(good))
+        del doc["cones"][0][field]
+        docs.append((doc, field))
+    doc = json.loads(json.dumps(good))
+    del doc["complex"]["vertices"][0]["key"]
+    docs.append((doc, "key"))
+    for doc, field in docs:
+        with pytest.raises(InvalidArgumentError, match=f"missing field '{field}'"):
+            Fan.from_json(doc)
+
+
 def test_assemble_fan_needs_one_ray_per_vertex(theta_as3):
     two_orbits = t3({1, -1}, {3, -3})
     cx = dataclasses.replace(theta_as3, vertices=(two_orbits,) + theta_as3.vertices[1:])

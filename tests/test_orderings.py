@@ -81,3 +81,34 @@ def test_labels_validated():
 def test_json_round_trip():
     for alpha in enumerate_orderings(4, Symmetry.CENTRAL):
         assert DihedralOrdering.from_json(alpha.to_json()) == alpha
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_symmetry_map_is_the_label_negating_involution(n):
+    orderings = [a for sym in (Symmetry.AXIAL, Symmetry.CENTRAL) for a in enumerate_orderings(n, sym)]
+    plain = enumerate_orderings(n)[:3] + [DihedralOrdering.make(range(1, 2 * n + 1))]
+    for alpha in orderings + plain:
+        g, m, lab = alpha.symmetry_map(), alpha.size, alpha.labels
+        assert sorted(g) == list(range(m))
+        assert all(g[g[k]] == k for k in range(m))
+        fixed = [k for k in range(m) if g[k] == k]
+        if alpha.symmetry is Symmetry.NONE:
+            assert g == tuple(range(m))
+            continue
+        # neighbours go to neighbours, and edge p (between vertices p-1 and
+        # p) goes to the edge between their images, which carries -labels[p]
+        for p in range(m):
+            u, v = g[p - 1], g[p]
+            assert (v - u) % m in (1, m - 1)
+            assert lab[v if (v - u) % m == 1 else u] == -lab[p]
+        if alpha.symmetry is Symmetry.AXIAL:
+            assert len(fixed) == 2 and fixed[1] - fixed[0] == m // 2
+        else:
+            assert fixed == []
+
+
+def test_symmetry_map_is_none_without_the_symmetry():
+    for labels in ((1, 2, 3, -1, -2, -3), (1, 2, -1, -2, 3, -3)):
+        assert DihedralOrdering(labels, Symmetry.AXIAL).symmetry_map() is None
+    for labels in ((1, 2, 3, -3, -2, -1), (1, 2, 3, 4, 5, 6), (1, 2, 3, -1, -2)):
+        assert DihedralOrdering(labels, Symmetry.CENTRAL).symmetry_map() is None

@@ -65,6 +65,18 @@ def test_symmetric_closure_is_validated():
         Subdivision.make(alpha, [lone])
 
 
+@pytest.mark.parametrize(
+    "labels,symmetry",
+    [((1, 2, 3, -1, -2, -3), Symmetry.AXIAL), ((1, 2, 3, -3, -2, -1), Symmetry.CENTRAL)],
+)
+def test_orderings_without_their_symmetry_are_rejected(labels, symmetry):
+    # the raw constructor checks nothing; every reader of the symmetry does
+    alpha = DihedralOrdering(labels, symmetry)
+    for call in (enumerate_coarsest, enumerate_subdivisions, lambda a: Subdivision.make(a, [])):
+        with pytest.raises(InvalidArgumentError, match="symmetric"):
+            call(alpha)
+
+
 def test_crossing_diagonals_rejected():
     alpha = DihedralOrdering.make(range(1, 7))
     with pytest.raises(InvalidArgumentError):
@@ -110,18 +122,17 @@ def test_vertex_naming_convention():
 
 def test_axial_subdivision_axis_crossing_rule():
     # diagonals crossing the axis non-perpendicularly never appear in the
-    # enumerated axial subdivisions
-    from utrop.symtrees import (
-        _axis_diagonal,
-        _perpendicular_diagonals,
-        _reflect_diagonal,
-        all_diagonals,
-    )
+    # enumerated axial subdivisions; the axis joins the reflection's two
+    # fixed vertices, and a perpendicular joins two vertices it swaps
+    from utrop.symtrees import _image, all_diagonals
+
+    def axis_and_perpendiculars(alpha):
+        g, m = alpha.symmetry_map(), alpha.size
+        axis = Diagonal(*(v for v in range(m) if g[v] == v))
+        return g, axis, {d for d in all_diagonals(m) if g[d.a] == d.b}
 
     alpha = enumerate_orderings(4, Symmetry.AXIAL)[0]
-    c = alpha.axis_reflection()
-    axis = _axis_diagonal(c, 8)
-    perps = set(_perpendicular_diagonals(c, 8))
+    _, axis, perps = axis_and_perpendiculars(alpha)
     for sub in enumerate_subdivisions(alpha):
         for d in sub.diagonals:
             if d != axis and d not in perps:
@@ -132,13 +143,11 @@ def test_axial_subdivision_axis_crossing_rule():
     cases = 0
     for n in (3, 4, 5):
         for alpha in enumerate_orderings(n, Symmetry.AXIAL):
-            m, c = alpha.size, alpha.axis_reflection()
-            axis = _axis_diagonal(c, m)
-            perps = set(_perpendicular_diagonals(c, m))
-            for d in all_diagonals(m):
+            g, axis, perps = axis_and_perpendiculars(alpha)
+            for d in all_diagonals(alpha.size):
                 if d == axis or d in perps or not d.crosses(axis):
                     continue
-                mirror = _reflect_diagonal(d, c, m)
+                mirror = _image(d, g)
                 assert d.crosses(mirror)
                 with pytest.raises(InvalidArgumentError):
                     Subdivision.make(alpha, {d, mirror})
