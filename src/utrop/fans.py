@@ -53,6 +53,7 @@ class IndexSetD:
         return {"kind": self.kind, "n": self.n, "pairs": [list(p) for p in self.pairs]}
 
     @staticmethod
+    @_naming_missing_fields
     def from_json(obj) -> "IndexSetD":
         got = index_set(obj["kind"], obj["n"])
         if [list(p) for p in got.pairs] != obj["pairs"]:

@@ -152,8 +152,13 @@ class DihedralOrdering:
         return {"labels": list(self.labels), "symmetry": self.symmetry.value}
 
     @staticmethod
+    @_naming_missing_fields
     def from_json(obj) -> "DihedralOrdering":
-        return DihedralOrdering.make(obj["labels"], Symmetry(obj["symmetry"]))
+        try:
+            symmetry = Symmetry(obj["symmetry"])
+        except ValueError:
+            raise InvalidArgumentError(f"unknown symmetry {obj['symmetry']!r}") from None
+        return DihedralOrdering.make(obj["labels"], symmetry)
 
 
 def enumerate_orderings(n: int, symmetry: Symmetry = Symmetry.NONE) -> list[DihedralOrdering]:

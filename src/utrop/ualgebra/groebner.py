@@ -41,7 +41,11 @@ Only the edges see ``Poly``: :func:`_primitive` reads a ``Poly``'s
 ``Poly`` objects whose coefficients are ``Fraction`` again.
 ``_reduce_scaled`` is the one reduction loop; it also serves
 :class:`NormalFormCalculator`, which undoes the loop's integer scale to
-return exact rational normal forms.  Pair pruning follows Gebauer-Moeller;
+return exact rational normal forms.  The loop takes its leading terms from
+a max-heap of the pending monomials rather than a ``max`` over them at
+every step, and each basis keeps a memo from a monomial to its first
+divisor, so a monomial that many reductions meet is tested against the
+leading monomials once.  Pair pruning follows Gebauer-Moeller;
 pair selection is the normal strategy (smallest lcm in the term order).  A
 hard pair budget raises instead of truncating.
 """
@@ -49,6 +53,7 @@ hard pair budget raises instead of truncating.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import mul
 
@@ -149,14 +154,22 @@ class _Basis:
     ``codec.top``; :meth:`widen` swaps in a codec of larger range and
     repacks every element.  Elements are only ever appended, so an index
     stays valid for the whole run.
+
+    ``memo`` maps a packed monomial to the index of the first element whose
+    leading monomial divides it, or to the number of elements when it was
+    looked up and none did.  Appending keeps both answers true: the first
+    divisor stays first, and a later divisor can only sit at or past the
+    stored count, where :func:`_reduce_scaled` resumes its scan.
+    :meth:`widen` repacks every monomial, so it starts an empty memo.
     """
 
     _lists = ("polys", "lms", "divs", "exps", "lcs", "tails")
-    __slots__ = ("order", "codec") + _lists
+    __slots__ = ("order", "codec", "memo") + _lists
 
     def __init__(self, order: TermOrder, codec: _Codec):
         self.order = order
         self.codec = codec
+        self.memo = {}
         for name in self._lists:
             setattr(self, name, [])
 
@@ -186,6 +199,7 @@ class _Basis:
         unpack, polys = self.codec.unpack, self.polys
         self.codec = _Codec(self.order, need)
         pack = self.codec.pack
+        self.memo = {}
         for name in self._lists:
             setattr(self, name, [])
         for terms in polys:
@@ -193,30 +207,45 @@ class _Basis:
         return lambda m: pack(unpack(m))
 
 
-def _reduce_scaled(terms, basis: _Basis, skip: int = -1):
-    """Normal form of an integer polynomial against ``basis`` (element
-    ``skip`` left out), up to the loop's integer scale.
+def _reduce_scaled(terms, basis: _Basis):
+    """Normal form of an integer polynomial against ``basis``, up to the
+    loop's integer scale.
 
     Returns ``(remainder, scale)`` with ``remainder == scale * NF(terms)``
     exactly, where ``scale`` is the positive product of the multipliers the
     loop applied to keep the arithmetic integral.  Each step cancels the
     leading term with the first element, by index, whose leading monomial
-    divides it.
+    divides it; ``basis.memo`` remembers that index per monomial.
+
+    The pending monomials sit in a max-heap beside the dict ``p`` that
+    holds their coefficients.  A monomial is pushed when it enters ``p``,
+    and a popped one that is not in ``p`` (it cancelled, or it was pushed
+    twice and is already taken) is skipped.  Every term a step adds lies
+    below the term it cancels, so no monomial enters ``p`` again once it is
+    taken, and the pops visit the leading terms in the order that
+    ``max(p)`` would.
     """
     guards = basis.codec.guards
-    lms, divs, lcs, tails = basis.lms, basis.divs, basis.lcs, basis.tails
+    lms, divs, lcs, tails, memo = basis.lms, basis.divs, basis.lcs, basis.tails, basis.memo
+    size = len(divs)
     p = dict(terms)
+    heap = [-m for m in p]
+    heapify(heap)
     remainder = {}
     scale = 1
-    while p:
-        lm = max(p)
-        for i, d in enumerate(divs):
-            if not (lm - d) & guards and i != skip:
-                break
-        else:
-            remainder[lm] = p.pop(lm)
+    while heap:
+        lm = -heappop(heap)
+        lc = p.pop(lm, 0)
+        if not lc:
             continue
-        lc, glc = p.pop(lm), lcs[i]  # glc > 0: basis elements are sign-normalized
+        i = memo.get(lm, 0)
+        while i < size and (lm - divs[i]) & guards:
+            i += 1
+        memo[lm] = i
+        if i == size:
+            remainder[lm] = lc
+            continue
+        glc = lcs[i]  # glc > 0: basis elements are sign-normalized
         a = glc // gcd(lc, glc)
         b = lc * a // glc  # lc*a - b*glc == 0: the leading term cancels
         if a != 1:
@@ -227,18 +256,22 @@ def _reduce_scaled(terms, basis: _Basis, skip: int = -1):
         shift = lm - lms[i]
         for m, v in tails[i]:
             m += shift
-            w = p.get(m, 0) - b * v
-            if w:
-                p[m] = w
-            else:
+            v *= b
+            w = p.get(m)
+            if w is None:
+                p[m] = -v
+                heappush(heap, -m)
+            elif w == v:
                 del p[m]
+            else:
+                p[m] = w - v
     return remainder, scale
 
 
-def _reduce_int(terms, basis: _Basis, skip: int = -1):
+def _reduce_int(terms, basis: _Basis):
     """Full normal form of an integer polynomial against ``basis``; the
     result is primitive with positive leading coefficient (or empty)."""
-    remainder, _ = _reduce_scaled(terms, basis, skip)
+    remainder, _ = _reduce_scaled(terms, basis)
     if not remainder:
         return {}
     return _normalize_sign(_content_strip(remainder), max(remainder))
@@ -340,15 +373,16 @@ def _reduced_basis(basis: _Basis):
     with the monomials packed by ``basis.codec``.
 
     Minimalize (keep the elements whose leading monomial no other leading
-    monomial divides), then reduce each minimal element ``g`` once against
-    the other minimal elements.  One pass is final: the reduction never
-    touches ``lm(g)``, since no other leading monomial divides it, so every
-    result keeps its leading monomial and the set of leading monomials is
-    the same before and after the pass.  It leaves no term of ``g`` below
-    ``lm(g)`` that another leading monomial divides, and ``lm(g)`` itself
-    divides no such term, because a multiple of ``lm(g)`` is never smaller
-    than ``lm(g)``.  So each result is reduced against the final set of
-    leading monomials, whatever the other results are.
+    monomial divides), then reduce the tail of each minimal element ``g``
+    once against the minimal elements and put its leading term back, at
+    the loop's scale.  ``lm(g)`` divides no term that this reduction meets,
+    because every such term lies below ``lm(g)`` and a multiple of
+    ``lm(g)`` never does, so ``g`` reduces against the other minimal
+    elements only.  One pass is final: no other leading monomial divides
+    ``lm(g)``, so every result keeps its leading monomial and the set of
+    leading monomials is the same before and after the pass, and each
+    result is reduced against that final set, whatever the other results
+    are.
     """
     lms, divs, guards = basis.lms, basis.divs, basis.codec.guards
     kept = []
@@ -356,10 +390,11 @@ def _reduced_basis(basis: _Basis):
         if not any(not (lms[i] - divs[j]) & guards for j in kept):
             kept.append(i)
     minimal = basis.restrict(kept)
-    return [
-        (lm, _reduce_int(g, minimal, skip=i))
-        for i, (lm, g) in enumerate(zip(minimal.lms, minimal.polys))
-    ]
+    out = []
+    for lm, lc, tail in zip(minimal.lms, minimal.lcs, minimal.tails):
+        remainder, scale = _reduce_scaled(dict(tail), minimal)
+        out.append((lm, _content_strip({lm: lc * scale, **remainder})))
+    return out
 
 
 def _filled(polys, order: TermOrder) -> _Basis:

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from ..errors import InvalidArgumentError
 from ..fans import IndexSetD, index_set, standard_labels, vertex_position
-from ..symtrees import Diagonal
+from ..symtrees import Diagonal, _naming_missing_fields
 from .poly import Poly
 
 
@@ -55,10 +55,11 @@ class Ideal:
         }
 
     @staticmethod
+    @_naming_missing_fields
     def from_json(obj) -> "Ideal":
-        """Read an ideal back.  A generator that lists a monomial twice, a
-        zero denominator, and an index set whose length is not the number
-        of variables are rejected."""
+        """Read an ideal back.  A missing field, a generator that lists a
+        monomial twice, a zero denominator, and an index set whose length is
+        not the number of variables are rejected."""
         nvars = len(obj["variables"])
         gens = []
         for g in obj["generators"]:

@@ -116,6 +116,42 @@ def _forced_value(g: Poly):
     return (var, val)
 
 
+def _hopeless(system) -> bool:
+    """Whether ``system`` holds a sign-definite element, a nonzero constant
+    among them.  Such an element keeps one sign on the open orthant, and a
+    positive substitution leaves it sign-definite, so neither the system nor
+    any system substituted from it has a positive zero."""
+    return any(len(g.coefficient_signs()) == 1 for g in system)
+
+
+def _substitute(system, reduced: bool, var: int, val: Fraction, order, forced=None):
+    """``system`` after ``var := val``, and whether the result is a reduced
+    Groebner basis for ``order`` up to a nonzero factor on each element.
+
+    ``reduced`` says the same of ``system``, and ``forced`` is the index of
+    the element that forced the value, or None for a branch value.  The
+    result comes from the first of these that applies:
+
+    * ``system`` is reduced and its forced element is ``c*u + d``: that
+      element goes, with no run.  Its leading monomial is ``u``, so no other
+      element of a reduced basis holds ``u``, and the others are already the
+      reduced basis of the substituted ideal, in the same order;
+    * the substituted system is :func:`_hopeless`: it is returned as it is,
+      with no run, since no reduction can give it a positive zero;
+    * one small Groebner run, whose result is reduced; a run past its pair
+      budget leaves the substituted elements as they are, not reduced.
+    """
+    if reduced and forced is not None and system[forced].degree() == 1:
+        return system[:forced] + system[forced + 1:], True
+    system = [g.substitute({var: val}) for g in system]
+    if _hopeless(system):
+        return system, False
+    try:
+        return groebner_basis(system, order, max_pairs=2000), True
+    except GroebnerBudgetError:
+        return [g for g in system if g], False
+
+
 def positive_point_search(gens, nvars: int):
     """Depth-first search for a strictly positive rational common zero of
     ``gens``, which must be a reduced grevlex basis up to a nonzero factor
@@ -123,54 +159,46 @@ def positive_point_search(gens, nvars: int):
 
     A node applies forced single-variable solutions (:func:`_forced_value`)
     to a fixpoint, then branches the most frequent variable of the shortest
-    element over ``_BRANCH_VALUES`` in order.  Each substituted system is
-    canonicalized by one small Groebner run, which screens consistency and
-    signs; the given basis is not.  :meth:`ConeCertifier._decide` passes
-    the sign twist of the reduced basis of J, and a twist maps each monomial
-    to plus or minus itself, so it keeps every leading monomial and the
-    order of the elements: a Groebner run would only make each element
-    monic.  The sign-definite test, the forced values and the branch choice
-    do not change when an element is scaled, and every child's run
-    normalizes its input.  At most ``NODE_BUDGET`` nodes are visited, and a
-    child past the budget starts no run.  Returns a full assignment dict or
-    None.
+    element over ``_BRANCH_VALUES`` in order.  :meth:`ConeCertifier._decide`
+    passes the sign twist of the reduced basis of J, and a twist maps each
+    monomial to plus or minus itself, so it keeps every leading monomial and
+    the order of the elements: a Groebner run would only make each element
+    monic.  Each substituted system goes through :func:`_substitute`, which
+    starts a small Groebner run only where one can change the system: not
+    for a linear forced value in a reduced basis, and not for a system that
+    is already hopeless.  The sign-definite test, the forced values and the
+    branch choice do not change when an element is scaled, and a run
+    normalizes its input, so the nodes and the point found are those that a
+    run at every substitution would give.  A hopeless child still counts as
+    a node; one that a run would not have shown to be hopeless has a
+    subtree with no hit in it, so skipping that subtree only leaves more of
+    the budget to the siblings after it.  At most ``NODE_BUDGET`` nodes are
+    visited, and a child past the budget starts no run.  Returns a full
+    assignment dict or None.
     """
     order = grevlex(nvars)
     budget = [NODE_BUDGET]
 
-    def substitute(system, var, val):
-        system = [g.substitute({var: val}) for g in system]
-        try:
-            return groebner_basis(system, order, max_pairs=2000)
-        except GroebnerBudgetError:
-            return [g for g in system if g]
-
-    def hopeless(system) -> bool:
-        # a sign-definite element, a nonzero constant among them, is
-        # positive on the open orthant
-        return any(len(g.coefficient_signs()) == 1 for g in system)
-
-    def search(system, assignment):
+    def search(system, reduced, assignment):
         budget[0] -= 1
-        if hopeless(system):
+        if _hopeless(system):
             return None
         # forced single-variable solutions, to fixpoint
         while True:
             forced = None
-            for g in system:
+            for k, g in enumerate(system):
                 f = _forced_value(g)
                 if f is not None:
-                    forced = f
+                    forced = k, f
                     break
             if forced is None:
                 break
-            var, val = forced
+            k, (var, val) = forced
             if var == "dead":
                 return None
-            assignment = dict(assignment)
-            assignment[var] = val
-            system = substitute(system, var, val)
-            if hopeless(system):
+            assignment = {**assignment, var: val}
+            system, reduced = _substitute(system, reduced, var, val, order, k)
+            if _hopeless(system):
                 return None
         if not system:
             full = dict(assignment)
@@ -190,12 +218,12 @@ def positive_point_search(gens, nvars: int):
         for val in _BRANCH_VALUES:
             if budget[0] <= 0:
                 return None
-            hit = search(substitute(system, var, val), {**assignment, var: val})
+            hit = search(*_substitute(system, reduced, var, val, order), {**assignment, var: val})
             if hit is not None:
                 return hit
         return None
 
-    return search(list(gens), {})
+    return search(list(gens), True, {})
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +308,10 @@ class ConeCertifier:
     of ``LP_CAPS`` in turn.  The point comes from the deterministic
     depth-first :func:`positive_point_search` of at most ``NODE_BUDGET``
     nodes, started from the twisted basis itself, and counts only if it is
-    positive and a zero of every element.
+    positive and a zero of every element.  The search runs a small Groebner
+    basis only on a substituted system that the run can change: neither
+    after a linear forced value in a reduced basis nor on a system that
+    already holds a sign-definite element.
     """
 
     def __init__(self, ideal: Ideal, w, max_pairs: int = DEFAULT_MAX_PAIRS):

@@ -17,6 +17,7 @@ from utrop import fans, linalg
 from utrop.errors import InternalConsistencyError, InvalidArgumentError, NotAxiallySymmetricError
 from utrop.fans import (
     Fan,
+    IndexSetD,
     _check_pairwise_intersections,
     assemble_fan,
     cone_rays,
@@ -607,6 +608,14 @@ def test_fan_from_json_names_a_missing_field(fan_c3):
     for doc, field in docs:
         with pytest.raises(InvalidArgumentError, match=f"missing field '{field}'"):
             Fan.from_json(doc)
+
+
+def test_index_set_from_json_names_a_missing_field():
+    good = index_set("c", 3).to_json()
+    assert IndexSetD.from_json(good) == index_set("c", 3)
+    for field in ("kind", "n", "pairs"):
+        with pytest.raises(InvalidArgumentError, match=f"missing field '{field}'"):
+            IndexSetD.from_json({k: v for k, v in good.items() if k != field})
 
 
 def test_assemble_fan_needs_one_ray_per_vertex(theta_as3):

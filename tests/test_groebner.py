@@ -194,6 +194,35 @@ def test_normal_form_keeps_the_input_scale(seed, order_name):
             assert nf.reduce(p * c) == r * c
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_normal_form_memo_across_widening(seed, monkeypatch):
+    # one calculator reduces a low input, then one past its range, which
+    # repacks the basis and so starts its divisor memo afresh, then the low
+    # monomials again (scaled, so the result cache does not answer); each
+    # result is a fresh calculator's and the Fraction reference's
+    from utrop.ualgebra import groebner
+
+    widened = []
+    widen = groebner._Basis.widen
+
+    def spy(self, need):
+        widened.append(need)
+        return widen(self, need)
+
+    monkeypatch.setattr(groebner._Basis, "widen", spy)
+    rng = random.Random(300 + seed)
+    order = grevlex(3)
+    basis = groebner_basis([g for g in (random_poly(rng, 3, 2, 4) for _ in range(3)) if g], order)
+    nf = NormalFormCalculator(basis, order)
+    low = random_poly(rng, 3, 3, 6)
+    high = low + Poly.monomial((nf._basis.codec.top + 1, 0, 0), 3)
+    inputs = [low, high, low * Fraction(-5, 3), low]
+    got = [nf.reduce(p) for p in inputs]
+    assert widened == [high.degree()]
+    for p, r in zip(inputs, got):
+        assert r == NormalFormCalculator(basis, order).reduce(p) == fraction_normal_form(p, basis, order)
+
+
 def test_positive_element_witness_reduces_to_zero_at_scale():
     # non-unit coefficients put the normal forms the LP reads at a
     # nontrivial scale; the witness it returns must still lie in the ideal

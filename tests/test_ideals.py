@@ -142,6 +142,16 @@ def test_ideal_from_json_rejects_a_zero_denominator():
         Ideal.from_json(obj)
 
 
+def test_ideal_from_json_names_a_missing_field():
+    good = ideal_c(3).to_json()
+    for field in ("variables", "generators"):
+        with pytest.raises(InvalidArgumentError, match=f"missing field '{field}'"):
+            Ideal.from_json({k: v for k, v in good.items() if k != field})
+    obj = {**good, "index_set": {k: v for k, v in good["index_set"].items() if k != "n"}}
+    with pytest.raises(InvalidArgumentError, match="missing field 'n'"):
+        Ideal.from_json(obj)
+
+
 def test_ideal_from_json_rejects_an_index_set_of_the_wrong_length():
     obj = ideal_c(3).to_json()
     obj["index_set"] = ideal_a(5).to_json()["index_set"]  # 5 pairs, 6 variables

@@ -83,6 +83,15 @@ def test_json_round_trip():
         assert DihedralOrdering.from_json(alpha.to_json()) == alpha
 
 
+def test_from_json_names_a_missing_field_and_rejects_an_unknown_symmetry():
+    good = enumerate_orderings(3, Symmetry.AXIAL)[0].to_json()
+    for field in ("labels", "symmetry"):
+        with pytest.raises(InvalidArgumentError, match=f"missing field '{field}'"):
+            DihedralOrdering.from_json({k: v for k, v in good.items() if k != field})
+    with pytest.raises(InvalidArgumentError, match="unknown symmetry 'diagonal'"):
+        DihedralOrdering.from_json({**good, "symmetry": "diagonal"})
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_symmetry_map_is_the_label_negating_involution(n):
     orderings = [a for sym in (Symmetry.AXIAL, Symmetry.CENTRAL) for a in enumerate_orderings(n, sym)]

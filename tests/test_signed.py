@@ -206,7 +206,81 @@ def test_search_groebner_runs_in_certify_c3(tmp_path, search_runs, monkeypatch):
     for tau in PUBLISHED_C3_PATTERNS:
         argv.append(f"--sign={sign_key(tau)}")
     assert main(argv) == EXIT_OK
-    assert inside[0] == len(search_runs) == 165
+    assert inside[0] == len(search_runs) == 35
+
+
+def test_search_starts_no_run_on_a_hopeless_child(search_runs, monkeypatch):
+    # u1*u2 - u1*u3 - u2 - u3 branches u1 first: u1 = 1 leaves -2*u3, which
+    # is sign-definite, so that child starts no run; u1 = 2 and then u2 = 1
+    # run one each, and the linear u3 = 1/3 that follows runs none
+    import utrop.ualgebra.signed as signed_mod
+
+    f = Poly(3, {(1, 1, 0): 1, (1, 0, 1): -1, (0, 1, 0): -1, (0, 0, 1): -1})
+    assert positive_point_search([f], 3) == {0: Fraction(2), 1: Fraction(1), 2: Fraction(1, 3)}
+    at2 = f.substitute({0: Fraction(2)})
+    assert search_runs == [[at2], [at2.substitute({1: Fraction(1)})]]
+    # the hopeless child is still a node: the root and it spend a budget of two
+    search_runs.clear()
+    monkeypatch.setattr(signed_mod, "NODE_BUDGET", 2)
+    assert positive_point_search([f], 3) is None
+    assert search_runs == []
+
+
+def test_search_runs_a_basis_after_a_budget_fallback(search_runs, monkeypatch):
+    # u1*u2 = 1 branches u1 = 1 and then forces u2 = 1 from u2 - 1: after a
+    # run, that system is a reduced basis and the linear value needs no run;
+    # after a run past its pair budget it is not, and the value gets one
+    import utrop.ualgebra.signed as signed_mod
+
+    xy = Poly(2, {(1, 1): 1, (0, 0): -1})
+    y1 = xy.substitute({0: Fraction(1)})
+    assert positive_point_search([xy], 2) == {0: Fraction(1), 1: Fraction(1)}
+    assert search_runs == [[y1]]
+    search_runs.clear()
+
+    def over_budget(system, *args, **kwargs):
+        search_runs.append(list(system))
+        raise GroebnerBudgetError(2000, 2000, 0, len(system))
+
+    monkeypatch.setattr(signed_mod, "groebner_basis", over_budget)
+    assert positive_point_search([xy], 2) == {0: Fraction(1), 1: Fraction(1)}
+    assert search_runs == [[y1], [y1.substitute({1: Fraction(1)})]]
+
+
+def test_search_shortcuts_give_the_system_a_run_would(fan_c3, ideal_c3, search_runs, monkeypatch):
+    # every search over all 64 c3 patterns: a substitution that starts no
+    # run either drops a linear forced element from a reduced basis, and
+    # what is left must be the run's basis up to each element's factor, or
+    # stops at a system that holds a sign-definite element
+    import utrop.ualgebra.signed as signed_mod
+
+    order = grevlex(ideal_c3.nvars)
+    substitute = signed_mod._substitute
+    seen = {"linear": 0, "hopeless": 0, "run": 0}
+
+    def monic(g):
+        lc = g.terms[order.leading_monomial(g)]
+        return Poly(g.nvars, {m: c / lc for m, c in g.terms.items()})
+
+    def checked(system, reduced, var, val, order_, forced=None):
+        before = len(search_runs)
+        out, out_reduced = substitute(system, reduced, var, val, order_, forced)
+        raw = [g.substitute({var: val}) for g in system]
+        if len(search_runs) > before:
+            seen["run"] += 1
+        elif out_reduced:
+            seen["linear"] += 1
+            assert [monic(g) for g in out] == groebner_basis(raw, order)
+        else:
+            seen["hopeless"] += 1
+            assert out == raw and any(len(g.coefficient_signs()) == 1 for g in out)
+        return out, out_reduced
+
+    monkeypatch.setattr(signed_mod, "_substitute", checked)
+    weights = [fan_c3.interior_point(f) for f in fan_c3.proper_faces()]
+    taus = list(itertools.product((1, -1), repeat=ideal_c3.nvars))
+    certify_weights(ideal_c3, weights, taus)
+    assert min(seen.values()) > 0 and seen["run"] == len(search_runs)
 
 
 def test_sweep_flags_budget_exhaustion(fan_c3, ideal_c3):
