@@ -392,7 +392,7 @@ def _reduced_basis(basis: _Basis):
     minimal = basis.restrict(kept)
     out = []
     for lm, lc, tail in zip(minimal.lms, minimal.lcs, minimal.tails):
-        remainder, scale = _reduce_scaled(dict(tail), minimal)
+        remainder, scale = _reduce_scaled(tail, minimal)
         out.append((lm, _content_strip({lm: lc * scale, **remainder})))
     return out
 
