@@ -2,28 +2,32 @@
 tropical membership certification.
 
 ``initial_part(p, w)`` keeps the terms of least ``w``-weight.  For ideals
-the computation homogenizes: if the generators are homogenized with a
-degree variable ``h`` of weight zero, then every homogeneous element of the
-ideal they generate is ``h^k * (p homogenized)`` for some ``p`` in the
-original ideal, so dehomogenizing the initial forms of a Groebner basis
-taken under (total degree, then -w, then grevlex) yields exactly the
-initial ideal of the original ideal.  The order is a genuine term order for
-any sign pattern of ``w`` because total degree comes first.
+the computation homogenizes.  It starts from the reduced grevlex basis G of
+the ideal I, computed once per ideal and pair budget in a process: grevlex
+is a degree order, so the homogenized elements of G generate the
+homogenization I^h (Cox-Little-O'Shea, *Ideals, Varieties, and
+Algorithms*, section 8.4, Theorem 4).  Every homogeneous element of I^h is
+``h^k * (p homogenized)`` for some ``p`` in I, so dehomogenizing the initial
+forms of a Groebner basis of I^h taken under (total degree, then -w, then
+grevlex), with the degree variable ``h`` of weight zero, yields exactly the
+initial ideal of I.  The order is a genuine term order for any sign
+pattern of ``w`` because total degree comes first.
 
 Coefficients of every ``Poly`` here are ``Fraction``.  :func:`initial_ideal`
 takes initial forms and dehomogenizes them on ``Poly`` terms, without
-arithmetic on coefficients; its two Groebner steps, the weighted run and
-the inter-reduction of the initial forms, work on the kernel's primitive
-integer forms inside :mod:`.groebner`.
+arithmetic on coefficients; its three Groebner steps, the grevlex run, the
+weighted run and the inter-reduction of the initial forms, work on the
+kernel's primitive integer forms inside :mod:`.groebner`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from operator import mul
 
-from ..errors import DegenerateIdealError, InvalidArgumentError
+from ..errors import DegenerateIdealError, GroebnerBudgetError, InvalidArgumentError
 from .groebner import DEFAULT_MAX_PAIRS, groebner_basis, reduced_basis
 from .ideals import Ideal
 from .poly import Poly, grevlex, weighted_order
@@ -58,29 +62,50 @@ def _homogenize(p: Poly) -> Poly:
     return Poly(p.nvars + 1, {m + (d - sum(m),): c for m, c in p.terms.items()})
 
 
+@lru_cache(maxsize=32)  # certify works on one ideal; the bound stops many small ideals piling up
+def _grevlex_basis(generators, nvars: int, max_pairs: int) -> tuple:
+    """The reduced grevlex basis of the ideal that ``generators`` span, run
+    once per process for each pair budget: a result reached under one
+    budget is never handed to a call with another.  A run past its budget
+    raises and is not kept."""
+    return tuple(groebner_basis(generators, grevlex(nvars), max_pairs))
+
+
 def initial_ideal(ideal: Ideal, w, max_pairs: int = DEFAULT_MAX_PAIRS, stats: dict | None = None) -> Ideal:
     """The minimum-convention initial ideal J at weight ``w``, generated by
     its reduced grevlex Groebner basis (monic, ascending leading monomial:
     what ``groebner_basis(J, grevlex)`` returns).
 
-    One Groebner run suffices.  G, the reduced basis of the homogenized
-    ideal I^h under (degree, -w, grevlex), is a Groebner basis for the
-    w-refinement of grevlex, so the initial forms in_w(G) are a grevlex
-    Groebner basis of in_w(I^h) (Sturmfels, *Groebner Bases and Convex
-    Polytopes*, Prop. 1.8).  These forms are homogeneous and h is the last,
-    hence smallest, grevlex variable, so setting h = 1 keeps every leading
-    monomial apart from its h power, and the dehomogenized forms are a
-    grevlex Groebner basis of in_w(I^h) at h = 1 (Cox-Little-O'Shea,
-    *Ideals, Varieties, and Algorithms*, section 8.4), which is J by the
-    argument above.  Minimalizing and inter-reducing them gives the unique
-    reduced basis; minimalization also drops repeated forms.  ``stats``
-    receives the counters of the weighted run.
+    Two Groebner runs suffice, and the first is shared.  The reduced grevlex
+    basis of the ideal, homogenized, generates I^h (Cox-Little-O'Shea,
+    section 8.4, Theorem 4), and every call on the same generators and
+    budget reuses it.  Starting from the raw generators instead gives an
+    ideal that need not be saturated in h, and the weighted run then spends
+    most of its pairs rebuilding the same basis at every weight.  G, the
+    reduced basis of I^h under (degree, -w, grevlex), is a Groebner basis
+    for the w-refinement of grevlex, so the initial forms in_w(G) are a
+    grevlex Groebner basis of in_w(I^h) (Sturmfels, *Groebner Bases and
+    Convex Polytopes*, Prop. 1.8).  These forms are homogeneous and h is
+    the last, hence smallest, grevlex variable, so setting h = 1 keeps every
+    leading monomial apart from its h power, and the dehomogenized forms
+    are a grevlex Groebner basis of in_w(I^h) at h = 1 (Cox-Little-O'Shea,
+    section 8.4), which is J by the argument above.  J depends on I alone,
+    not on the generators the weighted run starts from.  Minimalizing and
+    inter-reducing the forms gives the unique reduced basis; minimalization
+    also drops repeated forms.  ``stats`` receives the counters of the
+    grevlex run when that run exhausts ``max_pairs``, and otherwise those
+    of the weighted run.
     """
     wz = _integer_weight(w, ideal.nvars)
-    hgens = [_homogenize(g) for g in ideal.generators if g]
+    try:
+        gb = _grevlex_basis(ideal.generators, ideal.nvars, max_pairs)
+    except GroebnerBudgetError as exc:
+        if stats is not None:
+            stats.update(exc.stats)
+        raise
     neg = tuple(-x for x in wz) + (0,)
     order = weighted_order(neg, ideal.nvars + 1)
-    basis = groebner_basis(hgens, order, max_pairs, stats)
+    basis = groebner_basis([_homogenize(g) for g in gb], order, max_pairs, stats)
     # each g is homogeneous, so setting h = 1 (dropping its exponent) merges no terms
     inits = [
         Poly(ideal.nvars, {m[:-1]: c for m, c in _least_terms(g.terms, wz).items()})

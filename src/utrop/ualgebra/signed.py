@@ -15,7 +15,10 @@ polynomial with all-positive coefficients.  Certificates:
 
 Twisting commutes with taking initial ideals and maps reduced bases to
 reduced bases, so the Groebner data of a weight is reused across all sign
-patterns.  It is computed once per symmetry orbit of cones, at the orbit's
+patterns.  The one Groebner run that does not depend on the weight, the
+reduced grevlex basis of I that every weighted run starts from, is made
+once per ideal and process inside :func:`~.initial.initial_ideal`.  The
+weight's own runs are made once per symmetry orbit of cones, at the orbit's
 least weight: a variable permutation g with g.I = I
 (:func:`~.ideals.ideal_symmetries`) gives in_{g.w}(I_tau) = g.in_w(I_sigma)
 with sigma[i] = tau[g[i]], so cone g.w under tau is decided by the
@@ -296,7 +299,10 @@ class ConeCertifier:
     It runs two Groebner bases at ``w``, once for all patterns: the weighted
     run inside :func:`initial_ideal`, which already yields the reduced
     grevlex basis of the initial ideal J, and the saturation run of
-    :func:`is_monomial_free`, started from that basis.  A sign twist maps
+    :func:`is_monomial_free`, started from that basis.  The weighted run
+    starts from the homogenized reduced grevlex basis of the ideal, which
+    :func:`initial_ideal` computes on its first call for the ideal and
+    shares with every later certifier in the process.  A sign twist maps
     the reduced basis onto the reduced basis of the twisted initial ideal,
     so per-pattern work is only the positive-point / positive-element
     search, and each pattern is decided once.  ``stats`` holds the

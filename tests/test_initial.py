@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from utrop.errors import DegenerateIdealError
+from utrop.errors import DegenerateIdealError, GroebnerBudgetError
 from utrop.ualgebra import (
     Ideal,
     NormalFormCalculator,
@@ -28,7 +28,8 @@ from utrop.ualgebra import (
     is_monomial_free,
     sign_twist,
 )
-from utrop.ualgebra.poly import Poly, grevlex
+from utrop.ualgebra.groebner import reduced_basis
+from utrop.ualgebra.poly import Poly, grevlex, weighted_order
 
 
 def monomials_up_to(nvars, cap):
@@ -343,3 +344,80 @@ def test_sign_twist_flips_odd_occurrences():
         for m, c in g.terms.items():
             expect = -c if m[idx] % 2 else c
             assert h.terms[m] == expect
+
+
+def raw_generator_initial_ideal(ideal, w):
+    """The reduced grevlex basis of in_w(I) from the weighted run on the
+    homogenized generators themselves, not on the homogenized grevlex basis:
+    initial forms, h set to 1, then inter-reduction."""
+    n = ideal.nvars
+    hgens = [Poly(n + 1, {m + (g.degree() - sum(m),): c for m, c in g.terms.items()})
+             for g in ideal.generators]
+    order = weighted_order(tuple(-x for x in w) + (0,), n + 1)
+    inits = [initial_part(g, tuple(w) + (0,)) for g in groebner_basis(hgens, order)]
+    return reduced_basis([Poly(n, {m[:-1]: c for m, c in g.terms.items()}) for g in inits], grevlex(n))
+
+
+@pytest.mark.parametrize("kind,n,step", [("c", 3, 1), ("a", 5, 1), ("a", 6, 9)])
+def test_grevlex_start_gives_the_raw_generators_initial_ideal(kind, n, step):
+    # in_w(I) depends on I alone, so both generating sets of I^h give the
+    # same reduced basis; a6 checks every ``step``-th orbit representative
+    from utrop.cli import _candidate_fan, _the_ideal
+    from utrop.ualgebra.signed import cone_orbits
+
+    ideal, fan = _the_ideal(kind, n), _candidate_fan(kind, n)
+    weights = [fan.interior_point(f) for f in fan.proper_faces()]
+    reps = [rep for rep, _ in cone_orbits(ideal, weights)][::step]
+    assert len(reps) >= 5
+    for w in reps:
+        assert list(initial_ideal(ideal, w).generators) == raw_generator_initial_ideal(ideal, w), w
+
+
+# the weighted run's counters at each c3 orbit representative, in the order
+# of cone_orbits; started from the raw generators they came to 814 pairs
+C3_WEIGHTED_STATS = [
+    # representative weight      pairs  zero reductions  basis size
+    ((0, 0, 2, -1, 0, -1),         8,         8,             7),
+    ((-1, -1, 0, 0, 1, 0),         8,         8,             7),
+    ((0, 0, 0, 0, 0, 1),           8,         8,             7),
+    ((1, 1, 1, -1, -1, -1),        8,         8,             7),
+    ((0, 0, 1, 0, 0, 0),          11,        10,             8),
+    ((-1, -1, 2, -1, 1, -1),       8,         8,             7),
+    ((1, 1, 3, -2, -1, -2),        8,         8,             7),
+    ((0, 0, 3, -1, 0, -1),        11,        10,             8),
+    ((-1, -1, 0, 0, 2, 0),         8,         8,             7),
+    ((-2, -1, -1, 1, 1, 0),        8,         8,             7),
+    ((0, 0, 1, 0, 0, 1),          11,        10,             8),
+]
+
+
+def test_c3_weighted_runs_start_from_the_grevlex_basis(fan_c3, ideal_c3):
+    from utrop.ualgebra.signed import cone_orbits
+
+    weights = [fan_c3.interior_point(f) for f in fan_c3.proper_faces()]
+    assert [rep for rep, _ in cone_orbits(ideal_c3, weights)] == [row[0] for row in C3_WEIGHTED_STATS]
+    assert sum(row[1] for row in C3_WEIGHTED_STATS) == 97
+    for w, pairs, zeros, size in C3_WEIGHTED_STATS:
+        stats = {}
+        initial_ideal(ideal_c3, w, stats=stats)
+        assert stats == {"pairs": pairs, "zero_reductions": zeros, "basis_size": size}, w
+
+
+def test_grevlex_memo_keeps_each_budget_apart(ideal_c3):
+    # a basis finished under the default budget must not rescue a call whose
+    # budget its grevlex run exceeds, whichever of the two ran first
+    from utrop.ualgebra.initial import _grevlex_basis
+
+    w = (0, 0, 1, 0, 0, 0)
+
+    def starved():
+        stats = {}
+        with pytest.raises(GroebnerBudgetError) as err:
+            initial_ideal(ideal_c3, w, 1, stats)
+        return stats, err.value.stats, str(err.value)
+
+    _grevlex_basis.cache_clear()
+    first = starved()
+    initial_ideal(ideal_c3, w)
+    assert starved() == first
+    assert first[0] == first[1] == {"pairs": 1, "zero_reductions": 0, "basis_size": 7}

@@ -339,9 +339,11 @@ def test_census_c3_is_pinned(census_c3):
 # sha256 of the canonical JSON of the certify_weights records of every cone
 # under every sign pattern (64 for c3, 32 for a5), witnesses and stats
 # included, so it pins every positive point the search finds: a search that
-# varied from run to run would move it.
+# varied from run to run would move it.  The c3 hash was re-pinned when the
+# weighted runs came to start from the homogenized grevlex basis: with every
+# `stats` removed, the records equal those before.
 ALL_PATTERNS_HASHES = {
-    ("c", 3): "0e07469dab2df06df4374c87c41157f85bee360440f87e464841957095ed220b",
+    ("c", 3): "60cdd86f742364c763b58e285c8a71ebe3ab2cae245e0cfaf9abfe392dad5090",
     ("a", 5): "e97de8cf9e83eab42e8c674426303cb9bffe09e0cd91333b7d676ba58ec9b3ef",
 }
 
@@ -385,8 +387,14 @@ def test_cone_certifier_runs_two_groebner_bases(fan_c3, ideal_c3, monkeypatch):
 
     for mod in (groebner_mod, initial_mod, signed_mod):
         monkeypatch.setattr(mod, "groebner_basis", counting)
-    face = fan_c3.proper_faces()[0]
-    signed_mod.ConeCertifier(ideal_c3, fan_c3.interior_point(face))
+    initial_mod._grevlex_basis.cache_clear()
+    first, second = fan_c3.proper_faces()[:2]
+    signed_mod.ConeCertifier(ideal_c3, fan_c3.interior_point(first))
+    # the grevlex run of the ideal, once per process, then the weighted run
+    # on its homogenized basis and the saturation run
+    assert [(order.nvars, order.weight is None) for _, order, *_ in calls] == [(6, True), (7, False), (7, True)]
+    calls.clear()
+    signed_mod.ConeCertifier(ideal_c3, fan_c3.interior_point(second))
     assert len(calls) == 2  # the weighted run, then the saturation run
 
 
@@ -513,10 +521,12 @@ def test_only_the_representatives_run_groebner_bases(fan_c3, ideal_c3, monkeypat
 
     for mod in (groebner_mod, initial_mod, signed_mod):
         monkeypatch.setattr(mod, "groebner_basis", counting)
+    initial_mod._grevlex_basis.cache_clear()
     weights = [fan_c3.interior_point(f) for f in fan_c3.proper_faces()]
     records = certify_weights(ideal_c3, weights, [])
     assert len(records) == 34 and all(r["in_trop"] for r in records)
-    assert len(calls) == 2 * 11  # a weighted and a saturation run per orbit
+    # one grevlex run of the ideal, then a weighted and a saturation run per orbit
+    assert len(calls) == 1 + 2 * 11
 
 
 def test_lp_ladder_reaches_degree_three_after_degree_two(monkeypatch):
