@@ -263,19 +263,21 @@ class Fan:
         """The fan as ``_canonical_json`` text, joined from pieces encoded
         once: the complex's text and face lists, each distinct ray, and each
         split key's ``repr`` by rank, which a cone's tree key joins at its
-        face's ranks.  Every object's keys are written in sorted order."""
+        face's ranks, which the complex's text shares.  Every object's keys
+        are written in sorted order."""
         cx, faces = self.complex, self.complex._face_texts
         rays = {r: _canonical_json(r) for r in {r for c in self.cones.values() for r in c}}
         keys = [repr(key) for key in cx._ranked_splits[0]]
         labels = repr(tuple(sorted(cx.labels)))
+        face_ranks = [cx._face_ranks(f) for f in cx._sorted_faces]
         cones = [
             f'{{"face":{faces[f]},"rays":[{",".join([rays[r] for r in self.cones[f]])}],"tree_key":'
-            f'{encode_basestring_ascii(tree_key(labels, [keys[r] for r in cx._face_ranks(f)]))}}}'
-            for f in cx._sorted_faces
+            f'{encode_basestring_ascii(tree_key(labels, [keys[r] for r in ranks]))}}}'
+            for f, ranks in zip(cx._sorted_faces, face_ranks)
         ]
         relation = [f"[{faces[child]},{faces[parent]}]" for child, parent in cx.facet_relation]
         return (
-            f'{{"complex":{cx.json_text()},"cones":[{",".join(cones)}],'
+            f'{{"complex":{cx._json_text(face_ranks)},"cones":[{",".join(cones)}],'
             f'"facet_relation":[{",".join(relation)}],"family":{_canonical_json(self.kind)},'
             f'"index_set":{_canonical_json(self.index_set.to_json())},"kind":"fan",'
             f'"schema_version":{_canonical_json(SCHEMA_VERSION)}}}'

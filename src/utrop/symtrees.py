@@ -791,6 +791,12 @@ class Complex:
         text by rank (``_ranked_splits``), the label list and each vertex
         entry.  A face tree is the texts at its ``_face_ranks``.  Every
         object's keys are written in sorted order."""
+        return self._json_text(map(self._face_ranks, self._sorted_faces))
+
+    def _json_text(self, face_ranks) -> str:
+        """:meth:`json_text`, given ``_face_ranks`` of each face of
+        ``_sorted_faces`` in that order, so that a fan's text can share
+        them; ``face_ranks`` is read once."""
         keys, vertex_ranks = self._ranked_splits
         pairs = [_canonical_json(key[1:]) for key in keys]  # a key ends with its two sides
         labels = _canonical_json(sorted(self.labels))  # every tree's labels
@@ -806,7 +812,7 @@ class Complex:
         ]
         faces = self._sorted_faces
         return (
-            f'{{"face_trees":[{",".join([tree_text(self._face_ranks(f)) for f in faces])}],'
+            f'{{"face_trees":[{",".join([tree_text(ranks) for ranks in face_ranks])}],'
             f'"faces":[{",".join([self._face_texts[f] for f in faces])}],'
             f'"family":{_canonical_json(self.family)},"kind":"complex",'
             f'"n":{_canonical_json(self.n)},"schema_version":{_canonical_json(SCHEMA_VERSION)},'

@@ -4,6 +4,12 @@ Polynomials are cleared to primitive integer form on entry, and all S-pair,
 reduction and normal-form arithmetic stays in integers (cross-multiplying by
 leading coefficients), which avoids Fraction overhead in the inner loops.
 
+Callers hand it ``Poly`` objects or primitive integer forms (see
+:mod:`.poly`); :mod:`.signed` hands it integer forms, for the search's runs
+and its LP's :class:`NormalFormCalculator`.  :func:`groebner_basis` answers
+in the form it was given: monic ``Poly`` objects, or primitive integer forms
+with positive leading coefficient, in the same order.
+
 Inside the kernel a monomial is one Python int, packed by the run's
 :class:`_Codec`, and a polynomial is a ``{packed monomial: int}`` dict.  The
 packed int holds fixed-width fields, from most to least significant: the
@@ -35,13 +41,13 @@ basis and its pairs with a codec for that degree.
 :class:`NormalFormCalculator` widens its basis in the same way for an
 input of higher degree than ``top``.
 
-Only the edges see ``Poly``: :func:`_primitive` reads a ``Poly``'s
-``Fraction`` coefficients into integers and packs its monomials, and
-:func:`_monic` and :meth:`NormalFormCalculator.reduce` unpack results into
-``Poly`` objects whose coefficients are ``Fraction`` again.
-``_reduce_scaled`` is the one reduction loop; it also serves
-:class:`NormalFormCalculator`, which undoes the loop's integer scale to
-return exact rational normal forms.  The loop takes its leading terms from
+Only the edges see ``Poly``: :func:`_integer_forms` reads a ``Poly``'s
+``Fraction`` coefficients into integers, and :func:`_monic` and
+:meth:`NormalFormCalculator.reduce` unpack results into ``Poly`` objects
+whose coefficients are ``Fraction`` again.  ``_reduce_scaled`` is the one
+reduction loop; it also serves :class:`NormalFormCalculator`, which undoes
+the loop's integer scale to return exact rational normal forms, or returns
+it with the integer remainder.  The loop takes its leading terms from
 a max-heap of the pending monomials rather than a ``max`` over them at
 every step, and each basis keeps a memo from a monomial to its first
 divisor, so a monomial that many reductions meet is tested against the
@@ -58,7 +64,7 @@ from math import gcd, lcm
 from operator import mul
 
 from ..errors import GroebnerBudgetError, InvalidArgumentError
-from .poly import Poly, TermOrder
+from .poly import Poly, TermOrder, primitive
 
 DEFAULT_MAX_PAIRS = 200000
 
@@ -104,23 +110,14 @@ class _Codec:
         return tuple(top - (x >> s & top) for s in self.shifts)
 
 
-def _degree(polys) -> int:
-    return max((sum(m) for p in polys for m in p.terms), default=0)
+def _degree(forms) -> int:
+    return max((sum(m) for p in forms for m in p), default=0)
 
 
-def _primitive(p: Poly, pack):
-    """``(terms, g, den)``: the primitive integer form of ``p``, keyed by
-    ``pack`` of each monomial, and its positive content as the integers
-    ``g`` and ``den``, with ``p == g / den * terms``.  Only a caller that
-    reads the content builds it as a ``Fraction``."""
-    if not p:
-        return {}, 1, 1
-    den = lcm(*(c.denominator for c in p.terms.values()))
-    ints = {pack(m): c.numerator * (den // c.denominator) for m, c in p.terms.items()}
-    g = 0
-    for v in ints.values():
-        g = gcd(g, v)
-    return {m: v // g for m, v in ints.items()}, g, den
+def _integer_forms(polys) -> list:
+    """The primitive integer forms of the nonzero ``polys``: a ``Poly`` is
+    converted, and a dict is taken to be one already."""
+    return [primitive(p)[0] if isinstance(p, Poly) else p for p in polys if p]
 
 
 def _content_strip(terms):
@@ -348,7 +345,8 @@ def _buchberger_int(gens, order: TermOrder, max_pairs: int):
     lcms: dict = {}
     stats = {"pairs": 0, "zero_reductions": 0}
     for g in gens:
-        g = _reduce_int(_primitive(g, basis.codec.pack)[0], basis)
+        pack = basis.codec.pack  # a pair update may have widened the codec
+        g = _reduce_int({pack(m): v for m, v in g.items()}, basis)
         if g:
             _update_pairs(basis, pairs, lcms, basis.add(g))
     while pairs:
@@ -399,11 +397,10 @@ def _reduced_basis(basis: _Basis):
 
 def _filled(polys, order: TermOrder) -> _Basis:
     """A basis holding the primitive integer forms of the nonzero ``polys``."""
-    basis = _Basis(order, _Codec(order, _degree(polys)))
-    for g in polys:
-        terms = _primitive(g, basis.codec.pack)[0]
-        if terms:
-            basis.add(terms)
+    forms = _integer_forms(polys)
+    basis = _Basis(order, _Codec(order, _degree(forms)))
+    for g in forms:
+        basis.add({basis.codec.pack(m): v for m, v in g.items()})
     return basis
 
 
@@ -420,16 +417,20 @@ def _monic(reduced, codec: _Codec, nvars: int):
 def groebner_basis(gens, order: TermOrder, max_pairs: int = DEFAULT_MAX_PAIRS, stats: dict | None = None):
     """Reduced Groebner basis of the ideal generated by ``gens``.
 
-    Returns monic polynomials sorted by leading monomial (ascending order
-    key); the result is the unique reduced basis for the order.  Raises
-    :class:`GroebnerBudgetError` when more than ``max_pairs`` S-pairs would
-    be reduced, after copying the counters it reached into ``stats``, and
-    :class:`InvalidArgumentError` when ``max_pairs`` is negative.
+    ``gens`` are all ``Poly`` objects or all primitive integer forms.
+    Returns the unique reduced basis for the order sorted by leading
+    monomial (ascending order key): monic polynomials for ``Poly`` input,
+    and for integer forms the integer forms of those, each with positive
+    leading coefficient.  Raises :class:`GroebnerBudgetError` when more
+    than ``max_pairs`` S-pairs would be reduced, after copying the counters
+    it reached into ``stats``, and :class:`InvalidArgumentError` when
+    ``max_pairs`` is negative.
     """
     if max_pairs < 0:
         raise InvalidArgumentError(f"max_pairs must be at least 0, got {max_pairs}")
+    gens = [g for g in gens if g]
     try:
-        basis, run_stats = _buchberger_int([g for g in gens if g], order, max_pairs)
+        basis, run_stats = _buchberger_int(_integer_forms(gens), order, max_pairs)
     except GroebnerBudgetError as exc:
         if stats is not None:
             stats.update(exc.stats)
@@ -438,6 +439,9 @@ def groebner_basis(gens, order: TermOrder, max_pairs: int = DEFAULT_MAX_PAIRS, s
     if stats is not None:
         stats.update(run_stats)
         stats["basis_size"] = len(reduced)
+    if gens and not isinstance(gens[0], Poly):
+        unpack = basis.codec.unpack
+        return [{unpack(m): v for m, v in terms.items()} for _, terms in reduced]
     return _monic(reduced, basis.codec, order.nvars)
 
 
@@ -466,7 +470,7 @@ class NormalFormCalculator:
         self.order = order
         self._basis = _filled(basis, order)
         self.nvars = order.nvars
-        self._cache: dict = {}
+        self._cache: dict = {}  # reduce's results by frozen terms, scaled_normal_form's by exponent tuple
 
     def reduce(self, p: Poly) -> Poly:
         """Exact normal form over the rationals (unique for a reduced basis
@@ -475,17 +479,32 @@ class NormalFormCalculator:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        need = p.degree()
+        terms, g, den = primitive(p)
+        remainder, scale = self._scaled(terms, p.degree())
+        factor = Fraction(g, den * scale)
+        result = Poly._trusted(self.nvars, {m: v * factor for m, v in remainder.items()})
+        self._cache[key] = result
+        return result
+
+    def scaled_normal_form(self, mono) -> tuple[dict, int]:
+        """``(terms, s)`` for the monomial with exponent tuple ``mono``:
+        ``terms`` is ``s`` times its normal form as an ``{exponent tuple:
+        int}`` dict, and ``s`` is the positive integer scale of the
+        reduction loop.  Memoized like :meth:`reduce`."""
+        hit = self._cache.get(mono)
+        if hit is None:
+            hit = self._cache[mono] = self._scaled({mono: 1}, sum(mono))
+        return hit
+
+    def _scaled(self, terms, need: int):
+        """``_reduce_scaled`` of the integer form ``terms`` of total degree
+        ``need``, unpacked."""
         if need > self._basis.codec.top:
             self._basis.widen(need)
         codec = self._basis.codec
-        terms, g, den = _primitive(p, codec.pack)
-        remainder, scale = _reduce_scaled(terms, self._basis)
-        factor = Fraction(g, den * scale)
+        remainder, scale = _reduce_scaled({codec.pack(m): v for m, v in terms.items()}, self._basis)
         unpack = codec.unpack
-        result = Poly._trusted(self.nvars, {unpack(m): v * factor for m, v in remainder.items()})
-        self._cache[key] = result
-        return result
+        return {unpack(m): v for m, v in remainder.items()}, scale
 
     def contains(self, p: Poly) -> bool:
         return not self.reduce(p)

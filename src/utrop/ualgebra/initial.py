@@ -23,7 +23,6 @@ kernel's primitive integer forms inside :mod:`.groebner`.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 from operator import mul
 
@@ -62,13 +61,28 @@ def _homogenize(p: Poly) -> Poly:
     return Poly(p.nvars + 1, {m + (d - sum(m),): c for m, c in p.terms.items()})
 
 
-@lru_cache(maxsize=32)  # certify works on one ideal; the bound stops many small ideals piling up
+_GREVLEX_BASES: dict = {}  # (generators, nvars, max_pairs) -> reduced grevlex basis
+
+
 def _grevlex_basis(generators, nvars: int, max_pairs: int) -> tuple:
     """The reduced grevlex basis of the ideal that ``generators`` span, run
     once per process for each pair budget: a result reached under one
     budget is never handed to a call with another.  A run past its budget
     raises and is not kept."""
-    return tuple(groebner_basis(generators, grevlex(nvars), max_pairs))
+    basis = _GREVLEX_BASES.get((generators, nvars, max_pairs))
+    if basis is None:
+        basis = tuple(groebner_basis(generators, grevlex(nvars), max_pairs))
+        _remember_grevlex(generators, nvars, max_pairs, basis)
+    return basis
+
+
+def _remember_grevlex(generators, nvars: int, max_pairs: int, basis: tuple):
+    """Keep ``basis`` as what :func:`_grevlex_basis` returns for these
+    arguments, whichever process computed it.  Certify works on one ideal;
+    past 32 bases the oldest goes, so many small ideals do not pile up."""
+    if len(_GREVLEX_BASES) >= 32:
+        del _GREVLEX_BASES[next(iter(_GREVLEX_BASES))]
+    _GREVLEX_BASES[generators, nvars, max_pairs] = basis
 
 
 def initial_ideal(ideal: Ideal, w, max_pairs: int = DEFAULT_MAX_PAIRS, stats: dict | None = None) -> Ideal:
@@ -129,13 +143,16 @@ def _check_tau(tau, nvars: int):
 
 
 def twist_poly(p: Poly, tau) -> Poly:
-    """``p(tau_1 u_1, ..., tau_n u_n)`` for signs tau_i in {+-1}: a term
-    changes sign when its total degree in the negated variables is odd."""
-    terms = {}
-    for m, c in p.terms.items():
-        odd = sum(e for t, e in zip(tau, m) if t < 0) % 2
-        terms[m] = -c if odd else c
-    return Poly(p.nvars, terms)
+    """``p(tau_1 u_1, ..., tau_n u_n)`` for signs tau_i in {+-1}."""
+    return Poly._trusted(p.nvars, twist_terms(p.terms, tau))
+
+
+def twist_terms(terms: dict, tau) -> dict:
+    """The terms of ``p(tau_1 u_1, ..., tau_n u_n)`` from the terms of
+    ``p``, whatever their coefficient type: a term changes sign when its
+    total degree in the negated variables is odd."""
+    negated = [i for i, t in enumerate(tau) if t < 0]
+    return {m: -c if sum([m[i] for i in negated]) & 1 else c for m, c in terms.items()}
 
 
 def is_monomial_free(ideal: Ideal, max_pairs: int = DEFAULT_MAX_PAIRS) -> bool:

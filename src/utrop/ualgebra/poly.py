@@ -3,14 +3,19 @@
 Monomials are exponent tuples of a fixed arity; polynomials are
 ``{monomial: Fraction}`` maps with no zero coefficients stored.  Every
 coefficient of a ``Poly`` is a ``Fraction``, never an ``int``, so ``/``
-between coefficients stays exact.  The Groebner kernel works on integer
-forms and converts back to ``Poly`` only at its edges.
+between coefficients stays exact.
+
+The Groebner kernel and the sign-pattern decision path work on the
+*primitive integer form* instead: a ``{monomial: int}`` dict with content 1
+that is a positive multiple of the polynomial, so it keeps every sign.
+:func:`primitive` makes it, and ``Poly(nvars, terms)`` reads one back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from operator import le, mul, neg, sub
 
 from ..errors import InvalidArgumentError
@@ -192,6 +197,19 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self.text()})"
+
+
+def primitive(p: Poly) -> tuple[dict, int, int]:
+    """``(terms, g, den)``: the primitive integer form of ``p`` and its
+    positive content as the integers ``g`` and ``den``, with ``p == g / den
+    * terms``; the zero polynomial gives ``({}, 1, 1)``.  Only a caller that
+    reads the content builds it as a ``Fraction``."""
+    if not p:
+        return {}, 1, 1
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    ints = {m: c.numerator * (den // c.denominator) for m, c in p.terms.items()}
+    g = gcd(*ints.values())
+    return {m: v // g for m, v in ints.items()}, g, den
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,12 @@ with sigma[i] = tau[g[i]], so cone g.w under tau is decided by the
 representative w under sigma, and g carries the witness over: a positive
 point and an all-positive element are permuted, and the monomial witness
 (prod u)^k is symmetric.
+
+A pattern is decided on primitive integer forms (:mod:`.poly`): the
+certifier converts the reduced basis of J once, a twist flips signs in
+those dicts, the positive-point search keeps its systems in that form, and
+an LP column is the kernel's integer normal form times its scale.  A
+``Poly`` is built only for a witness and for the exact check of a point.
 """
 
 from __future__ import annotations
@@ -40,8 +46,9 @@ from ..errors import GroebnerBudgetError
 from ..symtrees import Symmetry, enumerate_orderings
 from .groebner import DEFAULT_MAX_PAIRS, NormalFormCalculator, groebner_basis
 from .ideals import Ideal, ideal_symmetries, permute_poly, permute_weight
-from .initial import _check_tau, initial_ideal, is_monomial_free, twist_poly
-from .poly import Poly, grevlex
+from .initial import _check_tau, _grevlex_basis, _remember_grevlex, initial_ideal, is_monomial_free
+from .initial import twist_poly, twist_terms
+from .poly import Poly, grevlex, primitive
 
 NODE_BUDGET = 4000  # search nodes per positive-point search
 LP_CAPS = (2, 3)  # degree caps of the all-positive-element LPs, in order
@@ -99,24 +106,28 @@ def _kth_root(f: Fraction, k: int):
     return Fraction(a, b)
 
 
-def _forced_value(g: Poly):
-    """If ``g`` pins a single variable as c*u^k + d, return (var, value) of
-    the positive solution, or ('dead', None) when no positive solution
-    exists, else None."""
-    if len(g.terms) != 2:
+def _forced_value(g: dict):
+    """If the integer form ``g`` pins a single variable as c*u^k + d, return
+    (var, value) of the positive solution, or ('dead', None) when no
+    positive solution exists, else None."""
+    if len(g) != 2:
         return None
-    items = sorted(g.terms.items(), key=lambda mc: sum(mc[0]))
-    (m0, c0), (m1, c1) = items
+    (m0, c0), (m1, c1) = sorted(g.items(), key=lambda mc: sum(mc[0]))
     if sum(m0) != 0:
         return None
     support = [i for i, e in enumerate(m1) if e]
     if len(support) != 1:
         return None
     var = support[0]
-    val = _kth_root(-c0 / c1, m1[var])
+    val = _kth_root(Fraction(-c0, c1), m1[var])
     if val is None or val <= 0:
         return ("dead", None)
     return (var, val)
+
+
+def _definite(g: dict) -> bool:
+    """Whether the nonzero integer form ``g`` has coefficients of one sign."""
+    return len({c > 0 for c in g.values()}) == 1
 
 
 def _hopeless(system) -> bool:
@@ -124,7 +135,31 @@ def _hopeless(system) -> bool:
     among them.  Such an element keeps one sign on the open orthant, and a
     positive substitution leaves it sign-definite, so neither the system nor
     any system substituted from it has a positive zero."""
-    return any(len(g.coefficient_signs()) == 1 for g in system)
+    return any(map(_definite, system))
+
+
+def _substituted(g: dict, var: int, val: Fraction) -> dict:
+    """The primitive integer form of ``g`` after ``var := val``, for a
+    positive ``val = p/q``.  With ``E`` the top degree of ``var`` in ``g``,
+    each term ``c * u^e`` becomes ``c * p^e * q^(E - e)``: the substituted
+    polynomial times ``q^E``, so a positive multiple, and it keeps every
+    sign."""
+    top = max(m[var] for m in g)
+    if not top:
+        return g
+    p, q = val.numerator, val.denominator
+    factors = [p**e * q ** (top - e) for e in range(top + 1)]
+    out = {}
+    for m, c in g.items():
+        c *= factors[m[var]]
+        m = m[:var] + (0,) + m[var + 1:]
+        c += out.get(m, 0)
+        if c:
+            out[m] = c
+        else:
+            del out[m]
+    content = math.gcd(*out.values())
+    return {m: c // content for m, c in out.items()} if content > 1 else out
 
 
 def _substitute(system, reduced: bool, var: int, val: Fraction, order, forced=None):
@@ -144,9 +179,9 @@ def _substitute(system, reduced: bool, var: int, val: Fraction, order, forced=No
     * one small Groebner run, whose result is reduced; a run past its pair
       budget leaves the substituted elements as they are, not reduced.
     """
-    if reduced and forced is not None and system[forced].degree() == 1:
+    if reduced and forced is not None and _degree(system[forced]) == 1:
         return system[:forced] + system[forced + 1:], True
-    system = [g.substitute({var: val}) for g in system]
+    system = [_substituted(g, var, val) for g in system]
     if _hopeless(system):
         return system, False
     try:
@@ -155,10 +190,16 @@ def _substitute(system, reduced: bool, var: int, val: Fraction, order, forced=No
         return [g for g in system if g], False
 
 
+def _degree(g: dict) -> int:
+    return max(map(sum, g), default=0)
+
+
 def positive_point_search(gens, nvars: int):
     """Depth-first search for a strictly positive rational common zero of
     ``gens``, which must be a reduced grevlex basis up to a nonzero factor
-    on each element.
+    on each element, given as ``Poly`` objects or as primitive integer
+    forms.  The search keeps its systems as integer forms: values go in by
+    :func:`_substituted`, and each Groebner run returns integer forms.
 
     A node applies forced single-variable solutions (:func:`_forced_value`)
     to a fixpoint, then branches the most frequent variable of the shortest
@@ -181,6 +222,7 @@ def positive_point_search(gens, nvars: int):
     """
     order = grevlex(nvars)
     budget = [NODE_BUDGET]
+    system = [primitive(g)[0] if isinstance(g, Poly) else g for g in gens]
 
     def search(system, reduced, assignment):
         budget[0] -= 1
@@ -209,14 +251,14 @@ def positive_point_search(gens, nvars: int):
                 full.setdefault(i, Fraction(1))
             return full
         # branch on the most constrained variable of the shortest generator
-        shortest = min(system, key=lambda g: (len(g.terms), g.degree()))
+        shortest = min(system, key=lambda g: (len(g), _degree(g)))
         occur = {}
         for g in system:
-            for m in g.terms:
+            for m in g:
                 for i, e in enumerate(m):
                     if e:
                         occur[i] = occur.get(i, 0) + 1
-        cands = [i for i in range(nvars) if any(m[i] for m in shortest.terms)]
+        cands = [i for i in range(nvars) if any(m[i] for m in shortest)]
         var = max(cands, key=lambda i: occur.get(i, 0))
         for val in _BRANCH_VALUES:
             if budget[0] <= 0:
@@ -226,7 +268,7 @@ def positive_point_search(gens, nvars: int):
                 return hit
         return None
 
-    return search(list(gens), True, {})
+    return search(system, True, {})
 
 
 # ---------------------------------------------------------------------------
@@ -252,24 +294,27 @@ def all_positive_element_search(nf: NormalFormCalculator, nvars: int, cap: int):
 
     A nonneg combination of monomials lies in the ideal iff its normal form
     vanishes; that is a rational linear feasibility problem over the normal
-    forms of all candidate monomials.
+    forms of all candidate monomials.  Column j holds the integers s_j *
+    NF(m_j) (:meth:`~.groebner.NormalFormCalculator.scaled_normal_form`)
+    over s_j in the sum row: a positive column scale changes no sign and no
+    ratio-test winner of Bland's rule, so lam_j = s_j * x_j.
     """
     monos = list(_monomials_up_to(nvars, cap))
-    images = [nf.reduce(Poly.monomial(m, nvars)) for m in monos]
-    support = sorted({m for img in images for m in img.terms})
+    images = [nf.scaled_normal_form(m) for m in monos]
+    support = sorted({m for img, _ in images for m in img})
     if not support:
         return None
     row_of = {m: i for i, m in enumerate(support)}
-    mat = [[Fraction(0)] * len(monos) for _ in support]
-    for col, img in enumerate(images):
-        for m, c in img.terms.items():
+    mat = [[0] * len(monos) for _ in support]
+    for col, (img, _) in enumerate(images):
+        for m, c in img.items():
             mat[row_of[m]][col] = c
-    mat.append([Fraction(1)] * len(monos))
-    rhs = [Fraction(0)] * len(support) + [Fraction(1)]
+    mat.append([s for _, s in images])
+    rhs = [0] * len(support) + [1]
     sol = linalg.solve_nonneg(mat, rhs)
     if sol is None:
         return None
-    poly = Poly(nvars, {m: lam for m, lam in zip(monos, sol) if lam})
+    poly = Poly(nvars, {m: s * x for m, (_, s), x in zip(monos, images, sol) if x})
     if not poly or poly.coefficient_signs() != {1}:
         return None
     if nf.reduce(poly):
@@ -327,6 +372,7 @@ class ConeCertifier:
         self.initial = initial_ideal(ideal, w, max_pairs, self.stats)
         self.monomial_free = is_monomial_free(self.initial, max_pairs)
         self._monomial_witness = None if self.monomial_free else self._find_monomial()
+        self._forms = [primitive(g)[0] for g in self.initial.generators]
         self._decided: dict = {}  # sign pattern -> (verdict, witness type, witness)
 
     def _find_monomial(self):
@@ -373,15 +419,17 @@ class ConeCertifier:
         n = self.ideal.nvars
         if not self.monomial_free:
             return Verdict.NON_MEMBER, "monomial_in_initial_ideal", self._monomial_witness
-        twisted = [twist_poly(g, tau) for g in self.initial.generators]
+        twisted = [twist_terms(g, tau) for g in self._forms]
         # cheap scan: a sign-definite basis element is (up to sign) an
         # all-positive element of the twisted initial ideal
-        elt = next((g for g in twisted if g and len(g.coefficient_signs()) == 1), None)
-        if elt is None:
+        k = next((k for k, g in enumerate(twisted) if _definite(g)), None)
+        if k is not None:
+            elt = twist_poly(self.initial.generators[k], tau)
+        else:
             point = positive_point_search(twisted, n)
             if point is not None:
                 vec = [point[i] for i in range(n)]
-                if all(v > 0 for v in vec) and not any(g.evaluate(vec) for g in twisted):
+                if all(v > 0 for v in vec) and not any(Poly(n, g).evaluate(vec) for g in twisted):
                     return Verdict.MEMBER, "positive_point", vec
             nf = NormalFormCalculator(twisted, grevlex(n))
             for cap in LP_CAPS:
@@ -423,10 +471,14 @@ def sign_key(tau) -> str:
     return ",".join("+" if t > 0 else "-" for t in tau)
 
 
-def _certify_orbit(ideal: Ideal, rep, perms, taus, max_pairs: int):
+def _certify_orbit(ideal: Ideal, rep, perms, taus, max_pairs: int, grevlex_basis):
     """The records of the cones ``permute_weight(rep, perm)`` for ``perm``
     in ``perms``, all certified by the one certifier at ``rep``; a Groebner
-    budget error stands in for every one of them."""
+    budget error stands in for every one of them.  ``grevlex_basis``, unless
+    None, is the ideal's reduced grevlex basis under ``max_pairs`` from the
+    process that made the task, which this process then does not compute."""
+    if grevlex_basis is not None:
+        _remember_grevlex(ideal.generators, ideal.nvars, max_pairs, grevlex_basis)
     try:
         certifier = ConeCertifier(ideal, rep, max_pairs)
         return [
@@ -450,11 +502,19 @@ def certify_weights(ideal: Ideal, weights, taus, max_pairs: int = DEFAULT_MAX_PA
     certificate JSON}}``, or the :class:`GroebnerBudgetError` that stopped
     its orbit.  With ``jobs > 1`` the orbits run in a pool of at most
     ``jobs`` worker processes, never more than there are orbits; the
-    records are the same.
+    records are the same.  The pool's workers get the grevlex basis that
+    every orbit starts from, made here once; its budget error stands for
+    every cone.
     """
     orbits = cone_orbits(ideal, weights)
-    tasks = [(ideal, rep, [p for _, p in members], taus, max_pairs) for rep, members in orbits]
     workers = min(jobs, len(orbits))
+    shared = None
+    if workers > 1:
+        try:
+            shared = _grevlex_basis(ideal.generators, ideal.nvars, max_pairs)
+        except GroebnerBudgetError as exc:
+            return [exc] * len(weights)
+    tasks = [(ideal, rep, [p for _, p in members], taus, max_pairs, shared) for rep, members in orbits]
     if workers > 1:
         import concurrent.futures  # only a pool needs these
         import multiprocessing

@@ -157,3 +157,33 @@ def test_every_default_is_overridden():
         if not any(passes(call, parameter, index) for call in calls[callee])
     ]
     assert not unset, "defaults that no call overrides: " + ", ".join(unset)
+
+
+# the Groebner kernel's private names: its packed monomial format and the
+# integer loops that read it stay inside ualgebra/groebner.py
+KERNEL = SRC / "ualgebra" / "groebner.py"
+KERNEL_PRIVATE = {"_Basis", "_Codec", "_primitive", "_reduce_scaled", "_reduced_basis", "_monic", "_content_strip"}
+
+
+def kernel_private_uses(source: str) -> list:
+    """``(line, name)`` of each kernel-private name that ``source`` imports
+    from a ``groebner`` module or reads as an attribute of one."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "groebner":
+            found += [(node.lineno, alias.name) for alias in node.names if alias.name in KERNEL_PRIVATE]
+        elif isinstance(node, ast.Attribute) and node.attr in KERNEL_PRIVATE:
+            if ast.unparse(node.value).split(".")[-1] == "groebner":
+                found.append((node.lineno, node.attr))
+    return found
+
+
+def test_no_other_module_uses_the_kernels_private_names():
+    assert kernel_private_uses("from .groebner import NormalFormCalculator, _Codec") == [(1, "_Codec")]
+    assert kernel_private_uses("from . import groebner\nx = groebner._reduce_scaled") == [(2, "_reduce_scaled")]
+    uses = [
+        f"{path.relative_to(ROOT)}:{line} {name}"
+        for path in sorted(SRC.rglob("*.py")) if path != KERNEL
+        for line, name in kernel_private_uses(path.read_text())
+    ]
+    assert not uses, "kernel-private names used outside groebner.py: " + ", ".join(uses)

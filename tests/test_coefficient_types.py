@@ -1,11 +1,12 @@
 """Every ``Poly`` coefficient is a ``Fraction``, never an ``int``.
 
-The Groebner kernel, ``initial_ideal``'s intermediate forms and the LP rows
-work on integers; a result built from them must convert back.  An ``int``
-coefficient would turn ``a / b`` between coefficients into float division
-(``signed._forced_value`` divides two of them).
+The Groebner kernel, ``initial_ideal``'s intermediate forms, the LP rows
+and the sign-pattern decision path work on integers; a ``Poly`` built from
+them must convert back.  An ``int`` coefficient would turn ``a / b``
+between coefficients into float division.
 """
 
+import itertools
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -68,3 +69,38 @@ def test_rational_inputs_give_fraction_coefficients(gens, w):
     polys = [p for p in (Poly(3, terms) for terms in gens) if p]
     ideal = Ideal(("x", "y", "z"), tuple(polys))
     check_ideal(ideal, w)
+
+
+def test_decision_path_polys_have_fraction_coefficients(fan_c3, ideal_c3, monkeypatch):
+    # the certifier decides on integer forms; the twisted basis of the
+    # point check and the scan and LP witnesses are Polys built from them
+    import utrop.ualgebra.signed as signed
+
+    evaluated, lp = [], []
+    evaluate, search = Poly.evaluate, signed.all_positive_element_search
+
+    def spy_evaluate(self, values):
+        evaluated.append(self)
+        return evaluate(self, values)
+
+    def spy_search(*args):
+        found = search(*args)
+        if found is not None:
+            lp.append(found)
+        return found
+
+    monkeypatch.setattr(Poly, "evaluate", spy_evaluate)
+    monkeypatch.setattr(signed, "all_positive_element_search", spy_search)
+    weights = [fan_c3.interior_point(f) for f in fan_c3.proper_faces()]
+    decided = []
+    for rep, _ in signed.cone_orbits(ideal_c3, weights):
+        certifier = signed.ConeCertifier(ideal_c3, rep)
+        for tau in itertools.product((1, -1), repeat=ideal_c3.nvars):
+            certifier.certify(tau)
+        decided += certifier._decided.values()
+    elements = [found for _, kind, found in decided if kind == "all_positive_element"]
+    points = [found for _, kind, found in decided if kind == "positive_point"]
+    scan = [elt for elt in elements if not any(elt is found for found in lp)]
+    assert evaluated and lp and scan and points
+    assert_fraction_coefficients(evaluated + elements)
+    assert all(type(v) is Fraction for point in points for v in point)

@@ -529,6 +529,27 @@ def test_fan_json_text_is_canonical(kind, n):
     assert same  # compared outside the assert: pytest's diff of long texts takes minutes
 
 
+def test_a_write_computes_each_face_ranks_once(fan_c3, monkeypatch):
+    # the fan's cone keys and its complex's face trees share one rank list
+    # per face; writing the complex alone also ranks each face once
+    from utrop.symtrees import Complex
+
+    cx = fan_c3.complex
+    texts = fan_c3.json_text(), cx.json_text()
+    calls = []
+    face_ranks = Complex._face_ranks
+
+    def spy(self, face):
+        calls.append(face)
+        return face_ranks(self, face)
+
+    monkeypatch.setattr(Complex, "_face_ranks", spy)
+    for write, text in zip((fan_c3.json_text, cx.json_text), texts):
+        calls.clear()
+        assert write() == text
+        assert sorted(map(sorted, calls)) == sorted(map(sorted, cx.faces))
+
+
 def test_to_json_caches_nothing_mutable(fan_c3):
     # each call parses a new payload, so changing one leaves the next alone
     for obj in (fan_c3, fan_c3.complex):

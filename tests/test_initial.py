@@ -406,7 +406,7 @@ def test_c3_weighted_runs_start_from_the_grevlex_basis(fan_c3, ideal_c3):
 def test_grevlex_memo_keeps_each_budget_apart(ideal_c3):
     # a basis finished under the default budget must not rescue a call whose
     # budget its grevlex run exceeds, whichever of the two ran first
-    from utrop.ualgebra.initial import _grevlex_basis
+    from utrop.ualgebra.initial import _GREVLEX_BASES
 
     w = (0, 0, 1, 0, 0, 0)
 
@@ -416,7 +416,7 @@ def test_grevlex_memo_keeps_each_budget_apart(ideal_c3):
             initial_ideal(ideal_c3, w, 1, stats)
         return stats, err.value.stats, str(err.value)
 
-    _grevlex_basis.cache_clear()
+    _GREVLEX_BASES.clear()
     first = starved()
     initial_ideal(ideal_c3, w)
     assert starved() == first

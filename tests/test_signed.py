@@ -7,17 +7,21 @@ soundness (witnesses verify) and on the engine's smaller moving parts.
 """
 
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from utrop.errors import GroebnerBudgetError, InvalidArgumentError
 from utrop.symtrees import DihedralOrdering, Symmetry, build_sub
 from utrop.ualgebra import Verdict, ideal_a, initial_ideal, sign_twist
-from utrop.ualgebra.groebner import NormalFormCalculator, groebner_basis
+from utrop.ualgebra.groebner import DEFAULT_MAX_PAIRS, NormalFormCalculator, groebner_basis
 from utrop.ualgebra.ideals import Ideal, permute_weight
 from utrop.ualgebra.initial import twist_poly
-from utrop.ualgebra.poly import Poly, grevlex
+from utrop.ualgebra.poly import Poly, grevlex, primitive
 from utrop.ualgebra.signed import (
     ConeCertifier,
     all_positive_element_search,
@@ -26,6 +30,12 @@ from utrop.ualgebra.signed import (
     positive_point_search,
     sign_key,
 )
+
+
+def ints(p):
+    """The primitive integer form of the ``Poly`` ``p``, the form in which
+    the search keeps its systems."""
+    return primitive(p)[0]
 
 
 def test_positive_point_search_solves_triangular_system():
@@ -85,6 +95,89 @@ def test_all_positive_element_absent_for_positive_variety():
     gens = [Poly(2, {(1, 0): 1, (0, 1): -1})]  # u1 = u2 has positive points
     nf = NormalFormCalculator(groebner_basis(gens, order), order)
     assert all_positive_element_search(nf, 2, 3) is None
+
+
+def test_forced_value_of_an_integer_form_is_exact():
+    # 2u - 1 pins u = 1/2 as the Fraction(-c0, c1) of its integers; a float
+    # coefficient fails there rather than round
+    from utrop.ualgebra.signed import _forced_value
+
+    var, val = _forced_value({(1,): 2, (0,): -1})
+    assert (var, val) == (0, Fraction(1, 2)) and type(val) is Fraction
+    with pytest.raises(TypeError):
+        _forced_value({(1,): 2.0, (0,): -1.0})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), st.integers(-3, 3), min_size=1, max_size=4),
+                min_size=1, max_size=3),
+       st.integers(0, 2),
+       st.fractions(min_value=Fraction(1, 6), max_value=5, max_denominator=6))
+def test_integer_substitution_runs_the_basis_of_poly_substitute(gens, var, val):
+    # the search's substitution on integer forms, then a run on integer
+    # forms, against Poly.substitute and a run on Polys: each element is a
+    # positive multiple of the monic one, and primitive
+    from utrop.ualgebra.signed import _substituted
+
+    order = grevlex(3)
+    polys = [p for p in (Poly(3, terms) for terms in gens) if p]
+    got = groebner_basis([_substituted(ints(p), var, val) for p in polys], order)
+    want = groebner_basis([p.substitute({var: val}) for p in polys], order)
+    assert len(got) == len(want)
+    for g, h in zip(got, want):
+        lc = g[order.leading_monomial(h)]
+        assert lc > 0 and math.gcd(*g.values()) == 1
+        assert Poly(3, {m: Fraction(c, lc) for m, c in g.items()}) == h
+
+
+def fraction_lp_search(nf, nvars, cap):
+    """The all-positive-element LP on rational columns: column j is
+    NF(m_j) from ``nf.reduce`` and its sum-row entry is 1.  The reference
+    for the scaled integer columns of ``all_positive_element_search``."""
+    from utrop import linalg
+    from utrop.ualgebra.signed import _monomials_up_to
+
+    monos = list(_monomials_up_to(nvars, cap))
+    images = [nf.reduce(Poly.monomial(m, nvars)) for m in monos]
+    support = sorted({m for img in images for m in img.terms})
+    if not support:
+        return None
+    row_of = {m: i for i, m in enumerate(support)}
+    mat = [[Fraction(0)] * len(monos) for _ in support]
+    for col, img in enumerate(images):
+        for m, c in img.terms.items():
+            mat[row_of[m]][col] = c
+    mat.append([Fraction(1)] * len(monos))
+    rhs = [Fraction(0)] * len(support) + [Fraction(1)]
+    sol = linalg.solve_nonneg(mat, rhs)
+    if sol is None:
+        return None
+    poly = Poly(nvars, {m: lam for m, lam in zip(monos, sol) if lam})
+    if not poly or poly.coefficient_signs() != {1}:
+        return None
+    if nf.reduce(poly):
+        return None
+    return poly
+
+
+def test_scaled_lp_columns_give_the_rational_lp_answer():
+    # random small systems: the same element, so the same lambda, or None
+    # from both; a positive column scale moves no pivot of Bland's rule
+    rng = random.Random(28)
+    order = grevlex(3)
+    outcomes = []
+    for _ in range(80):
+        gens = [
+            Poly(3, {tuple(rng.randint(0, 2) for _ in range(3)): rng.choice((-3, -2, -1, 1, 2, 3))
+                     for _ in range(rng.randint(2, 3))})
+            for _ in range(rng.randint(1, 2))
+        ]
+        basis = groebner_basis(gens, order)
+        for cap in (2, 3):
+            got = all_positive_element_search(NormalFormCalculator(basis, order), 3, cap)
+            assert got == fraction_lp_search(NormalFormCalculator(basis, order), 3, cap)
+            outcomes.append(got is not None)
+    assert 0 < sum(outcomes) < len(outcomes)
 
 
 def test_certify_signed_type_a_positive_part():
@@ -156,7 +249,8 @@ def test_subfan_membership_matches_subcomplex(certifiers_c3, fan_c3):
 
 @pytest.fixture
 def search_runs(monkeypatch):
-    """The systems that the search's Groebner runs start from, in order."""
+    """The systems that the search's Groebner runs start from, in order, as
+    integer forms."""
     import utrop.ualgebra.signed as signed_mod
 
     runs = []
@@ -176,7 +270,7 @@ def test_search_runs_no_groebner_basis_before_substituting(search_runs, monkeypa
 
     xy = Poly(2, {(1, 1): 1, (0, 0): -1})  # u1*u2 = 1: nothing forced, so u1 branches
     assert positive_point_search([xy], 2) == {0: Fraction(1), 1: Fraction(1)}
-    assert search_runs[0] == [xy.substitute({0: Fraction(1)})]
+    assert search_runs[0] == [ints(xy.substitute({0: Fraction(1)}))]
     search_runs.clear()
     assert positive_point_search([Poly(2, {(1, 0): 1, (0, 1): 2})], 2) is None
     assert search_runs == []
@@ -218,7 +312,7 @@ def test_search_starts_no_run_on_a_hopeless_child(search_runs, monkeypatch):
     f = Poly(3, {(1, 1, 0): 1, (1, 0, 1): -1, (0, 1, 0): -1, (0, 0, 1): -1})
     assert positive_point_search([f], 3) == {0: Fraction(2), 1: Fraction(1), 2: Fraction(1, 3)}
     at2 = f.substitute({0: Fraction(2)})
-    assert search_runs == [[at2], [at2.substitute({1: Fraction(1)})]]
+    assert search_runs == [[ints(at2)], [ints(at2.substitute({1: Fraction(1)}))]]
     # the hopeless child is still a node: the root and it spend a budget of two
     search_runs.clear()
     monkeypatch.setattr(signed_mod, "NODE_BUDGET", 2)
@@ -235,7 +329,7 @@ def test_search_runs_a_basis_after_a_budget_fallback(search_runs, monkeypatch):
     xy = Poly(2, {(1, 1): 1, (0, 0): -1})
     y1 = xy.substitute({0: Fraction(1)})
     assert positive_point_search([xy], 2) == {0: Fraction(1), 1: Fraction(1)}
-    assert search_runs == [[y1]]
+    assert search_runs == [[ints(y1)]]
     search_runs.clear()
 
     def over_budget(system, *args, **kwargs):
@@ -244,7 +338,7 @@ def test_search_runs_a_basis_after_a_budget_fallback(search_runs, monkeypatch):
 
     monkeypatch.setattr(signed_mod, "groebner_basis", over_budget)
     assert positive_point_search([xy], 2) == {0: Fraction(1), 1: Fraction(1)}
-    assert search_runs == [[y1], [y1.substitute({1: Fraction(1)})]]
+    assert search_runs == [[ints(y1)], [ints(y1.substitute({1: Fraction(1)}))]]
 
 
 def test_search_shortcuts_give_the_system_a_run_would(fan_c3, ideal_c3, search_runs, monkeypatch):
@@ -254,26 +348,27 @@ def test_search_shortcuts_give_the_system_a_run_would(fan_c3, ideal_c3, search_r
     # stops at a system that holds a sign-definite element
     import utrop.ualgebra.signed as signed_mod
 
-    order = grevlex(ideal_c3.nvars)
+    n = ideal_c3.nvars
+    order = grevlex(n)
     substitute = signed_mod._substitute
     seen = {"linear": 0, "hopeless": 0, "run": 0}
 
-    def monic(g):
-        lc = g.terms[order.leading_monomial(g)]
-        return Poly(g.nvars, {m: c / lc for m, c in g.terms.items()})
+    def positive_lead(g):
+        # the primitive form of a reduced element, up to sign, is the run's
+        return g if g[max(g, key=order.key)] > 0 else {m: -c for m, c in g.items()}
 
     def checked(system, reduced, var, val, order_, forced=None):
         before = len(search_runs)
         out, out_reduced = substitute(system, reduced, var, val, order_, forced)
-        raw = [g.substitute({var: val}) for g in system]
+        raw = [ints(Poly(n, g).substitute({var: val})) for g in system]
         if len(search_runs) > before:
             seen["run"] += 1
         elif out_reduced:
             seen["linear"] += 1
-            assert [monic(g) for g in out] == groebner_basis(raw, order)
+            assert [positive_lead(g) for g in out] == groebner_basis(raw, order)
         else:
             seen["hopeless"] += 1
-            assert out == raw and any(len(g.coefficient_signs()) == 1 for g in out)
+            assert out == raw and any(len({c > 0 for c in g.values()}) == 1 for g in out)
         return out, out_reduced
 
     monkeypatch.setattr(signed_mod, "_substitute", checked)
@@ -387,7 +482,7 @@ def test_cone_certifier_runs_two_groebner_bases(fan_c3, ideal_c3, monkeypatch):
 
     for mod in (groebner_mod, initial_mod, signed_mod):
         monkeypatch.setattr(mod, "groebner_basis", counting)
-    initial_mod._grevlex_basis.cache_clear()
+    initial_mod._GREVLEX_BASES.clear()
     first, second = fan_c3.proper_faces()[:2]
     signed_mod.ConeCertifier(ideal_c3, fan_c3.interior_point(first))
     # the grevlex run of the ideal, once per process, then the weighted run
@@ -521,12 +616,39 @@ def test_only_the_representatives_run_groebner_bases(fan_c3, ideal_c3, monkeypat
 
     for mod in (groebner_mod, initial_mod, signed_mod):
         monkeypatch.setattr(mod, "groebner_basis", counting)
-    initial_mod._grevlex_basis.cache_clear()
+    initial_mod._GREVLEX_BASES.clear()
     weights = [fan_c3.interior_point(f) for f in fan_c3.proper_faces()]
     records = certify_weights(ideal_c3, weights, [])
     assert len(records) == 34 and all(r["in_trop"] for r in records)
     # one grevlex run of the ideal, then a weighted and a saturation run per orbit
     assert len(calls) == 1 + 2 * 11
+
+
+def test_a_worker_takes_the_grevlex_basis_from_its_task(fan_c3, ideal_c3, monkeypatch):
+    # a pool worker starts with an empty memo; the basis in its task spares
+    # it the grevlex run, and its records are those it would compute itself
+    import utrop.ualgebra.initial as initial_mod
+    from utrop.ualgebra.signed import _certify_orbit
+
+    weights = [fan_c3.interior_point(f) for f in fan_c3.proper_faces()]
+    rep, members = cone_orbits(ideal_c3, weights)[1]
+    task = (ideal_c3, rep, [p for _, p in members], PUBLISHED_C3_PATTERNS, DEFAULT_MAX_PAIRS)
+    shared = initial_mod._grevlex_basis(ideal_c3.generators, ideal_c3.nvars, DEFAULT_MAX_PAIRS)
+    calls = []  # the runs of initial_ideal and is_monomial_free
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return groebner_basis(*args, **kwargs)
+
+    monkeypatch.setattr(initial_mod, "groebner_basis", counting)
+    initial_mod._GREVLEX_BASES.clear()
+    handed = _certify_orbit(*task, shared)
+    # the weighted run and the saturation run, and no 6-variable grevlex run
+    assert [(order.nvars, order.weight is None) for _, order, *_ in calls] == [(7, False), (7, True)]
+    calls.clear()
+    initial_mod._GREVLEX_BASES.clear()
+    assert _certify_orbit(*task, None) == handed
+    assert [(order.nvars, order.weight is None) for _, order, *_ in calls] == [(6, True), (7, False), (7, True)]
 
 
 def test_lp_ladder_reaches_degree_three_after_degree_two(monkeypatch):
