@@ -6,7 +6,9 @@ asserted in the acceptance suite; here the focus is on certificate
 soundness (witnesses verify) and on the engine's smaller moving parts.
 """
 
+import functools
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -443,15 +445,57 @@ ALL_PATTERNS_HASHES = {
 }
 
 
-@pytest.mark.parametrize("kind,n", sorted(ALL_PATTERNS_HASHES))
-def test_every_sign_pattern_record_is_pinned(kind, n):
-    from utrop.cli import _candidate_fan, _canonical_json, _sha256, _the_ideal
+@functools.cache
+def all_pattern_records(kind, n):
+    """The ideal, the cone weights and the ``certify_weights`` records of
+    every cone of the candidate fan under every sign pattern."""
+    from utrop.cli import _candidate_fan, _the_ideal
 
     ideal, fan = _the_ideal(kind, n), _candidate_fan(kind, n)
     weights = [fan.interior_point(f) for f in fan.proper_faces()]
     taus = list(itertools.product((1, -1), repeat=ideal.nvars))
-    records = certify_weights(ideal, weights, taus)
+    return ideal, weights, certify_weights(ideal, weights, taus)
+
+
+@pytest.mark.parametrize("kind,n", sorted(ALL_PATTERNS_HASHES))
+def test_every_sign_pattern_record_is_pinned(kind, n):
+    from utrop.cli import _canonical_json, _sha256
+
+    records = all_pattern_records(kind, n)[2]
     assert _sha256(_canonical_json(records)) == ALL_PATTERNS_HASHES[kind, n]
+
+
+def verdicts_only(records):
+    """Each record's ``in_trop`` and its verdict under each pattern: no
+    witness and no stats."""
+    return [
+        [r["in_trop"], {key: cert["verdict"] for key, cert in r["signed"].items()}]
+        for r in records
+    ]
+
+
+# sha256 of the canonical JSON of `verdicts_only` over the cones of `certify
+# c 3` with both published patterns, and over the all-pattern records of c3
+# and a5.  A change to how a verdict is found, or to which witness shows it,
+# must leave every one of these in place.
+VERDICT_HASHES = {
+    "certify-c3": "8522289dfad773b3a32ceee20ed91d742257194a816b05862ebc7083da9b16d2",
+    ("c", 3): "c79dc5287fc839013f3e087de7e9968f8610e5fb176b3525be45692d235392de",
+    ("a", 5): "54ddf5bc7abb450a552d24e1c5b3e32189a013c8d3a935e7fdd0352fdf1bc807",
+}
+
+
+def test_every_verdict_is_pinned(tmp_path):
+    from utrop.cli import EXIT_OK, _canonical_json, _sha256, main
+
+    out = tmp_path / "c3.json"
+    argv = ["certify", "--kind", "c", "--n", "3", "--out", str(out)]
+    argv += [f"--sign={sign_key(tau)}" for tau in PUBLISHED_C3_PATTERNS]
+    assert main(argv) == EXIT_OK
+    got = {"certify-c3": verdicts_only(json.loads(out.read_text())["cones"])}
+    for kind, n in sorted(ALL_PATTERNS_HASHES):
+        got[kind, n] = verdicts_only(all_pattern_records(kind, n)[2])
+    assert {key: _sha256(_canonical_json(v)) for key, v in got.items()} == VERDICT_HASHES
 
 
 def test_initial_generators_are_the_reduced_grevlex_basis(certifiers_c3, ideal_c3):
