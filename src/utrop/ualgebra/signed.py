@@ -24,18 +24,26 @@ least weight: a variable permutation g with g.I = I
 with sigma[i] = tau[g[i]], so cone g.w under tau is decided by the
 representative w under sigma, and g carries the witness over: a positive
 point and an all-positive element are permuted, and the monomial witness
-(prod u)^k is symmetric.
+(prod u)^k is symmetric.  Every g in the coset of the stabilizer of w that
+maps w onto a cone will do, so the certifier takes the one whose pulled-back
+pattern is least, and the patterns that the stabilizer permutes are decided
+once.  Whether w lies in Trop(I) at all, J holding no monomial (Maclagan-
+Sturmfels, *Introduction to Tropical Geometry*, Theorem 3.2.3), is settled
+by any positive point found, since a monomial vanishes nowhere on the
+torus; a saturation run answers it only when no point did.
 
 A pattern is decided on primitive integer forms (:mod:`.poly`): the
 certifier converts the reduced basis of J once, a twist flips signs in
 those dicts, the positive-point search keeps its systems in that form, and
-an LP column is the kernel's integer normal form times its scale.  A
-``Poly`` is built only for a witness and for the exact check of a point.
+an LP column is the kernel's integer normal form times its scale, and a
+point is checked on those forms in integers.  A ``Poly`` is built only for
+a witness.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -341,41 +349,61 @@ class ConeCertifier:
     """Per-weight certification engine, reusable across sign patterns and
     across the cones of the weight's symmetry orbit.
 
-    It runs two Groebner bases at ``w``, once for all patterns: the weighted
-    run inside :func:`initial_ideal`, which already yields the reduced
-    grevlex basis of the initial ideal J, and the saturation run of
-    :func:`is_monomial_free`, started from that basis.  The weighted run
-    starts from the homogenized reduced grevlex basis of the ideal, which
+    Construction runs one Groebner basis at ``w``, once for all patterns:
+    the weighted run inside :func:`initial_ideal`, which already yields the
+    reduced grevlex basis of the initial ideal J.  It starts from the
+    homogenized reduced grevlex basis of the ideal, which
     :func:`initial_ideal` computes on its first call for the ideal and
-    shares with every later certifier in the process.  A sign twist maps
-    the reduced basis onto the reduced basis of the twisted initial ideal,
-    so per-pattern work is only the positive-point / positive-element
-    search, and each pattern is decided once.  ``stats`` holds the
-    counters of the weighted run.
+    shares with every later certifier in the process.  The saturation run
+    of :func:`is_monomial_free`, started from J, runs at most once, and
+    only when :attr:`monomial_free` is read or needed before a verified
+    positive point has settled it.  A sign twist maps the reduced basis
+    onto the reduced basis of the twisted initial ideal, so per-pattern
+    work is only the positive-point / positive-element search.  Each
+    pattern is decided once, and so is each class of patterns that
+    ``stabilizer``, the symmetries of the ideal that fix ``w`` (identity
+    first; the identity alone when not given), permutes (:meth:`decide`).
+    ``stats`` holds the counters of the weighted run.
 
     :meth:`certify` climbs a fixed ladder and stops at the first rung that
-    decides: a monomial in J, a sign-definite element of the twisted basis,
-    a positive point, then an all-positive element by LP at each degree cap
-    of ``LP_CAPS`` in turn.  The point comes from the deterministic
-    depth-first :func:`positive_point_search` of at most ``NODE_BUDGET``
-    nodes, started from the twisted basis itself, and counts only if it is
-    positive and a zero of every element.  The search runs a small Groebner
-    basis only on a substituted system that the run can change: neither
-    after a linear forced value in a reduced basis nor on a system that
-    already holds a sign-definite element.
+    decides: a sign-definite element of the twisted basis, a positive
+    point, then an all-positive element by LP at each degree cap of
+    ``LP_CAPS`` in turn.  A monomial in J, which leaves no positive point
+    to find, outranks every rung: once known it decides every pattern, it
+    replaces a sign-definite element as the witness, and the LP rung asks
+    for it first.  The point comes from the deterministic depth-first
+    :func:`positive_point_search` of at most ``NODE_BUDGET`` nodes, started
+    from the twisted basis itself, and counts only if it is positive and a
+    zero of every element.  The search runs a small Groebner basis only on
+    a substituted system that the run can change: neither after a linear
+    forced value in a reduced basis nor on a system that already holds a
+    sign-definite element.
     """
 
-    def __init__(self, ideal: Ideal, w, max_pairs: int = DEFAULT_MAX_PAIRS):
+    def __init__(self, ideal: Ideal, w, max_pairs: int = DEFAULT_MAX_PAIRS, stabilizer=None):
         self.ideal = ideal
         self.w = tuple(w)
+        self.max_pairs = max_pairs
         self.stats: dict = {}
         self.initial = initial_ideal(ideal, w, max_pairs, self.stats)
-        self.monomial_free = is_monomial_free(self.initial, max_pairs)
-        self._monomial_witness = None if self.monomial_free else self._find_monomial()
+        identity = tuple(range(ideal.nvars))
+        self._stabilizer = [identity] if stabilizer is None else [tuple(s) for s in stabilizer]
+        self._monomial_free = None  # unknown until a point or the saturation run settles it
         self._forms = [primitive(g)[0] for g in self.initial.generators]
         self._decided: dict = {}  # sign pattern -> (verdict, witness type, witness)
 
-    def _find_monomial(self):
+    @property
+    def monomial_free(self) -> bool:
+        """Whether J holds no monomial, so that ``w`` lies in Trop(I).  A
+        verified positive point of a twisted J settles it, since a monomial
+        vanishes nowhere on the torus; otherwise the saturation run of
+        :func:`is_monomial_free` answers it, once."""
+        if self._monomial_free is None:
+            self._monomial_free = is_monomial_free(self.initial, self.max_pairs)
+        return self._monomial_free
+
+    @functools.cached_property
+    def _monomial_witness(self):
         """The least power (prod u)^k in J.  Saturation found a monomial in
         J, so some power of prod u lies in J and the loop ends.  NF is
         linear and u * (p - NF(p)) lies in J, so NF((prod u)^k) is
@@ -388,28 +416,47 @@ class ConeCertifier:
             k, rem = k + 1, nf.reduce(step * rem)
         return Poly.monomial((k,) * n, n)
 
+    def decide(self, tau, perm=None):
+        """The permutation that carries ``w`` onto the cone at
+        ``permute_weight(w, perm)`` under which ``tau`` is decided, and the
+        decision ``(verdict, witness type, witness)`` at ``w``.
+
+        Every ``perm * s``, for ``s`` in the stabilizer of ``w``, carries
+        ``w`` onto the same cone; the one taken gives the least pulled-back
+        pattern ``tau[(perm * s)[i]]``, the first in the stabilizer's order
+        on a tie.  So the patterns of a cone's coset are decided once, and
+        the choice depends only on the cone and ``tau``.  A scan witness is
+        kept even when J holds a monomial: :meth:`certify` swaps it for the
+        monomial witness."""
+        n = self.ideal.nvars
+        _check_tau(tau, n)
+        perm = tuple(range(n)) if perm is None else tuple(perm)
+        perm = min((tuple(perm[i] for i in s) for s in self._stabilizer),
+                   key=lambda g: [tau[j] for j in g])
+        pulled = tuple(tau[j] for j in perm)
+        if pulled not in self._decided:
+            self._decided[pulled] = self._decide(pulled)
+        return perm, self._decided[pulled]
+
     def certify(self, tau, perm=None) -> Certificate:
         """The certificate of the cone at ``w`` under ``tau``, or, given a
         symmetry ``perm`` of the ideal, of the cone at ``permute_weight(w,
-        perm)``: that one is decided at ``w`` under the pulled-back pattern
-        ``tau[perm[i]]``, and its witness is pushed forward by ``perm``.
-        Its stats then also name ``image_of`` (``w``) and ``permutation``.
+        perm)``: that one is decided at ``w`` under a pulled-back pattern
+        (:meth:`decide`), and its witness is pushed forward by the
+        permutation that pulled it back.  Its stats then also name
+        ``image_of`` (``w``) and that ``permutation``, unless it is the
+        identity.
         """
-        n = self.ideal.nvars
-        _check_tau(tau, n)
-        identity = tuple(range(n))
-        perm = identity if perm is None else tuple(perm)
-        pulled = tuple(tau[perm[i]] for i in identity)
-        if pulled not in self._decided:
-            self._decided[pulled] = self._decide(pulled)
-        verdict, kind, found = self._decided[pulled]
+        perm, (verdict, kind, found) = self.decide(tau, perm)
+        if verdict is Verdict.NON_MEMBER and not self.monomial_free:
+            kind, found = "monomial_in_initial_ideal", self._monomial_witness
         witness = {"type": kind}
         if kind == "positive_point":
             witness["point"] = [[v.numerator, v.denominator] for v in permute_weight(found, perm)]
         elif kind is not None:
             witness["element"] = permute_poly(found, perm).text(list(self.ideal.variables))
         stats = dict(self.stats)
-        if perm != identity:
+        if perm != tuple(range(len(perm))):
             stats.update(image_of=list(self.w), permutation=list(perm))
         return Certificate(verdict, witness, stats)
 
@@ -417,8 +464,8 @@ class ConeCertifier:
         """The verdict at ``w`` under ``tau``, the witness type, and the
         witness: a point, a polynomial, or None."""
         n = self.ideal.nvars
-        if not self.monomial_free:
-            return Verdict.NON_MEMBER, "monomial_in_initial_ideal", self._monomial_witness
+        if self._monomial_free is False:
+            return _MONOMIAL
         twisted = [twist_terms(g, tau) for g in self._forms]
         # cheap scan: a sign-definite basis element is (up to sign) an
         # all-positive element of the twisted initial ideal
@@ -429,8 +476,11 @@ class ConeCertifier:
             point = positive_point_search(twisted, n)
             if point is not None:
                 vec = [point[i] for i in range(n)]
-                if all(v > 0 for v in vec) and not any(Poly(n, g).evaluate(vec) for g in twisted):
+                if all(v > 0 for v in vec) and all(_vanishes_at(g, vec) for g in twisted):
+                    self._monomial_free = True  # a monomial vanishes nowhere on the torus
                     return Verdict.MEMBER, "positive_point", vec
+            if not self.monomial_free:
+                return _MONOMIAL
             nf = NormalFormCalculator(twisted, grevlex(n))
             for cap in LP_CAPS:
                 elt = all_positive_element_search(nf, n, cap)
@@ -443,7 +493,26 @@ class ConeCertifier:
         return Verdict.NON_MEMBER, "all_positive_element", elt
 
 
-def cone_orbits(ideal: Ideal, weights) -> list[tuple[tuple, list[tuple[int, tuple[int, ...]]]]]:
+# the decision of a pattern when J holds a monomial; certify names the monomial
+_MONOMIAL = (Verdict.NON_MEMBER, "monomial_in_initial_ideal", None)
+
+
+def _vanishes_at(g: dict, point) -> bool:
+    """Whether the integer form ``g`` is zero at the positive rational
+    ``point``, in integers only.  With ``E_i`` the top degree of ``u_i`` in
+    ``g`` and ``u_i = p_i/q_i`` (``q_i > 0``), each term ``c * u^m`` times
+    the positive ``prod q_i^E_i`` is ``c * prod p_i^m_i * q_i^(E_i - m_i)``."""
+    top = [max(m[i] for m in g) for i in range(len(point))]
+    total = 0
+    for m, c in g.items():
+        for v, e, t in zip(point, m, top):
+            if t:
+                c *= v.numerator**e * v.denominator ** (t - e)
+        total += c
+    return total == 0
+
+
+def cone_orbits(ideal: Ideal, weights, group=None) -> list[tuple[tuple, list[tuple[int, tuple[int, ...]]]]]:
     """The orbits of the cones at ``weights`` under the symmetries of
     ``ideal``, as pairs ``(rep, members)`` in the order of each orbit's
     lowest index.
@@ -452,12 +521,13 @@ def cone_orbits(ideal: Ideal, weights) -> list[tuple[tuple, list[tuple[int, tupl
     in group)`` (:func:`~.ideals.permute_weight`), so it depends on the
     orbit alone, not on which of its cones ``weights`` holds.  ``members``
     lists ``(index, perm)`` in ascending index order, with ``perm`` the
-    first permutation of :func:`~.ideals.ideal_symmetries` that maps
-    ``rep`` onto that cone's weight.  A symmetry maps each cone of a
-    symmetric fan onto a cone, rays onto rays, so interior points onto
-    interior points.
+    first permutation of ``group`` that maps ``rep`` onto that cone's
+    weight.  ``group`` is :func:`~.ideals.ideal_symmetries` of ``ideal``,
+    computed here unless given.  A symmetry maps each cone of a symmetric
+    fan onto a cone, rays onto rays, so interior points onto interior
+    points.
     """
-    group = ideal_symmetries(ideal)
+    group = ideal_symmetries(ideal) if group is None else group
     orbits: dict = {}
     for i, w in enumerate(weights):
         rep = min(permute_weight(w, g) for g in group)
@@ -471,18 +541,26 @@ def sign_key(tau) -> str:
     return ",".join("+" if t > 0 else "-" for t in tau)
 
 
-def _certify_orbit(ideal: Ideal, rep, perms, taus, max_pairs: int, grevlex_basis):
+def _certify_orbit(ideal: Ideal, rep, stabilizer, perms, taus, max_pairs: int, grevlex_basis):
     """The records of the cones ``permute_weight(rep, perm)`` for ``perm``
-    in ``perms``, all certified by the one certifier at ``rep``; a Groebner
-    budget error stands in for every one of them.  ``grevlex_basis``, unless
-    None, is the ideal's reduced grevlex basis under ``max_pairs`` from the
-    process that made the task, which this process then does not compute."""
+    in ``perms``, all certified by the one certifier at ``rep``, whose
+    stabilizer in the ideal's symmetry group is ``stabilizer``; a Groebner
+    budget error stands in for every one of them.  Every pattern of every
+    cone is decided before ``in_trop`` is read, so that a positive point
+    found under any of them spares the saturation run.  ``grevlex_basis``,
+    unless None, is the ideal's reduced grevlex basis under ``max_pairs``
+    from the process that made the task, which this process then does not
+    compute."""
     if grevlex_basis is not None:
         _remember_grevlex(ideal.generators, ideal.nvars, max_pairs, grevlex_basis)
     try:
-        certifier = ConeCertifier(ideal, rep, max_pairs)
+        certifier = ConeCertifier(ideal, rep, max_pairs, stabilizer)
+        for perm in perms:
+            for tau in taus:
+                certifier.decide(tau, perm)
+        in_trop = certifier.monomial_free
         return [
-            {"in_trop": certifier.monomial_free,
+            {"in_trop": in_trop,
              "signed": {sign_key(tau): certifier.certify(tau, perm).to_json() for tau in taus}}
             for perm in perms
         ]
@@ -495,8 +573,11 @@ def certify_weights(ideal: Ideal, weights, taus, max_pairs: int = DEFAULT_MAX_PA
     """Certify the cones at ``weights`` under every sign pattern of
     ``taus``, one symmetry orbit at a time (:func:`cone_orbits`): the
     orbit's least weight runs the Groebner bases and the searches, and
-    every cone's certificate is pushed forward from it.  A cone's record
-    is the same whichever other cones ``weights`` holds.
+    every cone's certificate is pushed forward from it.  The symmetry group
+    is computed once here, and each orbit's certifier gets the stabilizer
+    of its least weight, so a pattern and its images under that stabilizer
+    are decided once.  A cone's record is the same whichever other cones
+    ``weights`` holds.
 
     Returns, per weight, ``{"in_trop": bool, "signed": {sign_key(tau):
     certificate JSON}}``, or the :class:`GroebnerBudgetError` that stopped
@@ -506,7 +587,8 @@ def certify_weights(ideal: Ideal, weights, taus, max_pairs: int = DEFAULT_MAX_PA
     every orbit starts from, made here once; its budget error stands for
     every cone.
     """
-    orbits = cone_orbits(ideal, weights)
+    group = ideal_symmetries(ideal)
+    orbits = cone_orbits(ideal, weights, group)
     workers = min(jobs, len(orbits))
     shared = None
     if workers > 1:
@@ -514,7 +596,11 @@ def certify_weights(ideal: Ideal, weights, taus, max_pairs: int = DEFAULT_MAX_PA
             shared = _grevlex_basis(ideal.generators, ideal.nvars, max_pairs)
         except GroebnerBudgetError as exc:
             return [exc] * len(weights)
-    tasks = [(ideal, rep, [p for _, p in members], taus, max_pairs, shared) for rep, members in orbits]
+    tasks = [
+        (ideal, rep, [s for s in group if permute_weight(rep, s) == rep], [p for _, p in members],
+         taus, max_pairs, shared)
+        for rep, members in orbits
+    ]
     if workers > 1:
         import concurrent.futures  # only a pool needs these
         import multiprocessing

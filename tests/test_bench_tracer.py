@@ -57,9 +57,11 @@ def test_certify_runs_every_groebner_role_through_the_traced_entry_point(tmp_pat
     spans = load_spans()
     fan = assemble_fan(build_complex("as", 3), "c", check_intersections=False)
     weights = [fan.interior_point(f) for f in fan.proper_faces()]
-    members = next(m for _, m in cone_orbits(ideal_c(3), weights) if len(m) > 1)
+    members = next(m for _, m in cone_orbits(ideal_c(3), weights) if m[0][0] == 1)
     cones = f"{members[0][0]},{members[1][0]}"  # two cones of one orbit
-    argv = ["certify", "--kind", "c", "--n", "3", "--sign=+,+,+,+,-,+", "--cones", cones,
+    # under +,+,-,+,+,+ their searches run bases and find no point, so the
+    # saturation run still answers in_trop
+    argv = ["certify", "--kind", "c", "--n", "3", "--sign=+,+,-,+,+,+", "--cones", cones,
             "--out", str(tmp_path / "cert.json")]
     tracer = spans.Tracer()
     tracer.install()

@@ -190,16 +190,24 @@ FAN_A7_OUTPUT_HASH = "8b7e4c97672f6e68f5317be6e22ea9927b0d84e769f1f2d1bbc4e197e0
 # patterns, hence no witnesses or stats, and kept its hash.  The c3 hash was
 # re-pinned when the weighted runs came to start from the homogenized
 # grevlex basis: only the weighted counters in `stats` moved, and the
-# stats-free hash below held.
-CERTIFY_C3_OUTPUT_HASH = "ddd330d989d26d463d7b0fc440acc560e78d2c590372fe862be8f2e85a341d18"
+# stats-free hash below held.  It was re-pinned again (ddd330d9... ->
+# e8f1361b...) when a certifier came to pull each pattern back through the
+# stabilizer of its least weight, deciding the least pulled-back pattern of
+# a cone's coset once: 4 of the 68 witnesses moved, and the
+# representatives of cones 4, 9 and 18 now name the stabilizer permutation
+# that their witness was pushed by.
+CERTIFY_C3_OUTPUT_HASH = "e8f1361bd0e49f0aa2b0fb69ba2f96aa62649850541c98f54d6ebb186ac8e7e0"
 CERTIFY_A5_OUTPUT_HASH = "c21edf7ab0ee1b3c4de37b7dd47d08fa3b09d9def3dd4f96c1c7a5cc92032b7f"
 
 # sha256 of the same c3 report's canonical payload without the manifest and
 # without every cone's `signed[*].stats`: the verdicts and witnesses alone.
 # Recorded at the same change as the hash above, which moved no verdict and
 # 6 of the 68 witnesses, those of cone 7 under both patterns and of cones
-# 8, 13, 30 and 33 under one
-CERTIFY_C3_STATS_FREE_HASH = "6adf0d72950436d7807ba94741a9dc457c32c4d077f927b141bee89e1cc5353b"
+# 8, 13, 30 and 33 under one.  Re-pinned (6adf0d72... -> 2404333f...) with
+# the hash above when the stabilizer came in: no verdict moved, and 4 of the
+# 68 witnesses did, those of cones 7, 13 and 18 under +,+,+,+,-,+ and of
+# cone 8 under +,+,-,+,+,+ (`VERDICT_HASHES` in tests/test_signed.py held).
+CERTIFY_C3_STATS_FREE_HASH = "2404333f3fab89ccf362ee98123ac91ff1989196884f7ae2c8745145aef01b4d"
 
 
 def stats_free_hash(doc):
@@ -499,11 +507,16 @@ def test_certify_c3_parallel_matches_serial(tmp_path):
     assert run(tmp_path, *args, "--out", str(serial)) == EXIT_OK
     assert run(tmp_path, *args, "--jobs", "2", "--out", str(parallel)) == EXIT_OK
     assert strip_timing(load(serial)) == strip_timing(load(parallel))
-    # stats included: the workers pushed forward the same members
+    # stats included: the workers pushed forward the same members, the 23
+    # cones that are not their orbit's least weight and the 3 least weights
+    # (cones 4, 9 and 18) whose pattern is pulled back by a stabilizer
+    # permutation
     members = [
-        c for c in load(parallel)["cones"] if "image_of" in c["signed"]["+,+,+,+,-,+"]["stats"]
+        i for i, c in enumerate(load(parallel)["cones"])
+        if "image_of" in c["signed"]["+,+,+,+,-,+"]["stats"]
     ]
-    assert len(members) == 34 - 11
+    assert len(members) == 34 - 11 + 3
+    assert {4, 9, 18} <= set(members)
 
 
 def test_certify_selected_cones_match_the_full_run(tmp_path):

@@ -72,16 +72,17 @@ def test_rational_inputs_give_fraction_coefficients(gens, w):
 
 
 def test_decision_path_polys_have_fraction_coefficients(fan_c3, ideal_c3, monkeypatch):
-    # the certifier decides on integer forms; the twisted basis of the
-    # point check and the scan and LP witnesses are Polys built from them
+    # the certifier decides on integer forms; the scan and LP witnesses are
+    # Polys built from them, and the point check reads the integer forms at
+    # a point of Fractions, with no Poly
     import utrop.ualgebra.signed as signed
 
-    evaluated, lp = [], []
-    evaluate, search = Poly.evaluate, signed.all_positive_element_search
+    checked, lp = [], []
+    vanishes, search = signed._vanishes_at, signed.all_positive_element_search
 
-    def spy_evaluate(self, values):
-        evaluated.append(self)
-        return evaluate(self, values)
+    def spy_vanishes(g, point):
+        checked.append((g, point))
+        return vanishes(g, point)
 
     def spy_search(*args):
         found = search(*args)
@@ -89,7 +90,7 @@ def test_decision_path_polys_have_fraction_coefficients(fan_c3, ideal_c3, monkey
             lp.append(found)
         return found
 
-    monkeypatch.setattr(Poly, "evaluate", spy_evaluate)
+    monkeypatch.setattr(signed, "_vanishes_at", spy_vanishes)
     monkeypatch.setattr(signed, "all_positive_element_search", spy_search)
     weights = [fan_c3.interior_point(f) for f in fan_c3.proper_faces()]
     decided = []
@@ -101,6 +102,8 @@ def test_decision_path_polys_have_fraction_coefficients(fan_c3, ideal_c3, monkey
     elements = [found for _, kind, found in decided if kind == "all_positive_element"]
     points = [found for _, kind, found in decided if kind == "positive_point"]
     scan = [elt for elt in elements if not any(elt is found for found in lp)]
-    assert evaluated and lp and scan and points
-    assert_fraction_coefficients(evaluated + elements)
+    assert checked and lp and scan and points
+    assert_fraction_coefficients(elements)
+    assert all(type(c) is int for g, _ in checked for c in g.values())
+    assert all(type(v) is Fraction for _, point in checked for v in point)
     assert all(type(v) is Fraction for point in points for v in point)

@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 
 from utrop.errors import GroebnerBudgetError, InvalidArgumentError
 from utrop.symtrees import DihedralOrdering, Symmetry, build_sub
-from utrop.ualgebra import Verdict, ideal_a, initial_ideal, sign_twist
+from utrop.ualgebra import Verdict, ideal_a, initial_ideal, is_monomial_free, sign_twist
 from utrop.ualgebra.groebner import DEFAULT_MAX_PAIRS, NormalFormCalculator, groebner_basis
-from utrop.ualgebra.ideals import Ideal, permute_weight
+from utrop.ualgebra.ideals import Ideal, ideal_symmetries, permute_weight
 from utrop.ualgebra.initial import twist_poly
 from utrop.ualgebra.poly import Poly, grevlex, primitive
 from utrop.ualgebra.signed import (
@@ -284,25 +284,43 @@ def test_search_runs_no_groebner_basis_before_substituting(search_runs, monkeypa
 
 def test_search_groebner_runs_in_certify_c3(tmp_path, search_runs, monkeypatch):
     # certify c 3 with both published patterns: the search's runs alone,
-    # not the certifiers' weighted and saturation runs
+    # not the certifiers' weighted and saturation runs, and the work that
+    # the stabilizer and a point settling in_trop save: 44 decisions, 16
+    # point searches, 22 search runs and 2 saturation runs, where deciding
+    # each pulled-back pattern of each orbit, with a saturation run per
+    # orbit, took 62, 23, 35 and 11
     import utrop.ualgebra.signed as signed_mod
     from utrop.cli import EXIT_OK, main
 
     inside = [0]
+    counts = dict.fromkeys(("decisions", "point_searches", "saturation_runs"), 0)
+    decide, saturate = signed_mod.ConeCertifier._decide, signed_mod.is_monomial_free
 
     def search(*args):
+        counts["point_searches"] += 1
         before = len(search_runs)
         try:
             return positive_point_search(*args)
         finally:
             inside[0] += len(search_runs) - before
 
+    def deciding(self, tau):
+        counts["decisions"] += 1
+        return decide(self, tau)
+
+    def saturating(*args):
+        counts["saturation_runs"] += 1
+        return saturate(*args)
+
     monkeypatch.setattr(signed_mod, "positive_point_search", search)
+    monkeypatch.setattr(signed_mod.ConeCertifier, "_decide", deciding)
+    monkeypatch.setattr(signed_mod, "is_monomial_free", saturating)
     argv = ["certify", "--kind", "c", "--n", "3", "--out", str(tmp_path / "c3.json")]
     for tau in PUBLISHED_C3_PATTERNS:
         argv.append(f"--sign={sign_key(tau)}")
     assert main(argv) == EXIT_OK
-    assert inside[0] == len(search_runs) == 35
+    assert inside[0] == len(search_runs) == 22
+    assert counts == {"decisions": 44, "point_searches": 16, "saturation_runs": 2}
 
 
 def test_search_starts_no_run_on_a_hopeless_child(search_runs, monkeypatch):
@@ -438,10 +456,16 @@ def test_census_c3_is_pinned(census_c3):
 # included, so it pins every positive point the search finds: a search that
 # varied from run to run would move it.  The c3 hash was re-pinned when the
 # weighted runs came to start from the homogenized grevlex basis: with every
-# `stats` removed, the records equal those before.
+# `stats` removed, the records equal those before.  Both were re-pinned (c3
+# 60cdd86f... -> 6b69327f..., a5 e97de8cf... -> 88befe29...) when a
+# certifier came to decide the least pulled-back pattern of each cone's
+# coset under the stabilizer of its least weight: every verdict and
+# `in_trop` held (`VERDICT_HASHES`), 199 of the 2176 c3 and 115 of the 800
+# a5 witnesses moved, and a least weight with a nontrivial stabilizer may
+# now name a `permutation` in its stats.
 ALL_PATTERNS_HASHES = {
-    ("c", 3): "60cdd86f742364c763b58e285c8a71ebe3ab2cae245e0cfaf9abfe392dad5090",
-    ("a", 5): "e97de8cf9e83eab42e8c674426303cb9bffe09e0cd91333b7d676ba58ec9b3ef",
+    ("c", 3): "6b69327f2709ad0fd23ce65dc8db1c9fc15ae732c3be48ebff7a9c9f68b833f3",
+    ("a", 5): "88befe29c6646ef2e34f331014b17bc156761e498093b94055cf40bf12fb8f01",
 }
 
 
@@ -528,13 +552,18 @@ def test_cone_certifier_runs_two_groebner_bases(fan_c3, ideal_c3, monkeypatch):
         monkeypatch.setattr(mod, "groebner_basis", counting)
     initial_mod._GREVLEX_BASES.clear()
     first, second = fan_c3.proper_faces()[:2]
-    signed_mod.ConeCertifier(ideal_c3, fan_c3.interior_point(first))
-    # the grevlex run of the ideal, once per process, then the weighted run
-    # on its homogenized basis and the saturation run
+    certifier = signed_mod.ConeCertifier(ideal_c3, fan_c3.interior_point(first))
+    # construction runs the grevlex run of the ideal, once per process, then
+    # the weighted run on its homogenized basis; reading monomial_free then
+    # runs the saturation run, once
+    assert [(order.nvars, order.weight is None) for _, order, *_ in calls] == [(6, True), (7, False)]
+    assert certifier.monomial_free and certifier.monomial_free
     assert [(order.nvars, order.weight is None) for _, order, *_ in calls] == [(6, True), (7, False), (7, True)]
     calls.clear()
-    signed_mod.ConeCertifier(ideal_c3, fan_c3.interior_point(second))
-    assert len(calls) == 2  # the weighted run, then the saturation run
+    certifier = signed_mod.ConeCertifier(ideal_c3, fan_c3.interior_point(second))
+    assert len(calls) == 1  # the weighted run
+    assert certifier.monomial_free
+    assert len(calls) == 2  # then the saturation run
 
 
 @pytest.mark.parametrize(
@@ -634,17 +663,20 @@ def test_one_cone_alone_reproduces_its_record_in_the_full_run(certifiers_c3, ide
     full = certify_weights(ideal_c3, weights, PUBLISHED_C3_PATTERNS)
     for i, w in enumerate(weights):
         assert certify_weights(ideal_c3, [w], PUBLISHED_C3_PATTERNS) == [full[i]]
-    # a member's stats are its representative's counters, with the
-    # representative's weight and the permutation that carries it over
+    # a cone's stats are its representative's counters and, unless that
+    # permutation is the identity, the representative's weight and the
+    # permutation that the witness was pushed by; it maps the representative
+    # onto the cone, and a certifier at the representative with no
+    # stabilizer, given it, gives the same certificate
     for rep, members in cone_orbits(ideal_c3, weights):
-        counters = ConeCertifier(ideal_c3, rep).stats
-        for i, perm in members:
-            stats = full[i]["signed"][sign_key(PUBLISHED_C3_PATTERNS[0])]["stats"]
-            assert permute_weight(rep, perm) == tuple(weights[i])
-            if tuple(weights[i]) == rep:
-                assert stats == counters
-            else:
-                assert stats == {**counters, "image_of": list(rep), "permutation": list(perm)}
+        reference = ConeCertifier(ideal_c3, rep)
+        for i, _ in members:
+            for tau in PUBLISHED_C3_PATTERNS:
+                cert = full[i]["signed"][sign_key(tau)]
+                perm = tuple(cert["stats"].get("permutation", range(len(rep))))
+                assert permute_weight(rep, perm) == tuple(weights[i])
+                assert cert == reference.certify(tau, perm).to_json()
+                assert {k: v for k, v in cert["stats"].items() if k not in ("image_of", "permutation")} == reference.stats
 
 
 def test_only_the_representatives_run_groebner_bases(fan_c3, ideal_c3, monkeypatch):
@@ -675,8 +707,11 @@ def test_a_worker_takes_the_grevlex_basis_from_its_task(fan_c3, ideal_c3, monkey
     from utrop.ualgebra.signed import _certify_orbit
 
     weights = [fan_c3.interior_point(f) for f in fan_c3.proper_faces()]
+    # the orbit of cone 1 under +,+,-,+,+,+: no point is found, so the
+    # saturation run still answers in_trop
     rep, members = cone_orbits(ideal_c3, weights)[1]
-    task = (ideal_c3, rep, [p for _, p in members], PUBLISHED_C3_PATTERNS, DEFAULT_MAX_PAIRS)
+    stabilizer = [s for s in ideal_symmetries(ideal_c3) if permute_weight(rep, s) == rep]
+    task = (ideal_c3, rep, stabilizer, [p for _, p in members], PUBLISHED_C3_PATTERNS[1:], DEFAULT_MAX_PAIRS)
     shared = initial_mod._grevlex_basis(ideal_c3.generators, ideal_c3.nvars, DEFAULT_MAX_PAIRS)
     calls = []  # the runs of initial_ideal and is_monomial_free
 
@@ -713,3 +748,139 @@ def test_lp_ladder_reaches_degree_three_after_degree_two(monkeypatch):
     assert cert.verdict is Verdict.NON_MEMBER
     assert cert.witness == {"type": "all_positive_element", "element": "1/2*x^3 + 1/2*y^3"}
     assert caps == [2, 3]
+
+
+def assert_checks_out_at(generators, names, tau, cert):
+    """``cert`` holds against the twist by ``tau`` of the initial ideal
+    with reduced basis ``generators``: a point is a positive zero of it, an
+    all-positive element has normal form 0."""
+    twisted = [twist_poly(g, tau) for g in generators]
+    if cert["verdict"] == Verdict.MEMBER.value:
+        point = [Fraction(a, b) for a, b in cert["witness"]["point"]]
+        assert all(v > 0 for v in point)
+        assert not any(g.evaluate(point) for g in twisted)
+    else:
+        assert cert["verdict"] == Verdict.NON_MEMBER.value
+        assert cert["witness"]["type"] == "all_positive_element"
+        elt = parse_witness(cert["witness"]["element"], names)
+        assert elt.coefficient_signs() == {1}
+        assert not NormalFormCalculator(twisted, grevlex(len(names))).reduce(elt)
+
+
+@pytest.mark.parametrize("kind,n", sorted(ALL_PATTERNS_HASHES))
+def test_every_all_pattern_certificate_checks_out(kind, n):
+    # all 2176 c3 and 800 a5 certificates, each against its own cone's
+    # initial ideal: computed once per cone at the cone's own weight and
+    # twisted per pattern, so no witness is trusted to its representative
+    ideal, weights, records = all_pattern_records(kind, n)
+    checked = 0
+    for w, record in zip(weights, records):
+        assert record["in_trop"]
+        generators = initial_ideal(ideal, w).generators
+        for tau in itertools.product((1, -1), repeat=ideal.nvars):
+            assert_checks_out_at(generators, list(ideal.variables), tau, record["signed"][sign_key(tau)])
+            checked += 1
+    assert checked == len(weights) * 2 ** ideal.nvars == {"c": 2176, "a": 800}[kind]
+
+
+def test_a_monomial_initial_ideal_gets_the_monomial_witness_under_every_pattern(ideal_c3):
+    # at this weight off the fan, J holds a monomial: every pattern is
+    # decided by it, whether through certify_weights, which may pull a
+    # pattern back through the stabilizer, or on a certifier alone
+    w = (-1, -1, -1, -1, -1, 0)
+    assert not is_monomial_free(initial_ideal(ideal_c3, w))
+    taus = list(itertools.product((1, -1), repeat=ideal_c3.nvars))
+    [record] = certify_weights(ideal_c3, [w], taus)
+    alone = ConeCertifier(ideal_c3, w)
+    references = [alone.certify(tau) for tau in taus]  # before monomial_free is read
+    assert record["in_trop"] is False and alone.monomial_free is False
+    for tau, reference in zip(taus, references):
+        cert = record["signed"][sign_key(tau)]
+        assert cert["verdict"] == reference.verdict.value == Verdict.NON_MEMBER.value
+        assert cert["witness"] == reference.witness
+        assert cert["witness"]["type"] == "monomial_in_initial_ideal"
+        assert_certificate_checks_out(ideal_c3, w, tau, cert)
+
+
+def test_a_pattern_and_its_stabilizer_image_are_decided_once(fan_c3, ideal_c3, monkeypatch):
+    # at each c3 least weight with a nontrivial stabilizer, tau and tau o s
+    # pull back to one least pattern, which reaches _decide once; over all
+    # 64 patterns, each class of patterns under the stabilizer is decided
+    # once, and every certificate holds against the weight's own twisted
+    # initial ideal
+    import utrop.ualgebra.signed as signed_mod
+
+    decided = []
+    decide = signed_mod.ConeCertifier._decide
+
+    def spy(self, pulled):
+        decided.append(pulled)
+        return decide(self, pulled)
+
+    monkeypatch.setattr(signed_mod.ConeCertifier, "_decide", spy)
+    weights = [fan_c3.interior_point(f) for f in fan_c3.proper_faces()]
+    group = ideal_symmetries(ideal_c3)
+    taus = list(itertools.product((1, -1), repeat=ideal_c3.nvars))
+    seen = 0
+    for rep, _ in cone_orbits(ideal_c3, weights, group):
+        stabilizer = [s for s in group if permute_weight(rep, s) == rep]
+        if len(stabilizer) == 1:
+            continue
+        seen += 1
+        certifier = ConeCertifier(ideal_c3, rep, DEFAULT_MAX_PAIRS, stabilizer)
+        decided.clear()
+        s = stabilizer[1]
+        tau = next(t for t in taus if tuple(t[j] for j in s) != t)
+        certifier.certify(tau)
+        certifier.certify(tuple(tau[j] for j in s))
+        assert len(decided) == 1
+        for t in taus:
+            assert_checks_out_at(certifier.initial.generators, list(ideal_c3.variables), t,
+                                 certifier.certify(t).to_json())
+        classes = {min(tuple(t[j] for j in g) for g in stabilizer) for t in taus}
+        assert sorted(decided) == sorted(classes) and len(classes) < len(taus)
+    assert seen == 10  # of the 11 orbits
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), st.integers(-4, 4).filter(bool), min_size=1, max_size=4),
+       st.lists(st.fractions(min_value=Fraction(1, 7), max_value=6, max_denominator=7), min_size=3, max_size=3),
+       st.integers(0, 2))
+def test_integer_point_check_agrees_with_poly_evaluate(terms, point, var):
+    # h * (q*u - p) vanishes at u = p/q and, in general, not at p/q + 1/q;
+    # the integer check accepts and rejects exactly as Poly.evaluate does,
+    # at both points and for h alone
+    from utrop.ualgebra.signed import _vanishes_at
+
+    h = Poly(3, terms)
+    p, q = point[var].numerator, point[var].denominator
+    root = Poly(3, {tuple(int(i == var) for i in range(3)): q, (0, 0, 0): -p})
+    off = point[:var] + [point[var] + Fraction(1, q)] + point[var + 1:]
+    for g in (h, h * root):
+        for at in (point, off):
+            assert _vanishes_at(ints(g), at) == (g.evaluate(at) == 0)
+    assert _vanishes_at(ints(h * root), point)
+
+
+def test_a_budget_error_in_the_lazy_saturation_run_stands_for_its_orbit(fan_c3, ideal_c3, monkeypatch):
+    # under the published patterns, 2 of the 11 c3 orbits find no point and
+    # need the saturation run; when it runs out of budget, the error stands
+    # for every cone of those orbits, and the other orbits keep their records
+    import utrop.ualgebra.signed as signed_mod
+
+    def over_budget(ideal, max_pairs):
+        raise GroebnerBudgetError(max_pairs, max_pairs, 0, len(ideal.generators))
+
+    weights = [fan_c3.interior_point(f) for f in fan_c3.proper_faces()]
+    full = certify_weights(ideal_c3, weights, PUBLISHED_C3_PATTERNS)
+    monkeypatch.setattr(signed_mod, "is_monomial_free", over_budget)
+    records = certify_weights(ideal_c3, weights, PUBLISHED_C3_PATTERNS)
+    failed = 0
+    for _, members in cone_orbits(ideal_c3, weights):
+        got = [records[i] for i, _ in members]
+        if isinstance(got[0], GroebnerBudgetError):
+            failed += 1
+            assert all(isinstance(r, GroebnerBudgetError) for r in got)
+        else:
+            assert got == [full[i] for i, _ in members]
+    assert failed == 2
