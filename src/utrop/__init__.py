@@ -11,7 +11,6 @@ from .errors import (
     InvalidArgumentError,
     NotAxiallySymmetricError,
     GroebnerBudgetError,
-    DegenerateIdealError,
     InternalConsistencyError,
 )
 
@@ -19,6 +18,5 @@ __all__ = [
     "InvalidArgumentError",
     "NotAxiallySymmetricError",
     "GroebnerBudgetError",
-    "DegenerateIdealError",
     "InternalConsistencyError",
 ]

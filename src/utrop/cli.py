@@ -23,7 +23,7 @@ from .fans import Fan, assemble_fan, index_set
 from .symtrees import (
     DihedralOrdering, Symmetry, _canonical_json, build_complex, enumerate_orderings,
 )
-from .ualgebra import Ideal, Verdict, certify_trop, ideal_a, ideal_c
+from .ualgebra import Ideal, Verdict, ideal_a, ideal_c
 from .ualgebra.cas import emit_cas_script
 from .ualgebra.groebner import DEFAULT_MAX_PAIRS
 from .ualgebra.signed import certify_weights, sign_key
@@ -275,11 +275,20 @@ def cmd_certify(args) -> int:
         faces = [f for i, f in enumerate(faces) if i in wanted]
 
     weights = [fan.interior_point(f) for f in faces]
-    results = certify_weights(ideal, weights, taus, args.max_pairs, jobs=args.jobs)
-    exhausted = [r for r in results if isinstance(r, GroebnerBudgetError)]
-    if exhausted:
-        sys.stderr.write(f"certify: {exhausted[0]}\n")
-        return EXIT_RESOURCE
+    probe_random = random.Random(PROBE_SEED)
+    k = len(fan.index_set)
+    probes = [tuple(probe_random.randint(-3, 3) for _ in range(k)) for _ in range(args.probes)]
+    # the probes are answered like the cones, under no sign pattern
+    answers = []
+    for batch, patterns in ((weights, taus), (probes, ())):
+        if batch:
+            batch = certify_weights(ideal, batch, patterns, args.max_pairs, jobs=args.jobs)
+        answers.append(batch)
+        exhausted = [r for r in batch if isinstance(r, GroebnerBudgetError)]
+        if exhausted:
+            sys.stderr.write(f"certify: {exhausted[0]}\n")
+            return EXIT_RESOURCE
+    results, probe_results = answers
 
     records = [
         {"face": sorted(f), "dimension": len(f), "weight": list(w), **record}
@@ -291,18 +300,11 @@ def cmd_certify(args) -> int:
         for r in records for cert in r["signed"].values()
     )
 
-    probe_records, probe_mismatch = [], 0
-    if args.probes:
-        probe_random = random.Random(PROBE_SEED)
-        k = len(fan.index_set)
-        for _ in range(args.probes):
-            w = tuple(probe_random.randint(-3, 3) for _ in range(k))
-            on_support = _support_contains(fan, w)
-            in_trop = certify_trop(ideal, w, args.max_pairs)
-            probe_mismatch += on_support != in_trop
-            probe_records.append(
-                {"weight": list(w), "on_candidate_fan": on_support, "in_trop": in_trop}
-            )
+    probe_records = [
+        {"weight": list(w), "on_candidate_fan": _support_contains(fan, w), "in_trop": r["in_trop"]}
+        for w, r in zip(probes, probe_results)
+    ]
+    probe_mismatch = sum(p["on_candidate_fan"] != p["in_trop"] for p in probe_records)
 
     member_counts = {}
     for tau in taus:
@@ -347,7 +349,7 @@ def cmd_emit_cas(args) -> int:
     ideal = _the_ideal(args.kind, args.n)
     fan = _candidate_fan(args.kind, args.n)
     weights = [
-        (f"cone {i} (face {sorted(f)})", list(fan.interior_point(f)), True)
+        (f"cone {i} (face {sorted(f)})", list(fan.interior_point(f)))
         for i, f in enumerate(fan.proper_faces())
     ]
     title = f"tropical certification cross-check: kind {args.kind}, n={args.n}"

@@ -45,12 +45,6 @@ class GroebnerBudgetError(RuntimeError):
         }
 
 
-class DegenerateIdealError(InvalidArgumentError):
-    """An ideal handed to a tropical certification routine has a monomial
-    generator, so every initial ideal contains a monomial and the
-    certification question is vacuous."""
-
-
 class InternalConsistencyError(AssertionError):
     """A structural invariant that is supposed to be unconditional failed.
 

@@ -1,5 +1,9 @@
 """Exact-rational sparse polynomials, Groebner bases, u-equation ideals,
-weighted initial ideals, and (signed) tropical certification."""
+weighted initial ideals, and (signed) tropical certification.
+
+Whether a weight lies in the (signed) tropicalization is answered on one
+path: :func:`.signed.certify_weights` builds one :class:`ConeCertifier`
+per symmetry orbit of the weights it is given."""
 
 from .poly import Poly, TermOrder, grevlex, weighted_order
 from .groebner import groebner_basis, NormalFormCalculator, DEFAULT_MAX_PAIRS
@@ -15,7 +19,6 @@ from .initial import (
     initial_ideal,
     initial_part,
     is_monomial_free,
-    certify_trop,
     sign_twist,
 )
 from .signed import Verdict, ConeCertifier, search_sign_patterns_c
@@ -38,7 +41,6 @@ __all__ = [
     "initial_ideal",
     "initial_part",
     "is_monomial_free",
-    "certify_trop",
     "sign_twist",
     "Verdict",
     "ConeCertifier",

@@ -28,7 +28,8 @@ def _m2_poly(g, names) -> str:
 def emit_cas_script(ideal: Ideal, weights, title: str) -> str:
     """Deterministic external-verification script.
 
-    ``weights`` is a list of ``(name, vector, expected_in_trop)`` triples.
+    ``weights`` is a list of ``(name, vector)`` pairs, each expected in the
+    tropicalization.
     """
     names = list(ideal.variables)
     nv = len(names)
@@ -65,11 +66,10 @@ def emit_cas_script(ideal: Ideal, weights, title: str) -> str:
     lines.append(f"    sat := saturate(J, product gens S);")
     lines.append("    sat != ideal(1_S))")
     lines.append("")
-    for name, vec, expected in weights:
+    for name, vec in weights:
         neg = [-x for x in vec] + [0]
-        verdict = "in the tropicalization (monomial-free)" if expected else "NOT in the tropicalization"
-        lines.append(f"-- {name}: weight {list(vec)}; expected: {verdict}")
-        lines.append(f"assert(checkWeight({{{', '.join(str(x) for x in neg)}}}) == {'true' if expected else 'false'});")
+        lines.append(f"-- {name}: weight {list(vec)}; expected: in the tropicalization (monomial-free)")
+        lines.append(f"assert(checkWeight({{{', '.join(str(x) for x in neg)}}}) == true);")
     lines.append("")
     lines.append('print "all checks passed";')
     return "\n".join(lines) + "\n"

@@ -1,5 +1,6 @@
-"""Weighted initial ideals (minimum convention), monomial-freeness, and
-tropical membership certification.
+"""Weighted initial ideals (minimum convention), sign twists, and
+monomial-freeness: the Groebner steps behind each verdict, which
+:mod:`.signed` puts together to decide a weight.
 
 ``initial_part(p, w)`` keeps the terms of least ``w``-weight.  For ideals
 the computation homogenizes.  It starts from the reduced grevlex basis G of
@@ -26,7 +27,7 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from ..errors import DegenerateIdealError, GroebnerBudgetError, InvalidArgumentError
+from ..errors import GroebnerBudgetError, InvalidArgumentError
 from .groebner import DEFAULT_MAX_PAIRS, groebner_basis, reduced_basis
 from .ideals import Ideal
 from .poly import Poly, grevlex, weighted_order
@@ -173,18 +174,3 @@ def is_monomial_free(ideal: Ideal, max_pairs: int = DEFAULT_MAX_PAIRS) -> bool:
     basis = groebner_basis(gens + [sat], grevlex(n + 1), max_pairs)
     return not any(g.is_constant() for g in basis)
 
-
-def certify_trop(ideal: Ideal, w, max_pairs: int = DEFAULT_MAX_PAIRS) -> bool:
-    """True iff the initial ideal at ``w`` is monomial-free, certifying that
-    ``w`` lies in the tropicalization.
-
-    Ideals with a monomial generator are rejected outright: their every
-    initial ideal contains a monomial, so the membership question is
-    vacuous and almost surely a caller error.
-    """
-    for g in ideal.generators:
-        if g and g.is_monomial():
-            raise DegenerateIdealError(
-                "ideal has a monomial generator; tropicalization is empty"
-            )
-    return is_monomial_free(initial_ideal(ideal, w, max_pairs), max_pairs)

@@ -79,9 +79,6 @@ class Poly:
     def is_constant(self) -> bool:
         return all(sum(m) == 0 for m in self.terms)
 
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
     def coefficient_signs(self) -> set:
         return {1 if c > 0 else -1 for c in self.terms.values()}
 

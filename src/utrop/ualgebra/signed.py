@@ -499,17 +499,14 @@ _MONOMIAL = (Verdict.NON_MEMBER, "monomial_in_initial_ideal", None)
 
 def _vanishes_at(g: dict, point) -> bool:
     """Whether the integer form ``g`` is zero at the positive rational
-    ``point``, in integers only.  With ``E_i`` the top degree of ``u_i`` in
-    ``g`` and ``u_i = p_i/q_i`` (``q_i > 0``), each term ``c * u^m`` times
-    the positive ``prod q_i^E_i`` is ``c * prod p_i^m_i * q_i^(E_i - m_i)``."""
-    top = [max(m[i] for m in g) for i in range(len(point))]
-    total = 0
-    for m, c in g.items():
-        for v, e, t in zip(point, m, top):
-            if t:
-                c *= v.numerator**e * v.denominator ** (t - e)
-        total += c
-    return total == 0
+    ``point``, in integers only.  :func:`_substituted` puts in one
+    coordinate at a time, each time giving a positive multiple of the
+    substituted form, so ``g`` vanishes iff nothing is left of it."""
+    for var, val in enumerate(point):
+        if not g:
+            break
+        g = _substituted(g, var, val)
+    return not g
 
 
 def cone_orbits(ideal: Ideal, weights, group=None) -> list[tuple[tuple, list[tuple[int, tuple[int, ...]]]]]:
@@ -541,18 +538,13 @@ def sign_key(tau) -> str:
     return ",".join("+" if t > 0 else "-" for t in tau)
 
 
-def _certify_orbit(ideal: Ideal, rep, stabilizer, perms, taus, max_pairs: int, grevlex_basis):
+def _certify_orbit(ideal: Ideal, rep, stabilizer, perms, taus, max_pairs: int):
     """The records of the cones ``permute_weight(rep, perm)`` for ``perm``
     in ``perms``, all certified by the one certifier at ``rep``, whose
     stabilizer in the ideal's symmetry group is ``stabilizer``; a Groebner
     budget error stands in for every one of them.  Every pattern of every
     cone is decided before ``in_trop`` is read, so that a positive point
-    found under any of them spares the saturation run.  ``grevlex_basis``,
-    unless None, is the ideal's reduced grevlex basis under ``max_pairs``
-    from the process that made the task, which this process then does not
-    compute."""
-    if grevlex_basis is not None:
-        _remember_grevlex(ideal.generators, ideal.nvars, max_pairs, grevlex_basis)
+    found under any of them spares the saturation run."""
     try:
         certifier = ConeCertifier(ideal, rep, max_pairs, stabilizer)
         for perm in perms:
@@ -581,32 +573,36 @@ def certify_weights(ideal: Ideal, weights, taus, max_pairs: int = DEFAULT_MAX_PA
 
     Returns, per weight, ``{"in_trop": bool, "signed": {sign_key(tau):
     certificate JSON}}``, or the :class:`GroebnerBudgetError` that stopped
-    its orbit.  With ``jobs > 1`` the orbits run in a pool of at most
-    ``jobs`` worker processes, never more than there are orbits; the
-    records are the same.  The pool's workers get the grevlex basis that
-    every orbit starts from, made here once; its budget error stands for
-    every cone.
+    its orbit.  With no patterns in ``taus`` this answers only whether each
+    weight lies in Trop(I), by the saturation run of its orbit; that is how
+    ``certify --probes`` answers its random weights.  With ``jobs > 1`` the
+    orbits run in a pool of at most ``jobs`` worker processes, never more
+    than there are orbits; the records are the same.  The grevlex basis
+    that every orbit starts from is made here once, and the pool's
+    initializer hands it to each worker once, not to each task; its budget
+    error stands for every weight.
     """
     group = ideal_symmetries(ideal)
     orbits = cone_orbits(ideal, weights, group)
     workers = min(jobs, len(orbits))
-    shared = None
-    if workers > 1:
-        try:
-            shared = _grevlex_basis(ideal.generators, ideal.nvars, max_pairs)
-        except GroebnerBudgetError as exc:
-            return [exc] * len(weights)
     tasks = [
         (ideal, rep, [s for s in group if permute_weight(rep, s) == rep], [p for _, p in members],
-         taus, max_pairs, shared)
+         taus, max_pairs)
         for rep, members in orbits
     ]
     if workers > 1:
         import concurrent.futures  # only a pool needs these
         import multiprocessing
 
+        try:
+            shared = _grevlex_basis(ideal.generators, ideal.nvars, max_pairs)
+        except GroebnerBudgetError as exc:
+            return [exc] * len(weights)
         context = multiprocessing.get_context("spawn")  # workers import afresh
-        with concurrent.futures.ProcessPoolExecutor(workers, mp_context=context) as pool:
+        with concurrent.futures.ProcessPoolExecutor(
+            workers, mp_context=context, initializer=_remember_grevlex,
+            initargs=(ideal.generators, ideal.nvars, max_pairs, shared),
+        ) as pool:
             futures = [pool.submit(_certify_orbit, *task) for task in tasks]
             per_orbit = [future.result() for future in futures]
     else:

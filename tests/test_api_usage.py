@@ -187,3 +187,62 @@ def test_no_other_module_uses_the_kernels_private_names():
         for line, name in kernel_private_uses(path.read_text())
     ]
     assert not uses, "kernel-private names used outside groebner.py: " + ", ".join(uses)
+
+
+# one path answers whether a weight lies in the tropicalization: the cone
+# and probe weights of certify both go through signed.certify_weights,
+# whose _certify_orbit alone builds a ConeCertifier
+CERTIFIER_HOME = (SRC / "ualgebra" / "signed.py", "_certify_orbit")
+INITIAL = SRC / "ualgebra" / "initial.py"
+
+
+def certifier_calls(source: str) -> list:
+    """``(line, function)`` of each call of ``ConeCertifier`` in
+    ``source``, with the name of the innermost function around it, or None
+    at module level."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == "ConeCertifier":
+                found.append((node.lineno, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def initial_imports(source: str, initial_names: set) -> list:
+    """``(line, name)`` of each name that ``source`` imports from an
+    ``initial`` module, or imports elsewhere under a name that
+    ``initial_names`` holds."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            whole = (node.module or "").split(".")[-1] == "initial"
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if whole or alias.name in initial_names]
+    return found
+
+
+def test_one_path_answers_every_weight():
+    assert certifier_calls("def f():\n    return ConeCertifier(i, w)") == [(2, "f")]
+    assert certifier_calls("x = signed.ConeCertifier(i, w)") == [(1, None)]
+    module = ast.parse(INITIAL.read_text())
+    initial_names = {node.name for node in module.body
+                     if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert initial_imports("from .ualgebra.initial import x", set()) == [(1, "x")]
+    assert initial_imports("from .ualgebra import Ideal, y", {"y"}) == [(1, "y")]
+    stray = [
+        f"{path.relative_to(ROOT)}:{line} in {function}"
+        for path in sorted(SRC.rglob("*.py"))
+        for line, function in certifier_calls(path.read_text())
+        if (path, function) != CERTIFIER_HOME
+    ]
+    assert not stray, "ConeCertifier built outside signed._certify_orbit: " + ", ".join(stray)
+    imported = initial_imports((SRC / "cli.py").read_text(), initial_names)
+    assert not imported, "cli.py imports from ualgebra.initial: " + repr(imported)

@@ -38,11 +38,14 @@ class InProcessPool:
 @pytest.fixture
 def pool_sizes(monkeypatch):
     """Put :class:`InProcessPool` in place of ``ProcessPoolExecutor``; the
-    returned list gets the worker count that each pool was asked for."""
+    returned list gets the worker count that each pool was asked for.  The
+    pool's initializer runs once, in this process, as a worker would run it."""
     asked = []
 
-    def pool(max_workers, mp_context=None):
+    def pool(max_workers, mp_context=None, initializer=None, initargs=()):
         asked.append(max_workers)
+        if initializer is not None:
+            initializer(*initargs)
         return InProcessPool()
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
@@ -392,6 +395,26 @@ def test_certify_budget_exhausted_in_a_worker_exits_resource(tmp_path, capsys):
     assert "Groebner pair budget exhausted" in capsys.readouterr().err
 
 
+def test_certify_budget_exhausted_among_the_probes_exits_resource(tmp_path, monkeypatch, capsys):
+    # cone 0 is a member under +,+,+,+,-,+, so its positive point settles
+    # in_trop and only the probe needs a saturation run; a budget error
+    # there exits as one among the cones does
+    from utrop.ualgebra import signed
+
+    def over_budget(ideal, max_pairs):
+        raise GroebnerBudgetError(max_pairs, max_pairs, 0, len(ideal.generators))
+
+    monkeypatch.setattr(signed, "is_monomial_free", over_budget)
+    out = tmp_path / "cert.json"
+    argv = ["certify", "--kind", "c", "--n", "3", "--sign=+,+,+,+,-,+", "--cones", "0", "--out", str(out)]
+    assert run(tmp_path, *argv) == EXIT_OK
+    out.unlink()
+    capsys.readouterr()
+    assert run(tmp_path, *argv, "--probes", "1") == EXIT_RESOURCE
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("certify: Groebner pair budget exhausted: 200000 pairs")
+
+
 def test_certify_pool_never_outnumbers_the_orbits(tmp_path, pool_sizes):
     asked = pool_sizes
     out = tmp_path / "cert.json"
@@ -500,6 +523,33 @@ def test_certify_a5_golden_digest(tmp_path):
     assert load(out)["manifest"]["output_hash"] == CERTIFY_A5_OUTPUT_HASH
 
 
+# Reports with random probe weights: every probe's ``in_trop`` and
+# ``on_candidate_fan``, and the cones' records beside them.
+CERTIFY_A5_PROBES_OUTPUT_HASH = "7e7f81dd1620a80d295fbaa9d535722426832da647f99d85c535fc7715dd7891"
+CERTIFY_C3_PROBES_OUTPUT_HASH = "291f35641b11c409a842482f7ec3ad7253a51f6f78b35bd64e93376e89254c0d"
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (["--kind", "a", "--n", "5", "--probes", "12"], CERTIFY_A5_PROBES_OUTPUT_HASH),
+    (["--kind", "c", "--n", "3", "--sign=+,+,+,+,-,+", "--probes", "24"], CERTIFY_C3_PROBES_OUTPUT_HASH),
+], ids=["a5", "c3"])
+def test_certify_probes_golden_digest(tmp_path, argv, digest):
+    out = tmp_path / "probes.json"
+    assert run(tmp_path, "certify", *argv, "--out", str(out)) == EXIT_OK
+    doc = load(out)
+    assert doc["probe_mismatches"] == 0
+    assert doc["manifest"]["output_hash"] == digest
+
+
+def test_certify_probes_parallel_matches_serial(tmp_path):
+    serial = tmp_path / "serial.json"
+    parallel = tmp_path / "parallel.json"
+    args = ["certify", "--kind", "c", "--n", "3", "--sign=+,+,+,+,-,+", "--cones", "0,1", "--probes", "24"]
+    assert run(tmp_path, *args, "--out", str(serial)) == EXIT_OK
+    assert run(tmp_path, *args, "--jobs", "2", "--out", str(parallel)) == EXIT_OK
+    assert strip_timing(load(serial)) == strip_timing(load(parallel))
+
+
 def test_certify_c3_parallel_matches_serial(tmp_path):
     serial = tmp_path / "serial.json"
     parallel = tmp_path / "parallel.json"
@@ -546,6 +596,22 @@ def test_emit_cas_deterministic(tmp_path):
     assert text.count("ideal(") >= 1
     assert "u2xm2*u3xm3*u2xm3^2" in text.replace("(1)*", "")
     assert text.count("checkWeight") >= 35  # definition + 34 cones
+
+
+# The emitted script text, without its manifest line.
+EMIT_CAS_HASHES = {
+    ("c", "3"): "f6280dcca827d259fb6e5f34b50ccc50d100397984da79a84c642868002ecfa3",
+    ("a", "5"): "556bd5aa9ba658e2697839a634acfa3ebd789fd6a73ecaef305dd27d76eb5b0e",
+}
+
+
+@pytest.mark.parametrize("kind,n", list(EMIT_CAS_HASHES))
+def test_emit_cas_golden_digest(tmp_path, kind, n):
+    out = tmp_path / "script.m2"
+    assert run(tmp_path, "emit-cas", "--kind", kind, "--n", n, "--out", str(out)) == EXIT_OK
+    lines = out.read_text().splitlines(keepends=True)
+    assert lines[-1].startswith("-- manifest:")
+    assert hashlib.sha256("".join(lines[:-1]).encode()).hexdigest() == EMIT_CAS_HASHES[kind, n]
 
 
 def test_emit_cas_a5_has_five_generators(tmp_path):

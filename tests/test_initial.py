@@ -16,11 +16,11 @@ from fractions import Fraction
 
 import pytest
 
-from utrop.errors import DegenerateIdealError, GroebnerBudgetError
+from utrop.errors import GroebnerBudgetError
 from utrop.ualgebra import (
     Ideal,
+    ConeCertifier,
     NormalFormCalculator,
-    certify_trop,
     groebner_basis,
     ideal_a,
     initial_ideal,
@@ -303,22 +303,23 @@ def test_monomial_freeness():
 
 def test_certify_trop_examples():
     I4 = ideal_a(4)
-    assert certify_trop(I4, (0, 2))
-    assert not certify_trop(I4, (-1, -2))
-    assert not certify_trop(I4, (1, 2))  # initial ideal is the unit ideal
+    assert ConeCertifier(I4, (0, 2)).monomial_free
+    assert not ConeCertifier(I4, (-1, -2)).monomial_free
+    assert not ConeCertifier(I4, (1, 2)).monomial_free  # initial ideal is the unit ideal
 
 
 def test_certify_trop_probe_off_the_candidate_fan():
     # a weight outside the candidate fan's support must fail certification
     from utrop.ualgebra import ideal_c
 
-    assert not certify_trop(ideal_c(3), (1, -1, 0, 0, 3, 0))
+    assert not ConeCertifier(ideal_c(3), (1, -1, 0, 0, 3, 0)).monomial_free
 
 
 def test_certify_rejects_monomial_generators():
+    # a monomial generator is an answer, not an error: no weight lies in
+    # the tropicalization of an ideal that holds a monomial
     bad = Ideal(("a", "b"), (Poly(2, {(1, 0): 1}),))
-    with pytest.raises(DegenerateIdealError):
-        certify_trop(bad, (0, 0))
+    assert not ConeCertifier(bad, (0, 0)).monomial_free
 
 
 def test_sign_twist_involution_and_invariance():
@@ -330,7 +331,7 @@ def test_sign_twist_involution_and_invariance():
     assert sign_twist(ideal, all_ones).generators == ideal.generators
     # tropicalization is twist-invariant
     for w in [(0, 0, 0, 0, 0), (1, 0, 0, 1, 0), (-1, 0, -1, 0, 0)]:
-        assert certify_trop(ideal, w) == certify_trop(twisted, w)
+        assert ConeCertifier(ideal, w).monomial_free == ConeCertifier(twisted, w).monomial_free
 
 
 def test_sign_twist_flips_odd_occurrences():

@@ -701,8 +701,9 @@ def test_only_the_representatives_run_groebner_bases(fan_c3, ideal_c3, monkeypat
 
 
 def test_a_worker_takes_the_grevlex_basis_from_its_task(fan_c3, ideal_c3, monkeypatch):
-    # a pool worker starts with an empty memo; the basis in its task spares
-    # it the grevlex run, and its records are those it would compute itself
+    # a pool worker starts with an empty memo; the basis that the pool's
+    # initializer remembers spares it the grevlex run, and its records are
+    # those it would compute itself
     import utrop.ualgebra.initial as initial_mod
     from utrop.ualgebra.signed import _certify_orbit
 
@@ -721,12 +722,13 @@ def test_a_worker_takes_the_grevlex_basis_from_its_task(fan_c3, ideal_c3, monkey
 
     monkeypatch.setattr(initial_mod, "groebner_basis", counting)
     initial_mod._GREVLEX_BASES.clear()
-    handed = _certify_orbit(*task, shared)
+    initial_mod._remember_grevlex(ideal_c3.generators, ideal_c3.nvars, DEFAULT_MAX_PAIRS, shared)
+    handed = _certify_orbit(*task)
     # the weighted run and the saturation run, and no 6-variable grevlex run
     assert [(order.nvars, order.weight is None) for _, order, *_ in calls] == [(7, False), (7, True)]
     calls.clear()
     initial_mod._GREVLEX_BASES.clear()
-    assert _certify_orbit(*task, None) == handed
+    assert _certify_orbit(*task) == handed
     assert [(order.nvars, order.weight is None) for _, order, *_ in calls] == [(6, True), (7, False), (7, True)]
 
 
