@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import gc
 import hashlib
 import itertools
@@ -278,17 +279,13 @@ def cmd_certify(args) -> int:
     probe_random = random.Random(PROBE_SEED)
     k = len(fan.index_set)
     probes = [tuple(probe_random.randint(-3, 3) for _ in range(k)) for _ in range(args.probes)]
-    # the probes are answered like the cones, under no sign pattern
-    answers = []
-    for batch, patterns in ((weights, taus), (probes, ())):
-        if batch:
-            batch = certify_weights(ideal, batch, patterns, args.max_pairs, jobs=args.jobs)
-        answers.append(batch)
-        exhausted = [r for r in batch if isinstance(r, GroebnerBudgetError)]
-        if exhausted:
-            sys.stderr.write(f"certify: {exhausted[0]}\n")
-            return EXIT_RESOURCE
-    results, probe_results = answers
+    # the probes are answered in the cones' orbits, under no sign pattern
+    answers = certify_weights(ideal, weights, taus, args.max_pairs, jobs=args.jobs, probes=probes)
+    exhausted = [r for r in answers if isinstance(r, GroebnerBudgetError)]
+    if exhausted:
+        sys.stderr.write(f"certify: {exhausted[0]}\n")
+        return EXIT_RESOURCE
+    results, probe_results = answers[:len(weights)], answers[len(weights):]
 
     records = [
         {"face": sorted(f), "dimension": len(f), "weight": list(w), **record}
@@ -363,7 +360,10 @@ def cmd_emit_cas(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one in the process; each ``parse_args`` makes a fresh namespace."""
     d_order = ", ".join(str(p) for p in index_set("c", 3).pairs)
     parser = argparse.ArgumentParser(
         prog="utrop",

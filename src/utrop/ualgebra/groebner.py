@@ -5,10 +5,13 @@ reduction and normal-form arithmetic stays in integers (cross-multiplying by
 leading coefficients), which avoids Fraction overhead in the inner loops.
 
 Callers hand it ``Poly`` objects or primitive integer forms (see
-:mod:`.poly`); :mod:`.signed` hands it integer forms, for the search's runs
-and its LP's :class:`NormalFormCalculator`.  :func:`groebner_basis` answers
-in the form it was given: monic ``Poly`` objects, or primitive integer forms
-with positive leading coefficient, in the same order.
+:mod:`.poly`); :mod:`.initial` hands it integer forms for the grevlex and
+weighted runs and the inter-reduction of the initial forms, and
+:mod:`.signed` for the search's runs and its LP's
+:class:`NormalFormCalculator`.  :func:`groebner_basis` and
+:func:`reduced_basis` answer in the form they were given: monic ``Poly``
+objects, or primitive integer forms with positive leading coefficient, in
+the same order.
 
 Inside the kernel a monomial is one Python int, packed by the run's
 :class:`_Codec`, and a polynomial is a ``{packed monomial: int}`` dict.  The
@@ -414,6 +417,16 @@ def _monic(reduced, codec: _Codec, nvars: int):
     return out
 
 
+def _in_form_of(gens, reduced, codec: _Codec, nvars: int):
+    """``_reduced_basis`` output, in the same order, in the form of the
+    nonzero ``gens``: integer forms for integer forms, and :func:`_monic`
+    polynomials for ``Poly`` objects or for no ``gens``."""
+    if gens and not isinstance(gens[0], Poly):
+        unpack = codec.unpack
+        return [{unpack(m): v for m, v in terms.items()} for _, terms in reduced]
+    return _monic(reduced, codec, nvars)
+
+
 def groebner_basis(gens, order: TermOrder, max_pairs: int = DEFAULT_MAX_PAIRS, stats: dict | None = None):
     """Reduced Groebner basis of the ideal generated by ``gens``.
 
@@ -439,23 +452,21 @@ def groebner_basis(gens, order: TermOrder, max_pairs: int = DEFAULT_MAX_PAIRS, s
     if stats is not None:
         stats.update(run_stats)
         stats["basis_size"] = len(reduced)
-    if gens and not isinstance(gens[0], Poly):
-        unpack = basis.codec.unpack
-        return [{unpack(m): v for m, v in terms.items()} for _, terms in reduced]
-    return _monic(reduced, basis.codec, order.nvars)
+    return _in_form_of(gens, reduced, basis.codec, order.nvars)
 
 
 def reduced_basis(gb, order: TermOrder):
-    """The reduced Groebner basis, in the form :func:`groebner_basis`
-    returns, of the ideal that ``gb`` generates, when ``gb`` is already a
-    Groebner basis for ``order``.
+    """The reduced Groebner basis of the ideal that ``gb`` generates, when
+    ``gb`` is already a Groebner basis for ``order``, in the form
+    :func:`groebner_basis` answers in: ``gb`` is all ``Poly`` objects or
+    all integer forms, as there.
 
     No S-pair is formed: the input is only minimalized and inter-reduced,
     which is exact when its leading monomials already generate the leading
     ideal.
     """
     basis = _filled(gb, order)
-    return _monic(_reduced_basis(basis), basis.codec, order.nvars)
+    return _in_form_of(gb, _reduced_basis(basis), basis.codec, order.nvars)
 
 
 class NormalFormCalculator:

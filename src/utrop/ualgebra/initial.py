@@ -15,10 +15,12 @@ initial ideal of I.  The order is a genuine term order for any sign
 pattern of ``w`` because total degree comes first.
 
 Coefficients of every ``Poly`` here are ``Fraction``.  :func:`initial_ideal`
-takes initial forms and dehomogenizes them on ``Poly`` terms, without
-arithmetic on coefficients; its three Groebner steps, the grevlex run, the
-weighted run and the inter-reduction of the initial forms, work on the
-kernel's primitive integer forms inside :mod:`.groebner`.
+works on primitive integer forms (:mod:`.poly`) end to end: the memoized
+grevlex basis is kept in that form, and the homogenization, the weighted
+run, the initial forms, setting h = 1 and the inter-reduction all take and
+give integer forms, since :func:`~.groebner.groebner_basis` and
+:func:`~.groebner.reduced_basis` answer in the form they are given.  Only
+the generators of J are built as monic ``Poly`` objects, once, at the end.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from operator import mul
 from ..errors import GroebnerBudgetError, InvalidArgumentError
 from .groebner import DEFAULT_MAX_PAIRS, groebner_basis, reduced_basis
 from .ideals import Ideal
-from .poly import Poly, grevlex, weighted_order
+from .poly import Poly, grevlex, primitive, weighted_order
 
 
 def _integer_weight(w, nvars: int):
@@ -57,22 +59,24 @@ def initial_part(p: Poly, w) -> Poly:
     return Poly(p.nvars, _least_terms(p.terms, wz))
 
 
-def _homogenize(p: Poly) -> Poly:
-    d = p.degree()
-    return Poly(p.nvars + 1, {m + (d - sum(m),): c for m, c in p.terms.items()})
+def _homogenize(terms: dict) -> dict:
+    """The integer form ``terms`` homogenized by a last variable h."""
+    d = max(map(sum, terms))
+    return {m + (d - sum(m),): c for m, c in terms.items()}
 
 
 _GREVLEX_BASES: dict = {}  # (generators, nvars, max_pairs) -> reduced grevlex basis
 
 
 def _grevlex_basis(generators, nvars: int, max_pairs: int) -> tuple:
-    """The reduced grevlex basis of the ideal that ``generators`` span, run
-    once per process for each pair budget: a result reached under one
-    budget is never handed to a call with another.  A run past its budget
-    raises and is not kept."""
+    """The reduced grevlex basis of the ideal that the ``Poly``
+    ``generators`` span, as integer forms, run once per process for each
+    pair budget: a result reached under one budget is never handed to a
+    call with another.  A run past its budget raises and is not kept."""
     basis = _GREVLEX_BASES.get((generators, nvars, max_pairs))
     if basis is None:
-        basis = tuple(groebner_basis(generators, grevlex(nvars), max_pairs))
+        forms = [primitive(g)[0] for g in generators]
+        basis = tuple(groebner_basis(forms, grevlex(nvars), max_pairs))
         _remember_grevlex(generators, nvars, max_pairs, basis)
     return basis
 
@@ -118,15 +122,16 @@ def initial_ideal(ideal: Ideal, w, max_pairs: int = DEFAULT_MAX_PAIRS, stats: di
         if stats is not None:
             stats.update(exc.stats)
         raise
-    neg = tuple(-x for x in wz) + (0,)
-    order = weighted_order(neg, ideal.nvars + 1)
-    basis = groebner_basis([_homogenize(g) for g in gb], order, max_pairs, stats)
+    n = ideal.nvars
+    weighted = weighted_order(tuple(-x for x in wz) + (0,), n + 1)
+    basis = groebner_basis([_homogenize(g) for g in gb], weighted, max_pairs, stats)
     # each g is homogeneous, so setting h = 1 (dropping its exponent) merges no terms
-    inits = [
-        Poly(ideal.nvars, {m[:-1]: c for m, c in _least_terms(g.terms, wz).items()})
-        for g in basis
-    ]
-    gens = reduced_basis(inits, grevlex(ideal.nvars))
+    inits = [{m[:-1]: c for m, c in _least_terms(g, wz).items()} for g in basis]
+    order = grevlex(n)
+    gens = []  # monic, built once from the reduced integer forms
+    for g in reduced_basis(inits, order):
+        lc = g[max(g, key=order.key)]
+        gens.append(Poly._trusted(n, {m: Fraction(c, lc) for m, c in g.items()}))
     return Ideal(ideal.variables, tuple(gens), ideal.index_set)
 
 

@@ -34,10 +34,12 @@ torus; a saturation run answers it only when no point did.
 
 A pattern is decided on primitive integer forms (:mod:`.poly`): the
 certifier converts the reduced basis of J once, a twist flips signs in
-those dicts, the positive-point search keeps its systems in that form, and
-an LP column is the kernel's integer normal form times its scale, and a
-point is checked on those forms in integers.  A ``Poly`` is built only for
-a witness.
+those dicts, the positive-point search keeps its systems in that form, an
+LP column is the kernel's integer normal form times its scale, and a point
+is checked on those forms in integers.  A ``Poly`` is built only for a
+witness.  Before the all-positive-element LP, a presolve drops every
+column that a one-signed row forces to zero, so the simplex sees a small
+part of the LP, and none when no column is left.
 """
 
 from __future__ import annotations
@@ -296,6 +298,26 @@ def _monomials_up_to(nvars: int, cap: int):
             yield tuple(expo)
 
 
+def _live_columns(rows, ncols: int) -> list:
+    """The columns, in ascending order, that no row of ``rows`` forces to
+    zero.  Each row is a ``{column: entry}`` dict of an equation with
+    right-hand side 0 over nonnegative unknowns, so a row whose entries in
+    the live columns share one sign forces each of them to 0; this repeats
+    until no row forces one (Andersen & Andersen, "Presolving in linear
+    programming", Math. Prog. 1995)."""
+    live = set(range(ncols))
+    while True:
+        forced = set()
+        for row in rows:
+            signs = {c > 0 for j, c in row.items() if j in live}
+            if len(signs) == 1:
+                forced.update(row)
+        forced &= live
+        if not forced:
+            return sorted(live)
+        live -= forced
+
+
 def all_positive_element_search(nf: NormalFormCalculator, nvars: int, cap: int):
     """An all-positive-coefficient element of the ideal behind ``nf`` with
     degree <= cap, or None.
@@ -306,23 +328,31 @@ def all_positive_element_search(nf: NormalFormCalculator, nvars: int, cap: int):
     NF(m_j) (:meth:`~.groebner.NormalFormCalculator.scaled_normal_form`)
     over s_j in the sum row: a positive column scale changes no sign and no
     ratio-test winner of Bland's rule, so lam_j = s_j * x_j.
+
+    A presolve drops the columns that a one-signed row forces to zero
+    (:func:`_live_columns`); most columns go.  The simplex gets the live
+    columns in their order, and the rows that still hold a live entry in
+    theirs, plus the sum row; with no live column left there is no element,
+    and no simplex runs.
     """
     monos = list(_monomials_up_to(nvars, cap))
     images = [nf.scaled_normal_form(m) for m in monos]
-    support = sorted({m for img, _ in images for m in img})
-    if not support:
-        return None
-    row_of = {m: i for i, m in enumerate(support)}
-    mat = [[0] * len(monos) for _ in support]
+    rows: dict = {}  # normal-form monomial -> {column: entry}
     for col, (img, _) in enumerate(images):
         for m, c in img.items():
-            mat[row_of[m]][col] = c
-    mat.append([s for _, s in images])
-    rhs = [0] * len(support) + [1]
-    sol = linalg.solve_nonneg(mat, rhs)
+            rows.setdefault(m, {})[col] = c
+    if not rows:
+        return None
+    live = _live_columns(rows.values(), len(monos))
+    if not live:
+        return None
+    kept = [row for _, row in sorted(rows.items()) if not row.keys().isdisjoint(live)]
+    mat = [[row.get(j, 0) for j in live] for row in kept]
+    mat.append([images[j][1] for j in live])
+    sol = linalg.solve_nonneg(mat, [0] * len(kept) + [1])
     if sol is None:
         return None
-    poly = Poly(nvars, {m: s * x for m, (_, s), x in zip(monos, images, sol) if x})
+    poly = Poly(nvars, {monos[j]: images[j][1] * x for j, x in zip(live, sol) if x})
     if not poly or poly.coefficient_signs() != {1}:
         return None
     if nf.reduce(poly):
@@ -538,11 +568,13 @@ def sign_key(tau) -> str:
     return ",".join("+" if t > 0 else "-" for t in tau)
 
 
-def _certify_orbit(ideal: Ideal, rep, stabilizer, perms, taus, max_pairs: int):
+def _certify_orbit(ideal: Ideal, rep, stabilizer, perms, taus, max_pairs: int, probe_perms=()):
     """The records of the cones ``permute_weight(rep, perm)`` for ``perm``
-    in ``perms``, all certified by the one certifier at ``rep``, whose
-    stabilizer in the ideal's symmetry group is ``stabilizer``; a Groebner
-    budget error stands in for every one of them.  Every pattern of every
+    in ``perms``, then of the probes for ``perm`` in ``probe_perms``, all
+    certified by the one certifier at ``rep``, whose stabilizer in the
+    ideal's symmetry group is ``stabilizer``; a Groebner budget error
+    stands in for every one of them.  A cone is certified under every
+    pattern of ``taus``, and a probe under none.  Every pattern of every
     cone is decided before ``in_trop`` is read, so that a positive point
     found under any of them spares the saturation run."""
     try:
@@ -553,41 +585,46 @@ def _certify_orbit(ideal: Ideal, rep, stabilizer, perms, taus, max_pairs: int):
         in_trop = certifier.monomial_free
         return [
             {"in_trop": in_trop,
-             "signed": {sign_key(tau): certifier.certify(tau, perm).to_json() for tau in taus}}
-            for perm in perms
+             "signed": {sign_key(tau): certifier.certify(tau, perm).to_json() for tau in patterns}}
+            for group, patterns in ((perms, taus), (probe_perms, ()))
+            for perm in group
         ]
     except GroebnerBudgetError as exc:
-        return [exc] * len(perms)
+        return [exc] * (len(perms) + len(probe_perms))
 
 
 def certify_weights(ideal: Ideal, weights, taus, max_pairs: int = DEFAULT_MAX_PAIRS,
-                    jobs: int = 1) -> list:
+                    jobs: int = 1, probes=()) -> list:
     """Certify the cones at ``weights`` under every sign pattern of
-    ``taus``, one symmetry orbit at a time (:func:`cone_orbits`): the
-    orbit's least weight runs the Groebner bases and the searches, and
-    every cone's certificate is pushed forward from it.  The symmetry group
-    is computed once here, and each orbit's certifier gets the stabilizer
-    of its least weight, so a pattern and its images under that stabilizer
-    are decided once.  A cone's record is the same whichever other cones
-    ``weights`` holds.
+    ``taus``, and the weights of ``probes`` under none, one symmetry orbit
+    at a time (:func:`cone_orbits`): the orbit's least weight runs the
+    Groebner bases and the searches, and every record of the orbit is
+    pushed forward from it.  The symmetry group is computed once here, and
+    each orbit's certifier gets the stabilizer of its least weight, so a
+    pattern and its images under that stabilizer are decided once.  A
+    record is the same whichever other weights the call holds.
 
-    Returns, per weight, ``{"in_trop": bool, "signed": {sign_key(tau):
-    certificate JSON}}``, or the :class:`GroebnerBudgetError` that stopped
-    its orbit.  With no patterns in ``taus`` this answers only whether each
-    weight lies in Trop(I), by the saturation run of its orbit; that is how
-    ``certify --probes`` answers its random weights.  With ``jobs > 1`` the
-    orbits run in a pool of at most ``jobs`` worker processes, never more
-    than there are orbits; the records are the same.  The grevlex basis
-    that every orbit starts from is made here once, and the pool's
-    initializer hands it to each worker once, not to each task; its budget
-    error stands for every weight.
+    Returns, per weight of ``weights`` and then of ``probes``,
+    ``{"in_trop": bool, "signed": {sign_key(tau): certificate JSON}}``, or
+    the :class:`GroebnerBudgetError` that stopped its orbit.  A probe's
+    ``signed`` is empty: it answers only whether the weight lies in
+    Trop(I), settled by a point found for a cone of its orbit or else by
+    the orbit's saturation run; that is how ``certify --probes`` answers
+    its random weights.  With ``jobs > 1`` the orbits run in a pool of at
+    most ``jobs`` worker processes, never more than there are orbits; the
+    records are the same.  The grevlex basis that every orbit starts from
+    is made here once, and the pool's initializer hands it to each worker
+    once, not to each task; its budget error stands for every weight.
     """
     group = ideal_symmetries(ideal)
-    orbits = cone_orbits(ideal, weights, group)
+    everything = [*weights, *probes]
+    orbits = cone_orbits(ideal, everything, group)
     workers = min(jobs, len(orbits))
+    cones = len(weights)
     tasks = [
-        (ideal, rep, [s for s in group if permute_weight(rep, s) == rep], [p for _, p in members],
-         taus, max_pairs)
+        (ideal, rep, [s for s in group if permute_weight(rep, s) == rep],
+         [p for i, p in members if i < cones], taus, max_pairs,
+         [p for i, p in members if i >= cones])
         for rep, members in orbits
     ]
     if workers > 1:
@@ -597,7 +634,7 @@ def certify_weights(ideal: Ideal, weights, taus, max_pairs: int = DEFAULT_MAX_PA
         try:
             shared = _grevlex_basis(ideal.generators, ideal.nvars, max_pairs)
         except GroebnerBudgetError as exc:
-            return [exc] * len(weights)
+            return [exc] * len(everything)
         context = multiprocessing.get_context("spawn")  # workers import afresh
         with concurrent.futures.ProcessPoolExecutor(
             workers, mp_context=context, initializer=_remember_grevlex,
@@ -607,8 +644,9 @@ def certify_weights(ideal: Ideal, weights, taus, max_pairs: int = DEFAULT_MAX_PA
             per_orbit = [future.result() for future in futures]
     else:
         per_orbit = [_certify_orbit(*task) for task in tasks]
-    records = [None] * len(weights)
+    records = [None] * len(everything)
     for (_, members), results in zip(orbits, per_orbit):
+        # members ascend by index, so the cones come first, as in results
         for (i, _), record in zip(members, results):
             records[i] = record
     return records

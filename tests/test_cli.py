@@ -550,6 +550,43 @@ def test_certify_probes_parallel_matches_serial(tmp_path):
     assert strip_timing(load(serial)) == strip_timing(load(parallel))
 
 
+def test_certify_probes_share_the_cones_pool_and_certifiers(tmp_path, pool_sizes, monkeypatch):
+    # the cones and the probes go to one certify_weights call: one pool, and
+    # one certifier per orbit, whether the orbit holds cones, probes or both
+    from utrop.ualgebra import signed
+
+    built = []
+
+    class CountingCertifier(signed.ConeCertifier):
+        def __init__(self, ideal, w, *args):
+            built.append(tuple(w))
+            super().__init__(ideal, w, *args)
+
+    monkeypatch.setattr(signed, "ConeCertifier", CountingCertifier)
+    out = tmp_path / "probes.json"
+    argv = ["certify", "--kind", "c", "--n", "3", "--sign=+,+,+,+,-,+", "--probes", "24", "--jobs", "2"]
+    assert run(tmp_path, *argv, "--out", str(out)) == EXIT_OK
+    assert pool_sizes == [2]
+    assert len(built) == len(set(built))
+    assert load(out)["manifest"]["output_hash"] == CERTIFY_C3_PROBES_OUTPUT_HASH
+
+
+def test_main_builds_the_parser_once(tmp_path):
+    # two main calls share one parser, and the --sign list of the first
+    # does not reach the second
+    cli.build_parser.cache_clear()
+    signed_out, plain_out = tmp_path / "signed.json", tmp_path / "plain.json"
+    argv = ["certify", "--kind", "c", "--n", "3", "--cones", "0"]
+    assert main([*argv, "--sign=+,+,+,+,-,+", "--out", str(signed_out)]) == EXIT_OK
+    assert main([*argv, "--out", str(plain_out)]) == EXIT_OK
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert list(load(signed_out)["signed_member_counts"]) == ["+,+,+,+,-,+"]
+    plain = load(plain_out)
+    assert plain["signed_member_counts"] == {} and plain["manifest"]["parameters"]["sign"] == []
+    assert all(cone["signed"] == {} for cone in plain["cones"])
+
+
 def test_certify_c3_parallel_matches_serial(tmp_path):
     serial = tmp_path / "serial.json"
     parallel = tmp_path / "parallel.json"

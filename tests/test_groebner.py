@@ -9,12 +9,14 @@ import pytest
 
 from utrop.errors import GroebnerBudgetError, InvalidArgumentError
 from utrop.ualgebra import NormalFormCalculator, groebner_basis, ideal_a, ideal_c
+from utrop.ualgebra.groebner import reduced_basis
 from utrop.ualgebra.poly import (
     Poly,
     grevlex,
     monomial_div,
     monomial_divides,
     monomial_lcm,
+    primitive,
     weighted_order,
 )
 from utrop.ualgebra.signed import all_positive_element_search
@@ -79,6 +81,25 @@ def test_disjoint_linear_generators_stay_put():
     assert set(basis) == {g1, g2}
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_reduced_basis_answers_in_the_form_it_is_given(seed):
+    # a Groebner basis that is not reduced (elements scaled, negated,
+    # repeated, and joined by an ideal element of another's multiple):
+    # integer forms in give the primitive forms of the monic Poly answer,
+    # in the same order, each with a positive leading coefficient
+    rng = random.Random(300 + seed)
+    nvars = rng.choice([2, 3])
+    order = grevlex(nvars)
+    gb = groebner_basis([g for g in (random_poly(rng, nvars, 3, 4) for _ in range(3)) if g], order)
+    given = [g * Fraction(rng.choice((-3, -1, 1, 2)), rng.randrange(1, 4)) for g in gb]
+    given += [gb[0], gb[0] * Poly.var(0, nvars) + gb[-1]]
+    want = reduced_basis(given, order)
+    assert want == groebner_basis(gb, order)
+    got = reduced_basis([primitive(g)[0] for g in given], order)
+    assert got == [primitive(g)[0] for g in want]
+    assert all(g[order.leading_monomial(h)] > 0 for g, h in zip(got, want))
+
+
 def test_unit_ideal():
     h1 = Poly(2, {(2, 0): 1})
     h2 = Poly(2, {(1, 1): 1, (0, 0): -1})
@@ -105,10 +126,8 @@ def test_budget_error():
 
 
 def test_budget_error_keeps_the_counters_it_reached():
-    from utrop.ualgebra.initial import _homogenize
-
     ideal = ideal_c(3)
-    gens = [_homogenize(g) for g in ideal.generators]
+    gens = homogenized(ideal.generators)
     order = grevlex(ideal.nvars + 1)
     full = {}
     groebner_basis(gens, order, stats=full)

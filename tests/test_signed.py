@@ -249,6 +249,111 @@ def test_subfan_membership_matches_subcomplex(certifiers_c3, fan_c3):
     assert got == expected
 
 
+def test_presolve_decides_a_one_signed_row_with_no_simplex(monkeypatch):
+    # J = <x - 1, y - 1> has the positive zero (1, 1): every monomial has
+    # normal form 1, so the one row holds every column with a positive
+    # entry and forces every lambda to 0, and no LP is solved
+    from utrop import linalg
+    from utrop.ualgebra.signed import _live_columns
+
+    order = grevlex(2)
+    gens = [Poly(2, {(1, 0): 1, (0, 0): -1}), Poly(2, {(0, 1): 1, (0, 0): -1})]
+    nf = NormalFormCalculator(groebner_basis(gens, order), order)
+    assert _live_columns([{0: 1, 1: 2, 2: 1}], 3) == []
+    solved = []
+    monkeypatch.setattr(linalg, "solve_nonneg", lambda *args: solved.append(args))
+    for cap in (1, 2, 3):
+        assert all_positive_element_search(nf, 2, cap) is None
+    assert solved == []
+
+
+def test_presolve_drops_columns_in_a_chain():
+    # row 0 forces column 0; then row 1 holds only column 2 live and forces
+    # it; row 2 keeps both signs on columns 1 and 3, which stay live
+    rows = [{0: 3}, {0: -1, 2: 2}, {1: 1, 2: -5, 3: -1}]
+    from utrop.ualgebra.signed import _live_columns
+
+    assert _live_columns(rows, 4) == [1, 3]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), st.sampled_from((-3, -2, -1, 1, 2, 3)),
+                                min_size=2, max_size=3),
+                min_size=1, max_size=2),
+       st.integers(1, 3))
+def test_presolve_keeps_the_full_lp_answer_to_feasibility(gens, cap):
+    # the LP on the live columns is feasible iff the LP on all columns is,
+    # and an element it finds is all-positive and lies in the ideal
+    order = grevlex(3)
+    polys = [p for p in (Poly(3, terms) for terms in gens) if p]
+    basis = groebner_basis(polys, order)
+    got = all_positive_element_search(NormalFormCalculator(basis, order), 3, cap)
+    want = fraction_lp_search(NormalFormCalculator(basis, order), 3, cap)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.coefficient_signs() == {1}
+        assert not NormalFormCalculator(basis, order).reduce(got)
+
+
+@pytest.fixture
+def lp_shapes(monkeypatch):
+    """``(rows, columns)`` of each LP that ``linalg.solve_nonneg`` is
+    asked to solve, in order."""
+    from utrop import linalg
+
+    shapes = []
+    solve = linalg.solve_nonneg
+
+    def recording(mat, rhs):
+        shapes.append((len(mat), len(mat[0])))
+        return solve(mat, rhs)
+
+    monkeypatch.setattr(linalg, "solve_nonneg", recording)
+    return shapes
+
+
+def test_lp_rung_of_certify_c3(tmp_path, lp_shapes, monkeypatch):
+    # certify c 3 with both published patterns searches four times, caps
+    # 2, 2, 2 and 3, and on all columns solved LPs of 19 x 28 (three times)
+    # and 38 x 84 rows and columns, sum row included; the presolve leaves 2
+    # columns twice, none of the third search's (it fails with no simplex),
+    # and 25 columns in 9 of the 37 normal-form rows of the cap-3 search
+    import utrop.ualgebra.signed as signed_mod
+    from utrop.cli import EXIT_OK, main
+
+    searches = []
+
+    def search(nf, nvars, cap):
+        found = all_positive_element_search(nf, nvars, cap)
+        searches.append((cap, found is not None))
+        return found
+
+    monkeypatch.setattr(signed_mod, "all_positive_element_search", search)
+    argv = ["certify", "--kind", "c", "--n", "3", "--out", str(tmp_path / "c3.json")]
+    argv += [f"--sign={sign_key(tau)}" for tau in PUBLISHED_C3_PATTERNS]
+    assert main(argv) == EXIT_OK
+    assert searches == [(2, True), (2, True), (2, False), (3, True)]
+    assert lp_shapes == [(2, 2), (2, 2), (10, 25)]
+
+
+def test_census_c3_lp_count(fan_c3, ideal_c3, lp_shapes, monkeypatch):
+    # the c3 census searches 21 times and solves 18 LPs; on all columns it
+    # solved 21, the largest 38 x 84 where the presolve leaves 19 x 40
+    import utrop.ualgebra.signed as signed_mod
+    from utrop.ualgebra.signed import search_sign_patterns_c
+
+    searches = []
+
+    def search(*args):
+        searches.append(args[2])
+        return all_positive_element_search(*args)
+
+    monkeypatch.setattr(signed_mod, "all_positive_element_search", search)
+    search_sign_patterns_c(3, fan_c3, ideal_c3)
+    assert len(searches) == 21
+    assert len(lp_shapes) == 18 and max(lp_shapes) == (19, 40)
+
+
 @pytest.fixture
 def search_runs(monkeypatch):
     """The systems that the search's Groebner runs start from, in order, as
