@@ -13,19 +13,18 @@ class NotAxiallySymmetricError(InvalidArgumentError):
 class GroebnerBudgetError(RuntimeError):
     """The pair budget of a Groebner basis run was exhausted.
 
-    Raised instead of silently truncating, with a pair still open.  Carries
-    the counters the run reached: the S-pairs reduced, how many of them
-    reduced to zero, and the number of elements of the (not yet reduced)
-    basis.
+    Raised instead of silently truncating, with a pair still open, once the
+    run has reduced ``budget`` S-pairs.  Carries the counters the run
+    reached: the budget, how many of its pairs reduced to zero, and the
+    number of elements of the (not yet reduced) basis.
     """
 
-    def __init__(self, pairs_processed: int, budget: int, zero_reductions: int = 0, basis_size: int = 0):
+    def __init__(self, budget: int, zero_reductions: int = 0, basis_size: int = 0):
         super().__init__(
-            f"Groebner pair budget exhausted: {pairs_processed} pairs reduced "
+            f"Groebner pair budget exhausted: {budget} pairs reduced "
             f"(budget {budget}), {zero_reductions} of them to zero, "
             f"{basis_size} basis elements so far"
         )
-        self.pairs_processed = pairs_processed
         self.budget = budget
         self.zero_reductions = zero_reductions
         self.basis_size = basis_size
@@ -33,13 +32,13 @@ class GroebnerBudgetError(RuntimeError):
     def __reduce__(self):
         # the default rebuilds from the message alone, which breaks across
         # a process pool
-        return type(self), (self.pairs_processed, self.budget, self.zero_reductions, self.basis_size)
+        return type(self), (self.budget, self.zero_reductions, self.basis_size)
 
     @property
     def stats(self) -> dict:
         """The counters reached, under the keys of a run's ``stats``."""
         return {
-            "pairs": self.pairs_processed,
+            "pairs": self.budget,
             "zero_reductions": self.zero_reductions,
             "basis_size": self.basis_size,
         }

@@ -1,17 +1,16 @@
 """Buchberger's algorithm over the rationals on one integer reduction kernel.
 
-Polynomials are cleared to primitive integer form on entry, and all S-pair,
-reduction and normal-form arithmetic stays in integers (cross-multiplying by
-leading coefficients), which avoids Fraction overhead in the inner loops.
-
-Callers hand it ``Poly`` objects or primitive integer forms (see
-:mod:`.poly`); :mod:`.initial` hands it integer forms for the grevlex and
-weighted runs and the inter-reduction of the initial forms, and
-:mod:`.signed` for the search's runs and its LP's
-:class:`NormalFormCalculator`.  :func:`groebner_basis` and
-:func:`reduced_basis` answer in the form they were given: monic ``Poly``
-objects, or primitive integer forms with positive leading coefficient, in
-the same order.
+The kernel takes integer forms, ``{exponent tuple: int}`` dicts, and gives
+primitive integer forms only (see :mod:`.poly`): content 1 and a positive
+leading coefficient.  All S-pair, reduction and normal-form arithmetic stays in
+integers (cross-multiplying by leading coefficients), which avoids Fraction
+overhead in the inner loops.  ``Poly`` objects stay outside; a caller
+converts its own with :func:`.poly.primitive`.  :mod:`.initial` hands the
+kernel its grevlex, weighted and saturation runs and the inter-reduction of
+the initial forms, and :mod:`.signed` the search's runs and the
+:class:`NormalFormCalculator` of its LP and monomial witness.
+:func:`groebner_basis` and :func:`reduced_basis` answer with the reduced
+basis in ascending order of leading monomial.
 
 Inside the kernel a monomial is one Python int, packed by the run's
 :class:`_Codec`, and a polynomial is a ``{packed monomial: int}`` dict.  The
@@ -44,13 +43,9 @@ basis and its pairs with a codec for that degree.
 :class:`NormalFormCalculator` widens its basis in the same way for an
 input of higher degree than ``top``.
 
-Only the edges see ``Poly``: :func:`_integer_forms` reads a ``Poly``'s
-``Fraction`` coefficients into integers, and :func:`_monic` and
-:meth:`NormalFormCalculator.reduce` unpack results into ``Poly`` objects
-whose coefficients are ``Fraction`` again.  ``_reduce_scaled`` is the one
-reduction loop; it also serves :class:`NormalFormCalculator`, which undoes
-the loop's integer scale to return exact rational normal forms, or returns
-it with the integer remainder.  The loop takes its leading terms from
+``_reduce_scaled`` is the one reduction loop; it also serves
+:class:`NormalFormCalculator`, which returns the loop's integer remainder
+with its integer scale.  The loop takes its leading terms from
 a max-heap of the pending monomials rather than a ``max`` over them at
 every step, and each basis keeps a memo from a monomial to its first
 divisor, so a monomial that many reductions meet is tested against the
@@ -67,7 +62,7 @@ from math import gcd, lcm
 from operator import mul
 
 from ..errors import GroebnerBudgetError, InvalidArgumentError
-from .poly import Poly, TermOrder, primitive
+from .poly import TermOrder
 
 DEFAULT_MAX_PAIRS = 200000
 
@@ -115,12 +110,6 @@ class _Codec:
 
 def _degree(forms) -> int:
     return max((sum(m) for p in forms for m in p), default=0)
-
-
-def _integer_forms(polys) -> list:
-    """The primitive integer forms of the nonzero ``polys``: a ``Poly`` is
-    converted, and a dict is taken to be one already."""
-    return [primitive(p)[0] if isinstance(p, Poly) else p for p in polys if p]
 
 
 def _content_strip(terms):
@@ -354,9 +343,7 @@ def _buchberger_int(gens, order: TermOrder, max_pairs: int):
             _update_pairs(basis, pairs, lcms, basis.add(g))
     while pairs:
         if stats["pairs"] == max_pairs:
-            raise GroebnerBudgetError(
-                max_pairs, max_pairs, stats["zero_reductions"], len(basis.polys)
-            )
+            raise GroebnerBudgetError(max_pairs, stats["zero_reductions"], len(basis.polys))
         ij = min(pairs, key=lcms.__getitem__)
         pairs.discard(ij)
         stats["pairs"] += 1
@@ -368,10 +355,9 @@ def _buchberger_int(gens, order: TermOrder, max_pairs: int):
     return basis, stats
 
 
-def _reduced_basis(basis: _Basis):
-    """The reduced basis as ``(lm, terms)`` pairs in ascending order of
-    ``lm``, each ``terms`` primitive with positive leading coefficient,
-    with the monomials packed by ``basis.codec``.
+def _reduced_basis(basis: _Basis) -> list:
+    """The reduced basis as integer forms in ascending order of leading
+    monomial, each primitive with positive leading coefficient.
 
     Minimalize (keep the elements whose leading monomial no other leading
     monomial divides), then reduce the tail of each minimal element ``g``
@@ -391,59 +377,39 @@ def _reduced_basis(basis: _Basis):
         if not any(not (lms[i] - divs[j]) & guards for j in kept):
             kept.append(i)
     minimal = basis.restrict(kept)
+    unpack = basis.codec.unpack
     out = []
     for lm, lc, tail in zip(minimal.lms, minimal.lcs, minimal.tails):
         remainder, scale = _reduce_scaled(tail, minimal)
-        out.append((lm, _content_strip({lm: lc * scale, **remainder})))
+        terms = _content_strip({lm: lc * scale, **remainder})
+        out.append({unpack(m): v for m, v in terms.items()})
     return out
 
 
-def _filled(polys, order: TermOrder) -> _Basis:
-    """A basis holding the primitive integer forms of the nonzero ``polys``."""
-    forms = _integer_forms(polys)
+def _filled(forms, order: TermOrder) -> _Basis:
+    """A basis holding the nonzero integer forms ``forms``."""
+    forms = [g for g in forms if g]
     basis = _Basis(order, _Codec(order, _degree(forms)))
     for g in forms:
         basis.add({basis.codec.pack(m): v for m, v in g.items()})
     return basis
 
 
-def _monic(reduced, codec: _Codec, nvars: int):
-    """``_reduced_basis`` output as monic polynomials, in the same order."""
-    unpack = codec.unpack
-    out = []
-    for lm, terms in reduced:
-        lc = terms[lm]
-        out.append(Poly._trusted(nvars, {unpack(m): Fraction(v, lc) for m, v in terms.items()}))
-    return out
-
-
-def _in_form_of(gens, reduced, codec: _Codec, nvars: int):
-    """``_reduced_basis`` output, in the same order, in the form of the
-    nonzero ``gens``: integer forms for integer forms, and :func:`_monic`
-    polynomials for ``Poly`` objects or for no ``gens``."""
-    if gens and not isinstance(gens[0], Poly):
-        unpack = codec.unpack
-        return [{unpack(m): v for m, v in terms.items()} for _, terms in reduced]
-    return _monic(reduced, codec, nvars)
-
-
 def groebner_basis(gens, order: TermOrder, max_pairs: int = DEFAULT_MAX_PAIRS, stats: dict | None = None):
-    """Reduced Groebner basis of the ideal generated by ``gens``.
+    """Reduced Groebner basis of the ideal generated by the integer forms
+    ``gens``.
 
-    ``gens`` are all ``Poly`` objects or all primitive integer forms.
     Returns the unique reduced basis for the order sorted by leading
-    monomial (ascending order key): monic polynomials for ``Poly`` input,
-    and for integer forms the integer forms of those, each with positive
-    leading coefficient.  Raises :class:`GroebnerBudgetError` when more
-    than ``max_pairs`` S-pairs would be reduced, after copying the counters
-    it reached into ``stats``, and :class:`InvalidArgumentError` when
-    ``max_pairs`` is negative.
+    monomial (ascending order key), as primitive integer forms with
+    positive leading coefficients.  Raises :class:`GroebnerBudgetError`
+    when more than ``max_pairs`` S-pairs would be reduced, after copying
+    the counters it reached into ``stats``, and
+    :class:`InvalidArgumentError` when ``max_pairs`` is negative.
     """
     if max_pairs < 0:
         raise InvalidArgumentError(f"max_pairs must be at least 0, got {max_pairs}")
-    gens = [g for g in gens if g]
     try:
-        basis, run_stats = _buchberger_int(_integer_forms(gens), order, max_pairs)
+        basis, run_stats = _buchberger_int([g for g in gens if g], order, max_pairs)
     except GroebnerBudgetError as exc:
         if stats is not None:
             stats.update(exc.stats)
@@ -452,25 +418,24 @@ def groebner_basis(gens, order: TermOrder, max_pairs: int = DEFAULT_MAX_PAIRS, s
     if stats is not None:
         stats.update(run_stats)
         stats["basis_size"] = len(reduced)
-    return _in_form_of(gens, reduced, basis.codec, order.nvars)
+    return reduced
 
 
 def reduced_basis(gb, order: TermOrder):
-    """The reduced Groebner basis of the ideal that ``gb`` generates, when
-    ``gb`` is already a Groebner basis for ``order``, in the form
-    :func:`groebner_basis` answers in: ``gb`` is all ``Poly`` objects or
-    all integer forms, as there.
+    """The reduced Groebner basis of the ideal that the integer forms
+    ``gb`` generate, when they are already a Groebner basis for ``order``,
+    as :func:`groebner_basis` answers it.
 
     No S-pair is formed: the input is only minimalized and inter-reduced,
     which is exact when its leading monomials already generate the leading
     ideal.
     """
-    basis = _filled(gb, order)
-    return _in_form_of(gb, _reduced_basis(basis), basis.codec, order.nvars)
+    return _reduced_basis(_filled(gb, order))
 
 
 class NormalFormCalculator:
-    """Normal forms against a fixed basis, with memoization.
+    """Normal forms against a fixed basis of integer forms, with
+    memoization.
 
     The basis is fixed at construction time, which is what makes caching
     sound; use this for repeated membership queries and for assembling
@@ -478,44 +443,22 @@ class NormalFormCalculator:
     """
 
     def __init__(self, basis, order: TermOrder):
-        self.order = order
         self._basis = _filled(basis, order)
-        self.nvars = order.nvars
-        self._cache: dict = {}  # reduce's results by frozen terms, scaled_normal_form's by exponent tuple
+        self._cache: dict = {}  # results by frozen input terms
 
-    def reduce(self, p: Poly) -> Poly:
-        """Exact normal form over the rationals (unique for a reduced basis
-        up to the input's scale; the output keeps the input's scale)."""
-        key = frozenset(p.terms.items())
+    def reduce(self, terms) -> tuple[dict, int]:
+        """``(remainder, s)`` for the integer form ``terms``: ``remainder``
+        is ``s`` times the normal form of ``terms``, as an integer form,
+        and ``s`` is the positive integer scale of the reduction loop.  So
+        ``terms`` lies in the ideal iff ``remainder`` is empty."""
+        key = frozenset(terms.items())
         hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        terms, g, den = primitive(p)
-        remainder, scale = self._scaled(terms, p.degree())
-        factor = Fraction(g, den * scale)
-        result = Poly._trusted(self.nvars, {m: v * factor for m, v in remainder.items()})
-        self._cache[key] = result
-        return result
-
-    def scaled_normal_form(self, mono) -> tuple[dict, int]:
-        """``(terms, s)`` for the monomial with exponent tuple ``mono``:
-        ``terms`` is ``s`` times its normal form as an ``{exponent tuple:
-        int}`` dict, and ``s`` is the positive integer scale of the
-        reduction loop.  Memoized like :meth:`reduce`."""
-        hit = self._cache.get(mono)
         if hit is None:
-            hit = self._cache[mono] = self._scaled({mono: 1}, sum(mono))
+            need = _degree((terms,))
+            if need > self._basis.codec.top:
+                self._basis.widen(need)
+            codec = self._basis.codec
+            remainder, scale = _reduce_scaled({codec.pack(m): v for m, v in terms.items()}, self._basis)
+            unpack = codec.unpack
+            hit = self._cache[key] = {unpack(m): v for m, v in remainder.items()}, scale
         return hit
-
-    def _scaled(self, terms, need: int):
-        """``_reduce_scaled`` of the integer form ``terms`` of total degree
-        ``need``, unpacked."""
-        if need > self._basis.codec.top:
-            self._basis.widen(need)
-        codec = self._basis.codec
-        remainder, scale = _reduce_scaled({codec.pack(m): v for m, v in terms.items()}, self._basis)
-        unpack = codec.unpack
-        return {unpack(m): v for m, v in remainder.items()}, scale
-
-    def contains(self, p: Poly) -> bool:
-        return not self.reduce(p)

@@ -14,13 +14,14 @@ grevlex), with the degree variable ``h`` of weight zero, yields exactly the
 initial ideal of I.  The order is a genuine term order for any sign
 pattern of ``w`` because total degree comes first.
 
-Coefficients of every ``Poly`` here are ``Fraction``.  :func:`initial_ideal`
-works on primitive integer forms (:mod:`.poly`) end to end: the memoized
-grevlex basis is kept in that form, and the homogenization, the weighted
-run, the initial forms, setting h = 1 and the inter-reduction all take and
-give integer forms, since :func:`~.groebner.groebner_basis` and
-:func:`~.groebner.reduced_basis` answer in the form they are given.  Only
-the generators of J are built as monic ``Poly`` objects, once, at the end.
+Coefficients of every ``Poly`` here are ``Fraction``.  The Groebner
+kernel takes and gives primitive integer forms only (:mod:`.poly`), so
+:func:`initial_ideal` works on them end to end: the memoized grevlex basis
+is kept in that form, and the homogenization, the weighted run, the
+initial forms, setting h = 1 and the inter-reduction all take and give
+integer forms.  Only the generators of J are built as monic ``Poly``
+objects, once, at the end.  :func:`is_monomial_free` hands its saturation
+run integer forms too.
 """
 
 from __future__ import annotations
@@ -166,16 +167,15 @@ def is_monomial_free(ideal: Ideal, max_pairs: int = DEFAULT_MAX_PAIRS) -> bool:
 
     A monomial lies in the ideal iff some power of the product of all
     variables does, i.e. iff saturating by that product gives the unit
-    ideal; tested by adjoining y and the generator y*prod(u) - 1 and
-    checking whether 1 turns up in a Groebner basis.
+    ideal; tested by adjoining y and the generator y*prod(u) - 1 to the
+    integer forms of the generators and checking whether the reduced
+    Groebner basis is the integer form of 1.
     """
     n = ideal.nvars
-    gens = [
-        Poly(n + 1, {m + (0,): c for m, c in g.terms.items()}) for g in ideal.generators if g
-    ]
+    gens = [{m + (0,): c for m, c in primitive(g)[0].items()} for g in ideal.generators if g]
     if not gens:
         return True  # zero ideal
-    sat = Poly(n + 1, {(1,) * (n + 1): Fraction(1), (0,) * (n + 1): Fraction(-1)})
+    sat = {(1,) * (n + 1): 1, (0,) * (n + 1): -1}
     basis = groebner_basis(gens + [sat], grevlex(n + 1), max_pairs)
-    return not any(g.is_constant() for g in basis)
+    return basis != [{(0,) * (n + 1): 1}]
 

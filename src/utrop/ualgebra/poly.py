@@ -76,9 +76,6 @@ class Poly:
     def degree(self) -> int:
         return max((sum(m) for m in self.terms), default=0)
 
-    def is_constant(self) -> bool:
-        return all(sum(m) == 0 for m in self.terms)
-
     def coefficient_signs(self) -> set:
         return {1 if c > 0 else -1 for c in self.terms.values()}
 

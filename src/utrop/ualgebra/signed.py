@@ -32,14 +32,15 @@ Sturmfels, *Introduction to Tropical Geometry*, Theorem 3.2.3), is settled
 by any positive point found, since a monomial vanishes nowhere on the
 torus; a saturation run answers it only when no point did.
 
-A pattern is decided on primitive integer forms (:mod:`.poly`): the
-certifier converts the reduced basis of J once, a twist flips signs in
-those dicts, the positive-point search keeps its systems in that form, an
-LP column is the kernel's integer normal form times its scale, and a point
-is checked on those forms in integers.  A ``Poly`` is built only for a
-witness.  Before the all-positive-element LP, a presolve drops every
-column that a one-signed row forces to zero, so the simplex sees a small
-part of the LP, and none when no column is left.
+A pattern is decided on primitive integer forms (:mod:`.poly`), the one
+form the Groebner kernel takes: the certifier converts the reduced basis of
+J once, a twist flips signs in those dicts, the positive-point search keeps
+its systems in that form, an LP column is the kernel's integer normal form
+times its scale, the LP's answer and the monomial witness are checked by
+reducing integer forms, and a point is checked on those forms in integers.
+A ``Poly`` is built only for a witness.  Before the all-positive-element
+LP, a presolve drops every column that a one-signed row forces to zero, so
+the simplex sees a small part of the LP, and none when no column is left.
 """
 
 from __future__ import annotations
@@ -119,7 +120,7 @@ def _kth_root(f: Fraction, k: int):
 def _forced_value(g: dict):
     """If the integer form ``g`` pins a single variable as c*u^k + d, return
     (var, value) of the positive solution, or ('dead', None) when no
-    positive solution exists, else None."""
+    positive rational solution exists, else None."""
     if len(g) != 2:
         return None
     (m0, c0), (m1, c1) = sorted(g.items(), key=lambda mc: sum(mc[0]))
@@ -207,9 +208,9 @@ def _degree(g: dict) -> int:
 def positive_point_search(gens, nvars: int):
     """Depth-first search for a strictly positive rational common zero of
     ``gens``, which must be a reduced grevlex basis up to a nonzero factor
-    on each element, given as ``Poly`` objects or as primitive integer
-    forms.  The search keeps its systems as integer forms: values go in by
-    :func:`_substituted`, and each Groebner run returns integer forms.
+    on each element, given as primitive integer forms.  The search keeps its
+    systems in that form: values go in by :func:`_substituted`, and each
+    Groebner run returns integer forms.
 
     A node applies forced single-variable solutions (:func:`_forced_value`)
     to a fixpoint, then branches the most frequent variable of the shortest
@@ -232,7 +233,6 @@ def positive_point_search(gens, nvars: int):
     """
     order = grevlex(nvars)
     budget = [NODE_BUDGET]
-    system = [primitive(g)[0] if isinstance(g, Poly) else g for g in gens]
 
     def search(system, reduced, assignment):
         budget[0] -= 1
@@ -278,7 +278,7 @@ def positive_point_search(gens, nvars: int):
                 return hit
         return None
 
-    return search(system, True, {})
+    return search(list(gens), True, {})
 
 
 # ---------------------------------------------------------------------------
@@ -325,9 +325,9 @@ def all_positive_element_search(nf: NormalFormCalculator, nvars: int, cap: int):
     A nonneg combination of monomials lies in the ideal iff its normal form
     vanishes; that is a rational linear feasibility problem over the normal
     forms of all candidate monomials.  Column j holds the integers s_j *
-    NF(m_j) (:meth:`~.groebner.NormalFormCalculator.scaled_normal_form`)
-    over s_j in the sum row: a positive column scale changes no sign and no
-    ratio-test winner of Bland's rule, so lam_j = s_j * x_j.
+    NF(m_j) (:meth:`~.groebner.NormalFormCalculator.reduce`) over s_j in
+    the sum row: a positive column scale changes no sign and no ratio-test
+    winner of Bland's rule, so lam_j = s_j * x_j.
 
     A presolve drops the columns that a one-signed row forces to zero
     (:func:`_live_columns`); most columns go.  The simplex gets the live
@@ -336,7 +336,7 @@ def all_positive_element_search(nf: NormalFormCalculator, nvars: int, cap: int):
     and no simplex runs.
     """
     monos = list(_monomials_up_to(nvars, cap))
-    images = [nf.scaled_normal_form(m) for m in monos]
+    images = [nf.reduce({m: 1}) for m in monos]
     rows: dict = {}  # normal-form monomial -> {column: entry}
     for col, (img, _) in enumerate(images):
         for m, c in img.items():
@@ -355,7 +355,7 @@ def all_positive_element_search(nf: NormalFormCalculator, nvars: int, cap: int):
     poly = Poly(nvars, {monos[j]: images[j][1] * x for j, x in zip(live, sol) if x})
     if not poly or poly.coefficient_signs() != {1}:
         return None
-    if nf.reduce(poly):
+    if nf.reduce(primitive(poly)[0])[0]:
         return None
     return poly
 
@@ -437,13 +437,14 @@ class ConeCertifier:
         """The least power (prod u)^k in J.  Saturation found a monomial in
         J, so some power of prod u lies in J and the loop ends.  NF is
         linear and u * (p - NF(p)) lies in J, so NF((prod u)^k) is
-        NF(prod u * NF((prod u)^(k-1)))."""
+        NF(prod u * NF((prod u)^(k-1))); the loop carries the kernel's
+        integer remainders, positive multiples of those normal forms, which
+        vanish with them."""
         n = self.ideal.nvars
-        nf = NormalFormCalculator(self.initial.generators, grevlex(n))
-        step = Poly.monomial((1,) * n, n)
-        k, rem = 1, nf.reduce(step)
+        nf = NormalFormCalculator(self._forms, grevlex(n))
+        k, (rem, _) = 1, nf.reduce({(1,) * n: 1})
         while rem:
-            k, rem = k + 1, nf.reduce(step * rem)
+            k, (rem, _) = k + 1, nf.reduce({tuple(e + 1 for e in m): c for m, c in rem.items()})
         return Poly.monomial((k,) * n, n)
 
     def decide(self, tau, perm=None):

@@ -162,7 +162,37 @@ def test_every_default_is_overridden():
 # the Groebner kernel's private names: its packed monomial format and the
 # integer loops that read it stay inside ualgebra/groebner.py
 KERNEL = SRC / "ualgebra" / "groebner.py"
-KERNEL_PRIVATE = {"_Basis", "_Codec", "_primitive", "_reduce_scaled", "_reduced_basis", "_monic", "_content_strip"}
+KERNEL_PRIVATE = {
+    "_Basis", "_Codec", "_buchberger_int", "_content_strip", "_degree", "_filled", "_normalize_sign",
+    "_reduce_int", "_reduce_scaled", "_reduced_basis", "_s_poly", "_update_pairs",
+}
+
+
+def test_the_kernels_private_names_are_defined_in_groebner_py():
+    defined = {
+        node.name for node in ast.parse(KERNEL.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert not KERNEL_PRIVATE - defined, f"not defined in groebner.py: {sorted(KERNEL_PRIVATE - defined)}"
+
+
+def test_the_kernel_takes_no_poly():
+    # the kernel speaks primitive integer forms only: it imports neither
+    # Poly nor primitive, and no module of ualgebra but poly.py itself asks
+    # whether a value is a Poly
+    imported = {
+        alias.name for node in ast.walk(ast.parse(KERNEL.read_text()))
+        if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names
+    }
+    assert not imported & {"Poly", "primitive"}
+    asks = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in sorted((SRC / "ualgebra").rglob("*.py")) if path.name != "poly.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+        and "Poly" in ast.unparse(node.args[1])
+    ]
+    assert not asks, "isinstance checks for Poly: " + ", ".join(asks)
 
 
 def kernel_private_uses(source: str) -> list:

@@ -402,7 +402,7 @@ def test_certify_budget_exhausted_among_the_probes_exits_resource(tmp_path, monk
     from utrop.ualgebra import signed
 
     def over_budget(ideal, max_pairs):
-        raise GroebnerBudgetError(max_pairs, max_pairs, 0, len(ideal.generators))
+        raise GroebnerBudgetError(max_pairs, 0, len(ideal.generators))
 
     monkeypatch.setattr(signed, "is_monomial_free", over_budget)
     out = tmp_path / "cert.json"
@@ -454,11 +454,11 @@ def test_certify_orbit_error_propagates(tmp_path, monkeypatch, pool_sizes, fan_c
 
 
 def test_budget_error_pickle_round_trip():
-    err = GroebnerBudgetError(5, 5, zero_reductions=2, basis_size=9)
+    err = GroebnerBudgetError(5, zero_reductions=2, basis_size=9)
     back = pickle.loads(pickle.dumps(err))
     assert type(back) is GroebnerBudgetError
     assert str(back) == str(err)
-    assert (back.pairs_processed, back.budget) == (5, 5)
+    assert back.budget == 5
     assert back.stats == err.stats == {"pairs": 5, "zero_reductions": 2, "basis_size": 9}
 
 

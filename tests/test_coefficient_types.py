@@ -1,12 +1,18 @@
-"""Every ``Poly`` coefficient is a ``Fraction``, never an ``int``.
+"""Every ``Poly`` coefficient is a ``Fraction``, never an ``int``, and the
+Groebner kernel answers in integers only.
 
 The Groebner kernel, ``initial_ideal``'s intermediate forms, the LP rows
 and the sign-pattern decision path work on integers; a ``Poly`` built from
 them must convert back.  An ``int`` coefficient would turn ``a / b``
-between coefficients into float division.
+between coefficients into float division.  The kernel's own answers are
+the other way round: ``groebner_basis`` and ``reduced_basis`` give
+primitive integer forms with positive leading coefficient, and
+``NormalFormCalculator.reduce`` an integer remainder at a positive integer
+scale.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -18,7 +24,7 @@ from utrop.ualgebra import Ideal, NormalFormCalculator, groebner_basis, grevlex,
 from utrop.ualgebra.groebner import reduced_basis
 from utrop.ualgebra.ideals import ideal_symmetries, permute_poly
 from utrop.ualgebra.initial import twist_poly
-from utrop.ualgebra.poly import Poly
+from utrop.ualgebra.poly import Poly, primitive
 
 
 def assert_fraction_coefficients(polys):
@@ -26,15 +32,23 @@ def assert_fraction_coefficients(polys):
         assert all(type(c) is Fraction for c in p.terms.values()), p.terms
 
 
+def assert_primitive_forms(forms, order):
+    for g in forms:
+        assert all(type(c) is int for c in g.values()), g
+        assert math.gcd(*g.values()) == 1 and g[max(g, key=order.key)] > 0, g
+
+
 def check_ideal(ideal, w):
     """Every coefficient-producing operation on ``ideal`` and its initial
     ideal at ``w``."""
     n = ideal.nvars
     order = grevlex(n)
-    gb = groebner_basis(ideal.generators, order)
-    assert_fraction_coefficients(gb)
-    # a Groebner basis still, scaled off monic and with a redundant element
-    assert_fraction_coefficients(reduced_basis([g * Fraction(3, 2) for g in gb] + gb[:1], order))
+    forms = [primitive(g)[0] for g in ideal.generators]
+    gb = groebner_basis(forms, order)
+    assert_primitive_forms(gb, order)
+    # a Groebner basis still, scaled off primitive, negated and with a
+    # redundant element
+    assert_primitive_forms(reduced_basis([{m: -3 * c for m, c in g.items()} for g in gb] + gb[:1], order), order)
     init = initial_ideal(ideal, w).generators
     assert_fraction_coefficients(init)
     tau = tuple(-1 if i % 2 else 1 for i in range(n))
@@ -45,9 +59,11 @@ def check_ideal(ideal, w):
             twist_poly(g, tau),
             permute_poly(g, perm),
         ])
-    nf = NormalFormCalculator(init, order)
-    probes = [Poly.monomial((1,) * n, n), Poly.monomial((2,) + (0,) * (n - 1), n, 3), *ideal.generators]
-    assert_fraction_coefficients(nf.reduce(p) for p in probes)
+    nf = NormalFormCalculator([primitive(g)[0] for g in init], order)
+    probes = [{(1,) * n: 1}, {(2,) + (0,) * (n - 1): 3}, *forms]
+    for remainder, scale in map(nf.reduce, probes):
+        assert all(type(c) is int for c in remainder.values()), remainder
+        assert type(scale) is int and scale > 0
 
 
 def test_c3_and_a5_coefficients_are_fractions(fan_c3, ideal_c3):

@@ -17,7 +17,7 @@ from utrop.ualgebra import (
     ideal_c,
 )
 from utrop.ualgebra.ideals import ideal_symmetries, permute_poly, permute_weight
-from utrop.ualgebra.poly import Poly, grevlex
+from utrop.ualgebra.poly import Poly, grevlex, primitive
 
 
 def poly_of(ideal, text_form):
@@ -165,13 +165,13 @@ def _substitute_zero(ideal, positions):
 
 
 def _solved_point_or_unit(gens, nvars):
-    basis = groebner_basis(gens, grevlex(nvars))
-    if basis == [Poly.const(1, nvars)]:
+    basis = groebner_basis([primitive(g)[0] for g in gens], grevlex(nvars))
+    if basis == [{(0,) * nvars: 1}]:
         return "unit"
     # single rational point: every basis element is linear in one variable
     pinned = {}
     for b in basis:
-        items = sorted(b.terms.items(), key=lambda mc: sum(mc[0]))
+        items = sorted(b.items(), key=lambda mc: sum(mc[0]))
         if len(items) > 2 or sum(items[-1][0]) != 1:
             return "other"
         var = items[-1][0].index(1)

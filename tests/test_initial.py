@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import pytest
 
+from test_groebner import forms, homogenized
 from utrop.errors import GroebnerBudgetError
 from utrop.ualgebra import (
     Ideal,
@@ -140,19 +141,19 @@ def degree_slice_basis(ideal, cap):
     """
     nvars = ideal.nvars
     order = grevlex(nvars)
-    nf = NormalFormCalculator(groebner_basis(ideal.generators, order), order)
+    nf = NormalFormCalculator(groebner_basis(forms(ideal.generators), order), order)
     monos = sorted(monomials_up_to(nvars, cap))
-    images = [nf.reduce(Poly.monomial(m, nvars)) for m in monos]
-    support = sorted({m for img in images for m in img.terms})
+    images = [nf.reduce({m: 1}) for m in monos]
+    support = sorted({m for img, _ in images for m in img})
     row_of = {m: i for i, m in enumerate(support)}
     # kernel of the (support x monomials) matrix via rref of its transpose
     # augmented with the identity: rows with vanishing image part encode
     # kernel combinations
     aug = []
-    for j, img in enumerate(images):
+    for j, (img, scale) in enumerate(images):
         row = [Fraction(0)] * len(support)
-        for m, c in img.terms.items():
-            row[row_of[m]] = c
+        for m, c in img.items():
+            row[row_of[m]] = Fraction(c, scale)
         aug.append(row + [Fraction(int(j == k)) for k in range(len(monos))])
     basis = []
     for r in rref(aug):
@@ -203,8 +204,8 @@ def oracle_initial_ideal(ideal, w, cap=6):
 
 def contains_all(container, elements):
     order = grevlex(container.nvars)
-    nf = NormalFormCalculator(groebner_basis(container.generators, order), order)
-    return all(not nf.reduce(g) for g in elements)
+    nf = NormalFormCalculator(groebner_basis(forms(container.generators), order), order)
+    return all(not nf.reduce(g)[0] for g in forms(elements))
 
 
 def ideals_equal(a, b):
@@ -241,8 +242,11 @@ def test_initial_ideal_matches_bruteforce_oracle(seed):
     ideal = random_small_ideal(rng)
     w = tuple(rng.randrange(-3, 4) for _ in range(ideal.nvars))
     got = initial_ideal(ideal, w)
-    # the generators are already the reduced grevlex basis of the initial ideal
-    assert list(got.generators) == groebner_basis(got.generators, grevlex(ideal.nvars))
+    # the generators are already the reduced grevlex basis of the initial
+    # ideal, made monic
+    order = grevlex(ideal.nvars)
+    assert forms(got.generators) == groebner_basis(forms(got.generators), order)
+    assert all(g.terms[order.leading_monomial(g)] == 1 for g in got.generators)
     # start the slice at degree 6; if the implementation's generators need
     # witnesses of higher degree, widen the window (the slice oracle stays
     # exact at every cap, and the inclusion oracle <= implementation is
@@ -287,9 +291,9 @@ def test_initial_ideal_at_zero_contains_ideal():
     ideal = ideal_a(5)
     init0 = initial_ideal(ideal, (0,) * 5)
     order = grevlex(5)
-    nf = NormalFormCalculator(groebner_basis(init0.generators, order), order)
-    for g in ideal.generators:
-        assert not nf.reduce(g)
+    nf = NormalFormCalculator(groebner_basis(forms(init0.generators), order), order)
+    for g in forms(ideal.generators):
+        assert not nf.reduce(g)[0]
 
 
 def test_monomial_freeness():
@@ -348,15 +352,15 @@ def test_sign_twist_flips_odd_occurrences():
 
 
 def raw_generator_initial_ideal(ideal, w):
-    """The reduced grevlex basis of in_w(I) from the weighted run on the
-    homogenized generators themselves, not on the homogenized grevlex basis:
-    initial forms, h set to 1, then inter-reduction."""
+    """The reduced grevlex basis of in_w(I), as integer forms, from the
+    weighted run on the homogenized generators themselves, not on the
+    homogenized grevlex basis: initial forms, h set to 1, then
+    inter-reduction."""
     n = ideal.nvars
-    hgens = [Poly(n + 1, {m + (g.degree() - sum(m),): c for m, c in g.terms.items()})
-             for g in ideal.generators]
     order = weighted_order(tuple(-x for x in w) + (0,), n + 1)
-    inits = [initial_part(g, tuple(w) + (0,)) for g in groebner_basis(hgens, order)]
-    return reduced_basis([Poly(n, {m[:-1]: c for m, c in g.terms.items()}) for g in inits], grevlex(n))
+    gb = groebner_basis(homogenized(ideal.generators), order)
+    inits = [initial_part(Poly(n + 1, g), tuple(w) + (0,)) for g in gb]
+    return reduced_basis([{m[:-1]: c for m, c in g.items()} for g in forms(inits)], grevlex(n))
 
 
 @pytest.mark.parametrize("kind,n,step", [("c", 3, 1), ("a", 5, 1), ("a", 6, 9)])
@@ -371,7 +375,7 @@ def test_grevlex_start_gives_the_raw_generators_initial_ideal(kind, n, step):
     reps = [rep for rep, _ in cone_orbits(ideal, weights)][::step]
     assert len(reps) >= 5
     for w in reps:
-        assert list(initial_ideal(ideal, w).generators) == raw_generator_initial_ideal(ideal, w), w
+        assert forms(initial_ideal(ideal, w).generators) == raw_generator_initial_ideal(ideal, w), w
 
 
 # the weighted run's counters at each c3 orbit representative, in the order

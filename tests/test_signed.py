@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_groebner import forms
 from utrop.errors import GroebnerBudgetError, InvalidArgumentError
 from utrop.symtrees import DihedralOrdering, Symmetry, build_sub
 from utrop.ualgebra import Verdict, ideal_a, initial_ideal, is_monomial_free, sign_twist
@@ -43,27 +44,27 @@ def ints(p):
 def test_positive_point_search_solves_triangular_system():
     # u2 = 1, u1*u3 = 2, u3 + u4 = 1; the search takes a reduced basis
     gens = groebner_basis([
-        Poly(4, {(0, 1, 0, 0): 1, (0, 0, 0, 0): -1}),
-        Poly(4, {(1, 0, 1, 0): 1, (0, 0, 0, 0): -2}),
-        Poly(4, {(0, 0, 1, 0): 1, (0, 0, 0, 1): 1, (0, 0, 0, 0): -1}),
+        {(0, 1, 0, 0): 1, (0, 0, 0, 0): -1},
+        {(1, 0, 1, 0): 1, (0, 0, 0, 0): -2},
+        {(0, 0, 1, 0): 1, (0, 0, 0, 1): 1, (0, 0, 0, 0): -1},
     ], grevlex(4))
     point = positive_point_search(gens, 4)
     assert point is not None
     vec = [point[i] for i in range(4)]
     assert all(v > 0 for v in vec)
-    assert all(g.evaluate(vec) == 0 for g in gens)
+    assert all(Poly(4, g).evaluate(vec) == 0 for g in gens)
 
 
 def test_positive_point_search_detects_sign_definite():
-    gens = [Poly(2, {(1, 0): 1, (0, 1): 2})]  # u1 + 2 u2: positive on the orthant
+    gens = [{(1, 0): 1, (0, 1): 2}]  # u1 + 2 u2: positive on the orthant
     assert positive_point_search(gens, 2) is None
 
 
 def test_positive_point_search_needs_matching_halves():
     # u1 = u2 and u1 + u2 = 1 forces u1 = u2 = 1/2
     gens = groebner_basis([
-        Poly(2, {(1, 0): 1, (0, 1): -1}),
-        Poly(2, {(1, 0): 1, (0, 1): 1, (0, 0): -1}),
+        {(1, 0): 1, (0, 1): -1},
+        {(1, 0): 1, (0, 1): 1, (0, 0): -1},
     ], grevlex(2))
     point = positive_point_search(gens, 2)
     assert point == {0: Fraction(1, 2), 1: Fraction(1, 2)}
@@ -71,30 +72,30 @@ def test_positive_point_search_needs_matching_halves():
 
 def test_kth_root_solving():
     # u1^3 = 27/8 has the rational root 3/2
-    gens = [Poly(1, {(3,): 8, (0,): -27})]
+    gens = [{(3,): 8, (0,): -27}]
     point = positive_point_search(gens, 1)
     assert point == {0: Fraction(3, 2)}
     # u1^2 = 2 has no rational root and no other exit: no point found
-    assert positive_point_search([Poly(1, {(2,): 1, (0,): -2})], 1) is None
+    assert positive_point_search([{(2,): 1, (0,): -2}], 1) is None
 
 
 def test_all_positive_element_search_finds_combination():
     # the ideal contains (u1 + u3) + (u3 + u2) with all-positive coefficients
     order = grevlex(3)
     gens = [
-        Poly(3, {(1, 0, 0): 1, (0, 0, 1): 1}),
-        Poly(3, {(0, 1, 0): 1, (0, 0, 1): 1}),
+        {(1, 0, 0): 1, (0, 0, 1): 1},
+        {(0, 1, 0): 1, (0, 0, 1): 1},
     ]
     nf = NormalFormCalculator(groebner_basis(gens, order), order)
     elt = all_positive_element_search(nf, 3, 2)
     assert elt is not None
     assert elt.coefficient_signs() == {1}
-    assert not nf.reduce(elt)
+    assert not nf.reduce(ints(elt))[0]
 
 
 def test_all_positive_element_absent_for_positive_variety():
     order = grevlex(2)
-    gens = [Poly(2, {(1, 0): 1, (0, 1): -1})]  # u1 = u2 has positive points
+    gens = [{(1, 0): 1, (0, 1): -1}]  # u1 = u2 has positive points
     nf = NormalFormCalculator(groebner_basis(gens, order), order)
     assert all_positive_element_search(nf, 2, 3) is None
 
@@ -116,39 +117,40 @@ def test_forced_value_of_an_integer_form_is_exact():
        st.integers(0, 2),
        st.fractions(min_value=Fraction(1, 6), max_value=5, max_denominator=6))
 def test_integer_substitution_runs_the_basis_of_poly_substitute(gens, var, val):
-    # the search's substitution on integer forms, then a run on integer
-    # forms, against Poly.substitute and a run on Polys: each element is a
-    # positive multiple of the monic one, and primitive
+    # the search's substitution on integer forms, then a run, against
+    # Poly.substitute and a run on its primitive forms: each element is
+    # primitive with positive leading coefficient, and the same
     from utrop.ualgebra.signed import _substituted
 
     order = grevlex(3)
     polys = [p for p in (Poly(3, terms) for terms in gens) if p]
     got = groebner_basis([_substituted(ints(p), var, val) for p in polys], order)
-    want = groebner_basis([p.substitute({var: val}) for p in polys], order)
+    want = groebner_basis([ints(p.substitute({var: val})) for p in polys], order)
     assert len(got) == len(want)
     for g, h in zip(got, want):
-        lc = g[order.leading_monomial(h)]
+        lc = g[max(g, key=order.key)]
         assert lc > 0 and math.gcd(*g.values()) == 1
-        assert Poly(3, {m: Fraction(c, lc) for m, c in g.items()}) == h
+        assert g == h
 
 
 def fraction_lp_search(nf, nvars, cap):
     """The all-positive-element LP on rational columns: column j is
-    NF(m_j) from ``nf.reduce`` and its sum-row entry is 1.  The reference
-    for the scaled integer columns of ``all_positive_element_search``."""
+    NF(m_j), the remainder of ``nf.reduce`` over its scale, and its sum-row
+    entry is 1.  The reference for the scaled integer columns of
+    ``all_positive_element_search``."""
     from utrop import linalg
     from utrop.ualgebra.signed import _monomials_up_to
 
     monos = list(_monomials_up_to(nvars, cap))
-    images = [nf.reduce(Poly.monomial(m, nvars)) for m in monos]
-    support = sorted({m for img in images for m in img.terms})
+    images = [nf.reduce({m: 1}) for m in monos]
+    support = sorted({m for img, _ in images for m in img})
     if not support:
         return None
     row_of = {m: i for i, m in enumerate(support)}
     mat = [[Fraction(0)] * len(monos) for _ in support]
-    for col, img in enumerate(images):
-        for m, c in img.terms.items():
-            mat[row_of[m]][col] = c
+    for col, (img, scale) in enumerate(images):
+        for m, c in img.items():
+            mat[row_of[m]][col] = Fraction(c, scale)
     mat.append([Fraction(1)] * len(monos))
     rhs = [Fraction(0)] * len(support) + [Fraction(1)]
     sol = linalg.solve_nonneg(mat, rhs)
@@ -157,7 +159,7 @@ def fraction_lp_search(nf, nvars, cap):
     poly = Poly(nvars, {m: lam for m, lam in zip(monos, sol) if lam})
     if not poly or poly.coefficient_signs() != {1}:
         return None
-    if nf.reduce(poly):
+    if nf.reduce(ints(poly))[0]:
         return None
     return poly
 
@@ -174,7 +176,7 @@ def test_scaled_lp_columns_give_the_rational_lp_answer():
                      for _ in range(rng.randint(2, 3))})
             for _ in range(rng.randint(1, 2))
         ]
-        basis = groebner_basis(gens, order)
+        basis = groebner_basis(forms(gens), order)
         for cap in (2, 3):
             got = all_positive_element_search(NormalFormCalculator(basis, order), 3, cap)
             assert got == fraction_lp_search(NormalFormCalculator(basis, order), 3, cap)
@@ -257,7 +259,7 @@ def test_presolve_decides_a_one_signed_row_with_no_simplex(monkeypatch):
     from utrop.ualgebra.signed import _live_columns
 
     order = grevlex(2)
-    gens = [Poly(2, {(1, 0): 1, (0, 0): -1}), Poly(2, {(0, 1): 1, (0, 0): -1})]
+    gens = [{(1, 0): 1, (0, 0): -1}, {(0, 1): 1, (0, 0): -1}]
     nf = NormalFormCalculator(groebner_basis(gens, order), order)
     assert _live_columns([{0: 1, 1: 2, 2: 1}], 3) == []
     solved = []
@@ -286,13 +288,13 @@ def test_presolve_keeps_the_full_lp_answer_to_feasibility(gens, cap):
     # and an element it finds is all-positive and lies in the ideal
     order = grevlex(3)
     polys = [p for p in (Poly(3, terms) for terms in gens) if p]
-    basis = groebner_basis(polys, order)
+    basis = groebner_basis(forms(polys), order)
     got = all_positive_element_search(NormalFormCalculator(basis, order), 3, cap)
     want = fraction_lp_search(NormalFormCalculator(basis, order), 3, cap)
     assert (got is None) == (want is None)
     if got is not None:
         assert got.coefficient_signs() == {1}
-        assert not NormalFormCalculator(basis, order).reduce(got)
+        assert not NormalFormCalculator(basis, order).reduce(ints(got))[0]
 
 
 @pytest.fixture
@@ -376,14 +378,14 @@ def test_search_runs_no_groebner_basis_before_substituting(search_runs, monkeypa
     import utrop.ualgebra.signed as signed_mod
 
     xy = Poly(2, {(1, 1): 1, (0, 0): -1})  # u1*u2 = 1: nothing forced, so u1 branches
-    assert positive_point_search([xy], 2) == {0: Fraction(1), 1: Fraction(1)}
+    assert positive_point_search([ints(xy)], 2) == {0: Fraction(1), 1: Fraction(1)}
     assert search_runs[0] == [ints(xy.substitute({0: Fraction(1)}))]
     search_runs.clear()
-    assert positive_point_search([Poly(2, {(1, 0): 1, (0, 1): 2})], 2) is None
+    assert positive_point_search([{(1, 0): 1, (0, 1): 2}], 2) is None
     assert search_runs == []
     # the root spends a budget of one node, so no child starts a run
     monkeypatch.setattr(signed_mod, "NODE_BUDGET", 1)
-    assert positive_point_search([xy], 2) is None
+    assert positive_point_search([ints(xy)], 2) is None
     assert search_runs == []
 
 
@@ -435,13 +437,13 @@ def test_search_starts_no_run_on_a_hopeless_child(search_runs, monkeypatch):
     import utrop.ualgebra.signed as signed_mod
 
     f = Poly(3, {(1, 1, 0): 1, (1, 0, 1): -1, (0, 1, 0): -1, (0, 0, 1): -1})
-    assert positive_point_search([f], 3) == {0: Fraction(2), 1: Fraction(1), 2: Fraction(1, 3)}
+    assert positive_point_search([ints(f)], 3) == {0: Fraction(2), 1: Fraction(1), 2: Fraction(1, 3)}
     at2 = f.substitute({0: Fraction(2)})
     assert search_runs == [[ints(at2)], [ints(at2.substitute({1: Fraction(1)}))]]
     # the hopeless child is still a node: the root and it spend a budget of two
     search_runs.clear()
     monkeypatch.setattr(signed_mod, "NODE_BUDGET", 2)
-    assert positive_point_search([f], 3) is None
+    assert positive_point_search([ints(f)], 3) is None
     assert search_runs == []
 
 
@@ -453,16 +455,16 @@ def test_search_runs_a_basis_after_a_budget_fallback(search_runs, monkeypatch):
 
     xy = Poly(2, {(1, 1): 1, (0, 0): -1})
     y1 = xy.substitute({0: Fraction(1)})
-    assert positive_point_search([xy], 2) == {0: Fraction(1), 1: Fraction(1)}
+    assert positive_point_search([ints(xy)], 2) == {0: Fraction(1), 1: Fraction(1)}
     assert search_runs == [[ints(y1)]]
     search_runs.clear()
 
     def over_budget(system, *args, **kwargs):
         search_runs.append(list(system))
-        raise GroebnerBudgetError(2000, 2000, 0, len(system))
+        raise GroebnerBudgetError(2000, 0, len(system))
 
     monkeypatch.setattr(signed_mod, "groebner_basis", over_budget)
-    assert positive_point_search([xy], 2) == {0: Fraction(1), 1: Fraction(1)}
+    assert positive_point_search([ints(xy)], 2) == {0: Fraction(1), 1: Fraction(1)}
     assert search_runs == [[ints(y1)], [ints(y1.substitute({1: Fraction(1)}))]]
 
 
@@ -522,7 +524,7 @@ def test_sweep_flags_budget_exhaustion(fan_c3, ideal_c3):
         assert len(records) == 34
         for err in records:
             assert isinstance(err, GroebnerBudgetError)
-            assert (err.pairs_processed, err.budget) == (1, 1)
+            assert err.budget == 1
             assert err.stats["pairs"] == 1 and err.stats["basis_size"] > 0
 
 
@@ -633,10 +635,11 @@ def test_initial_generators_are_the_reduced_grevlex_basis(certifiers_c3, ideal_c
     order = grevlex(ideal_c3.nvars)
     for _, w, certifier in certifiers_c3:
         gens = list(certifier.initial.generators)
-        assert gens == groebner_basis(gens, order)
+        assert forms(gens) == groebner_basis(forms(gens), order)
+        assert all(g.terms[order.leading_monomial(g)] == 1 for g in gens)
         for tau in PUBLISHED_C3_PATTERNS:
             twisted = list(initial_ideal(sign_twist(ideal_c3, tau), w).generators)
-            assert twisted == groebner_basis(twisted, order)
+            assert forms(twisted) == groebner_basis(forms(twisted), order)
             # twisting maps the reduced basis onto the twisted one, up to sign
             flipped = [twist_poly(g, tau) for g in gens]
             assert twisted == [g if g.terms[order.leading_monomial(g)] > 0 else -g for g in flipped]
@@ -681,9 +684,9 @@ def test_monomial_nonmember_names_the_least_power(terms, w):
     cert = ConeCertifier(ideal, w).certify((1, 1))
     assert cert.verdict is Verdict.NON_MEMBER
     assert cert.witness == {"type": "monomial_in_initial_ideal", "element": "x^7*y^7"}
-    nf = NormalFormCalculator(initial_ideal(ideal, w).generators, grevlex(2))
-    assert nf.contains(Poly.monomial((7, 7), 2))
-    assert not nf.contains(Poly.monomial((6, 6), 2))
+    nf = NormalFormCalculator(forms(initial_ideal(ideal, w).generators), grevlex(2))
+    assert not nf.reduce({(7, 7): 1})[0]
+    assert nf.reduce({(6, 6): 1})[0]
 
 
 def parse_witness(text, names):
@@ -718,8 +721,8 @@ def assert_certificate_checks_out(ideal, w, tau, cert):
     elif cert["verdict"] == Verdict.NON_MEMBER.value:
         elt = parse_witness(witness["element"], list(ideal.variables))
         assert elt.coefficient_signs() == {1}
-        nf = NormalFormCalculator(twisted_initial.generators, grevlex(ideal.nvars))
-        assert not nf.reduce(elt)
+        nf = NormalFormCalculator(forms(twisted_initial.generators), grevlex(ideal.nvars))
+        assert not nf.reduce(ints(elt))[0]
 
 
 # a few a5 patterns: those of the orderings 1,2,3,4,5 and 1,3,5,2,4, then two
@@ -871,7 +874,7 @@ def assert_checks_out_at(generators, names, tau, cert):
         assert cert["witness"]["type"] == "all_positive_element"
         elt = parse_witness(cert["witness"]["element"], names)
         assert elt.coefficient_signs() == {1}
-        assert not NormalFormCalculator(twisted, grevlex(len(names))).reduce(elt)
+        assert not NormalFormCalculator(forms(twisted), grevlex(len(names))).reduce(ints(elt))[0]
 
 
 @pytest.mark.parametrize("kind,n", sorted(ALL_PATTERNS_HASHES))
@@ -976,7 +979,7 @@ def test_a_budget_error_in_the_lazy_saturation_run_stands_for_its_orbit(fan_c3, 
     import utrop.ualgebra.signed as signed_mod
 
     def over_budget(ideal, max_pairs):
-        raise GroebnerBudgetError(max_pairs, max_pairs, 0, len(ideal.generators))
+        raise GroebnerBudgetError(max_pairs, 0, len(ideal.generators))
 
     weights = [fan_c3.interior_point(f) for f in fan_c3.proper_faces()]
     full = certify_weights(ideal_c3, weights, PUBLISHED_C3_PATTERNS)
